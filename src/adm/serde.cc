@@ -411,48 +411,8 @@ Result<size_t> TypedSerializedSize(const Value& v, const DatatypePtr& type) {
   return w.size();
 }
 
-namespace {
-
-/// Compare() groups values before ordering them (numerics of any width share
-/// one group, and so on); the normalized encoding leads with the same group
-/// byte so cross-type equality matches Compare()==0.
-uint8_t NormalizedGroup(TypeTag t) {
-  switch (t) {
-    case TypeTag::kMissing: return 0;
-    case TypeTag::kNull: return 1;
-    case TypeTag::kBoolean: return 2;
-    case TypeTag::kInt8:
-    case TypeTag::kInt16:
-    case TypeTag::kInt32:
-    case TypeTag::kInt64:
-    case TypeTag::kFloat:
-    case TypeTag::kDouble: return 3;
-    case TypeTag::kString: return 4;
-    case TypeTag::kDate: return 5;
-    case TypeTag::kTime: return 6;
-    case TypeTag::kDatetime: return 7;
-    case TypeTag::kDuration:
-    case TypeTag::kYearMonthDuration:
-    case TypeTag::kDayTimeDuration: return 8;
-    case TypeTag::kInterval: return 9;
-    case TypeTag::kPoint: return 10;
-    case TypeTag::kLine: return 11;
-    case TypeTag::kRectangle: return 12;
-    case TypeTag::kCircle: return 13;
-    case TypeTag::kPolygon: return 14;
-    case TypeTag::kUuid: return 15;
-    case TypeTag::kBag: return 16;
-    case TypeTag::kOrderedList: return 17;
-    case TypeTag::kRecord: return 18;
-    case TypeTag::kAny: return 19;
-  }
-  return 20;
-}
-
-}  // namespace
-
 void SerializeNormalizedKey(const Value& v, BytesWriter* w) {
-  w->PutU8(NormalizedGroup(v.tag()));
+  w->PutU8(TypeGroup(v.tag()));
   switch (v.tag()) {
     case TypeTag::kMissing:
     case TypeTag::kNull:

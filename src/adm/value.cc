@@ -6,6 +6,7 @@
 
 #include "adm/temporal.h"
 #include "common/bytes.h"
+#include "common/string_utils.h"
 
 namespace asterix {
 namespace adm {
@@ -201,40 +202,6 @@ bool Value::GetInteger(int64_t* out) const {
 
 namespace {
 
-// Rank used to order values of different type families.
-int TypeGroup(TypeTag t) {
-  switch (t) {
-    case TypeTag::kMissing: return 0;
-    case TypeTag::kNull: return 1;
-    case TypeTag::kBoolean: return 2;
-    case TypeTag::kInt8:
-    case TypeTag::kInt16:
-    case TypeTag::kInt32:
-    case TypeTag::kInt64:
-    case TypeTag::kFloat:
-    case TypeTag::kDouble: return 3;
-    case TypeTag::kString: return 4;
-    case TypeTag::kDate: return 5;
-    case TypeTag::kTime: return 6;
-    case TypeTag::kDatetime: return 7;
-    case TypeTag::kDuration:
-    case TypeTag::kYearMonthDuration:
-    case TypeTag::kDayTimeDuration: return 8;
-    case TypeTag::kInterval: return 9;
-    case TypeTag::kPoint: return 10;
-    case TypeTag::kLine: return 11;
-    case TypeTag::kRectangle: return 12;
-    case TypeTag::kCircle: return 13;
-    case TypeTag::kPolygon: return 14;
-    case TypeTag::kUuid: return 15;
-    case TypeTag::kBag: return 16;
-    case TypeTag::kOrderedList: return 17;
-    case TypeTag::kRecord: return 18;
-    case TypeTag::kAny: return 19;
-  }
-  return 20;
-}
-
 template <typename T>
 int Cmp(T a, T b) {
   if (a < b) return -1;
@@ -422,28 +389,6 @@ uint64_t Value::Hash(uint64_t seed) const {
 }
 
 namespace {
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 void AppendDouble(double d, std::string* out) {
   if (std::isnan(d)) {

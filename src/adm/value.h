@@ -56,6 +56,44 @@ bool IsNumericTag(TypeTag tag);
 /// True for date/time/datetime (the valid interval chronon types).
 bool IsTemporalPointTag(TypeTag tag);
 
+/// Rank that orders values of different type families (numerics of any
+/// width share one group, and so on). Value::Compare() orders by it first
+/// and SerializeNormalizedKey() leads with it, which is what makes
+/// serialized-key equality match Compare()==0 in every hash join, group-by
+/// and distinct. Inline so key serialization keeps it inlined.
+inline uint8_t TypeGroup(TypeTag t) {
+  switch (t) {
+    case TypeTag::kMissing: return 0;
+    case TypeTag::kNull: return 1;
+    case TypeTag::kBoolean: return 2;
+    case TypeTag::kInt8:
+    case TypeTag::kInt16:
+    case TypeTag::kInt32:
+    case TypeTag::kInt64:
+    case TypeTag::kFloat:
+    case TypeTag::kDouble: return 3;
+    case TypeTag::kString: return 4;
+    case TypeTag::kDate: return 5;
+    case TypeTag::kTime: return 6;
+    case TypeTag::kDatetime: return 7;
+    case TypeTag::kDuration:
+    case TypeTag::kYearMonthDuration:
+    case TypeTag::kDayTimeDuration: return 8;
+    case TypeTag::kInterval: return 9;
+    case TypeTag::kPoint: return 10;
+    case TypeTag::kLine: return 11;
+    case TypeTag::kRectangle: return 12;
+    case TypeTag::kCircle: return 13;
+    case TypeTag::kPolygon: return 14;
+    case TypeTag::kUuid: return 15;
+    case TypeTag::kBag: return 16;
+    case TypeTag::kOrderedList: return 17;
+    case TypeTag::kRecord: return 18;
+    case TypeTag::kAny: return 19;
+  }
+  return 20;
+}
+
 /// 2-D point; the unit of all spatial payloads.
 struct GeoPoint {
   double x = 0;

@@ -687,97 +687,51 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileGroupBy(
     return s;
   }
 
-  if (op->with_vars.empty()) {
-    // Grouped aggregation without bag materialization.
-    std::vector<hyracks::AggSpec> specs;
-    for (const auto& a : op->aggs) {
-      specs.push_back({a.fn, a.arg ? CompileExpr(a.arg, in) : TupleEval()});
-    }
-    if (options_.split_aggregation) {
-      int local_id = job->AddOperator(hyracks::MakeHashGroupBy(
-          in.parallelism, key_evals, specs, hyracks::AggMode::kLocal));
-      job->Connect(ConnectorType::kOneToOne, in.op_id, local_id);
-      // Local output layout: keys then partials; shuffle on the keys.
-      std::vector<int> key_cols;
-      std::vector<TupleEval> key_cols_evals;
-      for (size_t i = 0; i < op->group_keys.size(); ++i) {
-        key_cols.push_back(static_cast<int>(i));
-        key_cols_evals.push_back(ColumnEval(static_cast<int>(i)));
-      }
-      std::vector<hyracks::AggSpec> global_specs;
-      for (const auto& a : op->aggs) global_specs.push_back({a.fn, TupleEval()});
-      int global_id = job->AddOperator(hyracks::MakeHashGroupBy(
-          P, key_cols_evals, global_specs, hyracks::AggMode::kGlobal));
-      job->Connect(ConnectorType::kMToNPartitioning, local_id, global_id, 0,
-                   hyracks::HashOnColumns(key_cols));
-      s.op_id = global_id;
-    } else {
-      int group_id = job->AddOperator(hyracks::MakeHashGroupBy(
-          P, key_evals, specs, hyracks::AggMode::kComplete));
-      job->Connect(ConnectorType::kMToNPartitioning, in.op_id, group_id, 0,
-                   HashOnEvals(key_evals));
-      s.op_id = group_id;
-    }
-    for (const auto& a : op->aggs) s.schema[a.out_var] = col++;
-    s.width = col;
-    s.parallelism = options_.split_aggregation ? P : P;
-    return s;
-  }
-
-  // Materializing group-by: collect bags for the with-vars (plus hidden
-  // bags feeding any rewritten aggregates), shuffled by group key.
-  std::vector<int> collect_cols;
-  std::vector<std::string> bag_out_vars;
+  // Grouped: one hash group-by. Each with-variable the aggregation rewrite
+  // left bound is collected into its bag by a listify aggregate; rewritten
+  // aggregates run beside it. Output: [keys..., bags..., aggregates...].
+  std::vector<hyracks::AggSpec> specs;
   for (const auto& [bag, src] : op->with_vars) {
     auto it = in.schema.find(src);
     if (it == in.schema.end()) {
       return Status::Internal("group-by source var $" + src + " not in scope");
     }
-    collect_cols.push_back(it->second);
-    bag_out_vars.push_back(bag);
+    specs.push_back({functions::kListify, ColumnEval(it->second)});
   }
-  std::vector<std::string> agg_bag_vars;
   for (const auto& a : op->aggs) {
-    std::vector<std::string> fv;
-    if (a.arg) a.arg->CollectFreeVars(&fv);
-    if (fv.size() == 1 && in.schema.count(fv[0])) {
-      collect_cols.push_back(in.schema[fv[0]]);
-      agg_bag_vars.push_back(fv[0]);
-    } else {
-      return Status::NotImplemented(
-          "grouped aggregate argument must reference one grouped variable");
+    specs.push_back({a.fn, a.arg ? CompileExpr(a.arg, in) : TupleEval()});
+  }
+  // A local listify cannot shrink its input, so a bag-collecting group
+  // shuffles raw tuples into one complete group-by.
+  if (options_.split_aggregation && op->with_vars.empty()) {
+    int local_id = job->AddOperator(hyracks::MakeHashGroupBy(
+        in.parallelism, key_evals, specs, hyracks::AggMode::kLocal));
+    job->Connect(ConnectorType::kOneToOne, in.op_id, local_id);
+    // Local output layout: keys then partials; shuffle on the keys.
+    std::vector<int> key_cols;
+    std::vector<TupleEval> key_cols_evals;
+    for (size_t i = 0; i < op->group_keys.size(); ++i) {
+      key_cols.push_back(static_cast<int>(i));
+      key_cols_evals.push_back(ColumnEval(static_cast<int>(i)));
     }
+    std::vector<hyracks::AggSpec> global_specs;
+    for (const auto& a : op->aggs) global_specs.push_back({a.fn, TupleEval()});
+    int global_id = job->AddOperator(hyracks::MakeHashGroupBy(
+        P, key_cols_evals, global_specs, hyracks::AggMode::kGlobal));
+    job->Connect(ConnectorType::kMToNPartitioning, local_id, global_id, 0,
+                 hyracks::HashOnColumns(key_cols));
+    s.op_id = global_id;
+  } else {
+    int group_id = job->AddOperator(hyracks::MakeHashGroupBy(
+        P, key_evals, specs, hyracks::AggMode::kComplete));
+    job->Connect(ConnectorType::kMToNPartitioning, in.op_id, group_id, 0,
+                 HashOnEvals(key_evals));
+    s.op_id = group_id;
   }
-  int group_id = job->AddOperator(
-      hyracks::MakeBagGroupBy(P, key_evals, collect_cols));
-  job->Connect(ConnectorType::kMToNPartitioning, in.op_id, group_id, 0,
-               HashOnEvals(key_evals));
-  s.op_id = group_id;
-  s.parallelism = P;
-  for (const auto& bag : bag_out_vars) s.schema[bag] = col++;
-  // Hidden bag columns for aggregates.
-  std::vector<int> agg_bag_cols;
-  for (size_t i = 0; i < agg_bag_vars.size(); ++i) {
-    agg_bag_cols.push_back(col++);
-  }
+  for (const auto& [bag, src] : op->with_vars) s.schema[bag] = col++;
+  for (const auto& a : op->aggs) s.schema[a.out_var] = col++;
   s.width = col;
-  if (!op->aggs.empty()) {
-    // Evaluate each aggregate as a scalar function over its hidden bag.
-    std::vector<TupleEval> agg_evals;
-    for (size_t i = 0; i < op->aggs.size(); ++i) {
-      const auto& a = op->aggs[i];
-      int bag_col = agg_bag_cols[i];
-      std::string fn = a.fn;
-      agg_evals.push_back([fn, bag_col](const Tuple& t) -> Result<Value> {
-        return functions::AggregateCollection(fn, t[static_cast<size_t>(bag_col)]);
-      });
-    }
-    int assign_id =
-        job->AddOperator(hyracks::MakeAssign(s.parallelism, agg_evals));
-    job->Connect(ConnectorType::kOneToOne, s.op_id, assign_id);
-    s.op_id = assign_id;
-    for (const auto& a : op->aggs) s.schema[a.out_var] = s.width++;
-  }
+  s.parallelism = P;
   return s;
 }
 
@@ -997,40 +951,6 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileOp(
       return in;
     }
     case LogicalOp::Kind::kLimit: {
-      // Optional limit-into-sort pushdown (off by default, as in the paper).
-      if (options_.push_limit_into_sort &&
-          op->inputs[0]->kind == LogicalOp::Kind::kOrder) {
-        // Recompile the sort with a per-partition truncation.
-        LogicalOpPtr order = op->inputs[0];
-        ASTERIX_ASSIGN_OR_RETURN(Stream in, CompileOp(order->inputs[0], job));
-        std::vector<TupleEval> key_evals;
-        std::vector<bool> asc;
-        for (const auto& [e, a] : order->order_keys) {
-          key_evals.push_back(CompileExpr(e, in));
-          asc.push_back(a);
-        }
-        TupleCompare cmp = [key_evals, asc](const Tuple& x, const Tuple& y) {
-          for (size_t i = 0; i < key_evals.size(); ++i) {
-            auto vx = key_evals[i](x);
-            auto vy = key_evals[i](y);
-            if (!vx.ok() || !vy.ok()) return 0;
-            int c = vx.value().Compare(vy.value());
-            if (c != 0) return asc[i] ? c : -c;
-          }
-          return 0;
-        };
-        size_t k = static_cast<size_t>(op->limit + op->offset);
-        int sort_id = job->AddOperator(hyracks::MakeSort(in.parallelism, cmp, k));
-        job->Connect(ConnectorType::kOneToOne, in.op_id, sort_id);
-        int limit_id = job->AddOperator(hyracks::MakeLimit(
-            static_cast<size_t>(op->limit), static_cast<size_t>(op->offset)));
-        job->Connect(ConnectorType::kMToNPartitioningMerging, sort_id, limit_id,
-                     0, nullptr, cmp);
-        in.op_id = limit_id;
-        in.parallelism = 1;
-        in.sorted = cmp;
-        return in;
-      }
       ASTERIX_ASSIGN_OR_RETURN(Stream in, CompileOp(op->inputs[0], job));
       int id = job->AddOperator(hyracks::MakeLimit(
           op->limit < 0 ? SIZE_MAX : static_cast<size_t>(op->limit),

@@ -816,18 +816,16 @@ Result<LogicalOpPtr> Optimize(const LogicalOpPtr& plan,
                               const RuleCatalog& catalog,
                               const OptimizerOptions& options) {
   LogicalOpPtr p = CloneOp(plan);
-  if (options.fold_constants) FoldOpExprs(p);
-  if (options.push_selects_down) {
-    for (int i = 0; i < 16; ++i) {
-      if (!PushSelectsOnce(p)) break;
-    }
+  FoldOpExprs(p);
+  for (int i = 0; i < 16; ++i) {
+    if (!PushSelectsOnce(p)) break;
   }
   for (int i = 0; i < 4; ++i) {
     if (!RewriteScalarAggregates(p)) break;
   }
-  if (options.rewrite_group_aggregation) RewriteGroupAggregation(p);
+  RewriteGroupAggregation(p);
   if (options.use_indexes) IntroduceIndexAccess(p, catalog);
-  if (options.push_projection_into_scan) PushProjectionIntoScan(p);
+  PushProjectionIntoScan(p);
   return p;
 }
 

@@ -35,22 +35,13 @@ class RuleCatalog {
 /// The paper: AsterixDB has no cost-based optimizer; instead a set of
 /// "safe" rules — (a) always use index-based access for selections when an
 /// index exists, (b) always pick parallel hash joins for equijoins — plus
-/// user hints for overrides. These switches expose the rules for the
-/// ablation benches.
+/// user hints for overrides. These switches are the rules the tests and
+/// ablation benches turn off; every other rule always runs.
 struct OptimizerOptions {
   bool use_indexes = true;
-  bool rewrite_group_aggregation = true;  // avoid materializing groups
-  bool push_selects_down = true;
-  bool fold_constants = true;
   /// Consulted by the physical generator (not a logical rewrite): split
   /// aggregates into local/global pairs (Figure 6).
   bool split_aggregation = true;
-  /// Paper: "AsterixDB does not push limits into sort operations yet".
-  bool push_limit_into_sort = false;
-  /// Record the set of referenced record fields (and sargable constant
-  /// ranges) on each data-source scan so columnar datasets materialize
-  /// only the touched column pages. Never changes results.
-  bool push_projection_into_scan = true;
   /// Consulted by the physical generator: lower filter/aggregate pipelines
   /// over columnar scans to typed-batch vector operators when every
   /// expression has a kernel. Semantics are interpreter-exact; turning this

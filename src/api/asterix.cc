@@ -8,6 +8,7 @@
 #include "common/journal.h"
 #include "common/ledger.h"
 #include "common/metrics.h"
+#include "common/string_utils.h"
 #include "common/version_clock.h"
 #include "external/external.h"
 #include "hyracks/operators.h"
@@ -44,38 +45,6 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
 
 double ElapsedMs(std::chrono::steady_clock::time_point since) {
   return static_cast<double>(ElapsedUs(since)) / 1000.0;
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 void AppendDouble(std::string* out, double v) {
@@ -562,7 +531,7 @@ void AsterixInstance::MaybeLogSlowQuery(uint64_t query_id,
                      ", \"elapsed_us\": " + std::to_string(elapsed_us) +
                      ", \"ok\": " + (result.ok() ? "true" : "false") +
                      ", \"statement\": ";
-  AppendJsonString(&line, statement);
+  AppendJsonString(statement, &line);
   line += ", \"phases\": ";
   AppendPhasesJson(&line, phases);
   line += ", \"profile\": ";
@@ -738,7 +707,7 @@ std::string AsterixInstance::StatusJson() {
       out += "\", \"elapsed_ms\": ";
       AppendDouble(&out, ElapsedMs(rec->start));
       out += ", \"statement\": ";
-      AppendJsonString(&out, rec->statement);
+      AppendJsonString(rec->statement, &out);
       out += " }";
     }
   }
@@ -786,7 +755,7 @@ std::string AsterixInstance::StatusJson() {
       if (!first) out += ", ";
       first = false;
       out += "{ \"name\": ";
-      AppendJsonString(&out, name);
+      AppendJsonString(name, &out);
       out += ", \"partitions\": " + std::to_string(ds->num_partitions()) +
              ", \"disk_components\": " + std::to_string(components) +
              ", \"records\": " + std::to_string(records) + " }";

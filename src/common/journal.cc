@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/string_utils.h"
+
 namespace asterix {
 namespace journal {
 
@@ -87,20 +89,30 @@ uint64_t Journal::NowUs() const {
 }
 
 void Journal::Post(EventKind kind, uint64_t a, uint64_t b, const char* label) {
-  // The single reservation: every later store targets a slot this thread
-  // owns until the next lap, so relaxed order suffices for the payload.
   uint64_t idx = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[idx & mask_];
+  // Writers a whole ring apart (idx, idx + capacity) target the same slot,
+  // so the slot is claimed by CAS: one writer at a time stores a payload.
+  // A slot another writer is filling, or one that already holds a later
+  // lap, keeps its event and this one is dropped, counted as lost history.
+  uint64_t old = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if (old == kWriting || old > idx) {
+      overwrite_drops_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  } while (!slot.seq.compare_exchange_weak(old, kWriting,
+                                           std::memory_order_relaxed));
+  // Payload stores must not become visible before the claim: a reader that
+  // sees any of them then also sees kWriting on its seq re-check.
+  std::atomic_thread_fence(std::memory_order_release);
   // Lapping a published event that no Snapshot() could have seen yet is a
   // silent loss of history; count it so StatusJson can surface the blind
   // spot. A benign race (a concurrent Snapshot that just started) at worst
   // over-counts by the in-flight scan, which errs on the honest side.
-  uint64_t old = slot.seq.load(std::memory_order_relaxed);
-  if (old != 0 && old != kWriting &&
-      old > snapshot_floor_.load(std::memory_order_relaxed)) {
+  if (old != 0 && old > snapshot_floor_.load(std::memory_order_relaxed)) {
     overwrite_drops_.fetch_add(1, std::memory_order_relaxed);
   }
-  slot.seq.store(kWriting, std::memory_order_release);
   slot.ts_us.store(NowUs(), std::memory_order_relaxed);
   slot.query_id.store(tls_query_id, std::memory_order_relaxed);
   slot.kind.store(static_cast<uint64_t>(kind), std::memory_order_relaxed);
@@ -172,12 +184,9 @@ std::string Journal::SnapshotJson(uint64_t min_seq) const {
            EventKindName(e.kind) +
            "\", \"query_id\": " + std::to_string(e.query_id) +
            ", \"a\": " + std::to_string(e.a) +
-           ", \"b\": " + std::to_string(e.b) + ", \"label\": \"";
-    for (const char* p = e.label; *p != '\0'; ++p) {
-      if (*p == '"' || *p == '\\') out.push_back('\\');
-      out.push_back(*p);
-    }
-    out += "\" }";
+           ", \"b\": " + std::to_string(e.b) + ", \"label\": ";
+    AppendJsonString(e.label, &out);
+    out += " }";
   }
   out += " ]";
   return out;

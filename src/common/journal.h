@@ -61,11 +61,13 @@ struct Event {
 };
 
 /// Lock-free MPMC ring buffer of the last `capacity` events. Post() costs one
-/// relaxed fetch_add to reserve a slot plus relaxed stores of the payload —
-/// no mutex, no allocation — so per-tuple and per-page paths can afford it.
-/// Writers may lap readers: each slot is a seqlock (publish sequence stored
-/// last with release order), so Snapshot() simply drops slots it catches
-/// mid-overwrite instead of blocking anyone.
+/// relaxed fetch_add to reserve a slot, one CAS to claim it, plus relaxed
+/// stores of the payload — no mutex, no allocation — so per-tuple and
+/// per-page paths can afford it. Writers may lap readers: each slot is a
+/// seqlock (publish sequence stored last with release order), so Snapshot()
+/// simply drops slots it catches mid-overwrite instead of blocking anyone.
+/// A writer that finds its slot still being filled, or already holding a
+/// later lap, drops its event rather than share the slot.
 class Journal {
  public:
   /// Capacity is rounded up to a power of two, minimum 64.
@@ -87,7 +89,8 @@ class Journal {
   size_t capacity() const { return mask_ + 1; }
 
   /// Events lapped by a writer before ANY Snapshot() had a chance to read
-  /// them — the journal's blind spot. Overwrites of already-snapshot-visible
+  /// them, plus events dropped because their slot was busy with another lap
+  /// — the journal's blind spot. Overwrites of already-snapshot-visible
   /// events are normal ring behavior and not counted; a growing value here
   /// means the ring is too small for the event rate vs. the scrape cadence.
   uint64_t overwrite_drops() const {

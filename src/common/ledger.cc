@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/string_utils.h"
+
 namespace asterix {
 namespace ledger {
 
@@ -10,19 +12,6 @@ namespace {
 thread_local std::string tls_client;  // empty means "direct"
 
 const std::string kDirect = "direct";
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    if (c == '\n') {
-      *out += "\\n";
-      continue;
-    }
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
 
 void AppendQueryJson(const QueryUsage& q, std::string* out) {
   *out += "{ \"query_id\": " + std::to_string(q.query_id) + ", \"client\": ";

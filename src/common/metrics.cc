@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/string_utils.h"
+
 namespace asterix {
 namespace metrics {
 
@@ -91,19 +93,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
   return slot.get();
 }
-
-namespace {
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -1,6 +1,7 @@
 #include "common/string_utils.h"
 
 #include <cctype>
+#include <cstdio>
 #include <regex>
 
 namespace asterix {
@@ -67,6 +68,28 @@ bool RegexMatch(std::string_view text, std::string_view pattern) {
   } catch (const std::regex_error&) {
     return false;
   }
+}
+
+void AppendJsonString(std::string_view s, std::string* out) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      case '\r': *out += "\\r"; break;
+      default:
+        if (auto u = static_cast<unsigned char>(c); u < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(u));
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
 }
 
 }  // namespace asterix

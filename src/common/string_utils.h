@@ -26,6 +26,11 @@ bool LikeMatch(std::string_view text, std::string_view pattern);
 /// '*', '+', '?', character classes `[...]`, anchors '^'/'$', and literals.
 bool RegexMatch(std::string_view text, std::string_view pattern);
 
+/// Appends `s` to `out` as a quoted JSON string: quotes and backslashes are
+/// escaped, and every control byte below 0x20 becomes an escape, so text
+/// from clients (statements, labels, names) always yields valid JSON.
+void AppendJsonString(std::string_view s, std::string* out);
+
 }  // namespace asterix
 
 #endif  // ASTERIX_COMMON_STRING_UTILS_H_

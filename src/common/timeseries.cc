@@ -3,19 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/string_utils.h"
+
 namespace asterix {
 namespace monitor {
 
 namespace {
-
-void AppendJsonKey(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
 
 void AppendRate(double v, std::string* out) {
   char buf[40];
@@ -141,7 +134,7 @@ std::string TimeSeriesRing::HistoryJson(size_t max_samples) const {
     for (const auto& [name, value] : samples_[i].values) {
       if (!first) out += ", ";
       first = false;
-      AppendJsonKey(name, &out);
+      AppendJsonString(name, &out);
       out += ": " + std::to_string(value);
     }
     out += " } }";
@@ -170,7 +163,7 @@ std::string TimeSeriesRing::RatesJson(uint64_t window_us) const {
                                static_cast<double>(s);
     if (!first) out += ", ";
     first = false;
-    AppendJsonKey(name, &out);
+    AppendJsonString(name, &out);
     out += ": ";
     AppendRate(rate, &out);
   }

@@ -13,8 +13,8 @@ class CountAggregator : public Aggregator {
     // count counts all non-missing items (nulls included), matching AQL.
     if (!v.IsMissing()) ++count_;
   }
-  Value Finish() const override { return Value::Int64(count_); }
-  Value Partial() const override { return Value::Int64(count_); }
+  Value Finish() override { return Value::Int64(count_); }
+  Value Partial() override { return Value::Int64(count_); }
   void Combine(const Value& partial) override {
     if (!partial.IsUnknown()) count_ += partial.AsInt();
   }
@@ -37,11 +37,11 @@ class MinMaxAggregator : public Aggregator {
       has_value_ = true;
     }
   }
-  Value Finish() const override {
+  Value Finish() override {
     if (saw_null_) return Value::Null();
     return has_value_ ? best_ : Value::Null();
   }
-  Value Partial() const override {
+  Value Partial() override {
     return Value::Record({{"v", Finish()},
                           {"null", Value::Boolean(saw_null_)},
                           {"has", Value::Boolean(has_value_)}});
@@ -77,13 +77,13 @@ class SumAvgAggregator : public Aggregator {
     sum_ += d;
     ++count_;
   }
-  Value Finish() const override {
+  Value Finish() override {
     if (saw_null_) return Value::Null();
     if (count_ == 0) return Value::Null();
     return is_avg_ ? Value::Double(sum_ / static_cast<double>(count_))
                    : Value::Double(sum_);
   }
-  Value Partial() const override {
+  Value Partial() override {
     return Value::Record({{"sum", Value::Double(sum_)},
                           {"cnt", Value::Int64(count_)},
                           {"null", Value::Boolean(saw_null_)}});
@@ -102,6 +102,23 @@ class SumAvgAggregator : public Aggregator {
   bool saw_null_ = false;
 };
 
+// Collects every value fed, MISSING and NULL included, in arrival order. The
+// partial state is the bag itself, so Combine concatenates.
+class ListifyAggregator : public Aggregator {
+ public:
+  void Add(const Value& v) override { items_.push_back(v); }
+  Value Finish() override { return Value::Bag(std::move(items_)); }
+  Value Partial() override { return Finish(); }
+  void Combine(const Value& partial) override {
+    const auto& items = partial.AsList();
+    items_.insert(items_.end(), items.begin(), items.end());
+  }
+  bool Collects() const override { return true; }
+
+ private:
+  std::vector<Value> items_;
+};
+
 }  // namespace
 
 std::unique_ptr<Aggregator> MakeAggregator(const std::string& name) {
@@ -112,6 +129,7 @@ std::unique_ptr<Aggregator> MakeAggregator(const std::string& name) {
   if (base == "max") return std::make_unique<MinMaxAggregator>(false, sql);
   if (base == "sum") return std::make_unique<SumAvgAggregator>(false, sql);
   if (base == "avg") return std::make_unique<SumAvgAggregator>(true, sql);
+  if (name == kListify) return std::make_unique<ListifyAggregator>();
   return nullptr;
 }
 

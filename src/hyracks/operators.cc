@@ -75,37 +75,6 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-struct TupleKeyLess {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    size_t n = std::min(a.size(), b.size());
-    for (size_t i = 0; i < n; ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  }
-};
-
-struct TupleKeyHash {
-  size_t operator()(const std::vector<Value>& k) const {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const auto& v : k) h = v.Hash(h);
-    return static_cast<size_t>(h);
-  }
-};
-
-struct TupleKeyEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].Compare(b[i]) != 0) return false;
-    }
-    return true;
-  }
-};
-
 Result<std::vector<Value>> EvalKeys(const std::vector<TupleEval>& evals,
                                     const Tuple& t) {
   std::vector<Value> keys;
@@ -118,23 +87,37 @@ Result<std::vector<Value>> EvalKeys(const std::vector<TupleEval>& evals,
   return keys;
 }
 
-// Group-by core shared by hash and preclustered variants.
+// Aggregation core shared by the hash group-by and the ungrouped aggregate.
 struct GroupState {
   std::vector<std::unique_ptr<functions::Aggregator>> aggs;
 };
 
+/// Feeds one tuple to a group's aggregators. When `grown` is given, adds to
+/// it the estimated bytes of every value a collecting aggregator (listify)
+/// took in, raw or out of a reloaded partial bag; no other state grows.
 Status FeedGroup(GroupState* g, const std::vector<AggSpec>& specs,
-                 const Tuple& t, AggMode mode, size_t key_arity) {
+                 const Tuple& t, AggMode mode, size_t key_arity,
+                 size_t* grown = nullptr) {
+  auto collected_bytes = [](const Value& v) {
+    return EstimateValueBytes(v) + sizeof(Value);
+  };
   for (size_t i = 0; i < specs.size(); ++i) {
+    functions::Aggregator& agg = *g->aggs[i];
+    const bool charge = grown != nullptr && agg.Collects();
     if (mode == AggMode::kGlobal) {
       // Partial columns follow the keys in the input layout.
-      g->aggs[i]->Combine(t[key_arity + i]);
+      const Value& partial = t[key_arity + i];
+      if (charge) {
+        for (const Value& v : partial.AsList()) *grown += collected_bytes(v);
+      }
+      agg.Combine(partial);
     } else if (specs[i].input) {
       auto v = specs[i].input(t);
       if (!v.ok()) return v.status();
-      g->aggs[i]->Add(v.value());
+      if (charge) *grown += collected_bytes(v.value());
+      agg.Add(v.value());
     } else {
-      g->aggs[i]->Add(Value::Int64(1));  // count(*) style
+      agg.Add(Value::Int64(1));  // count(*) style
     }
   }
   return Status::OK();
@@ -1084,6 +1067,8 @@ namespace {
 // same layout the local/global aggregation split ships over the network) and
 // reloaded at the next recursion level via Aggregator::Combine. Raw input
 // arriving for an already-spilled partition goes to a second run unchanged.
+// A listify aggregate's partial is its bag, so a `group by ... with` group
+// spills its collected values and concatenates them back on reload.
 class SpillingHashGroupBy {
  public:
   SpillingHashGroupBy(const std::vector<TupleEval>* keys,
@@ -1137,22 +1122,26 @@ class SpillingHashGroupBy {
     bool inserted;
     uint32_t* slot =
         p.table.FindOrInsert(key_.data().data(), key_.size(), h, &inserted);
+    size_t delta = 0;
     if (inserted) {
       *slot = static_cast<uint32_t>(p.groups.size());
-      size_t delta = p.table.bytes() - table_before +
-                     EstimateTupleBytes(key_values) + kGroupStateBytes +
-                     aggs_->size() * kAggregatorBytes;
+      delta += p.table.bytes() - table_before +
+               EstimateTupleBytes(key_values) + kGroupStateBytes +
+               aggs_->size() * kAggregatorBytes;
       p.group_keys.push_back(std::move(key_values));
       p.groups.push_back(NewGroup(*aggs_));
-      p.charged += delta;
-      if (ctx_.budget != nullptr) ctx_.budget->Charge(delta);
     }
     // Feed before any eviction so a spilled partial always reflects this
-    // tuple; eviction (below) may take this very partition.
+    // tuple; eviction (below) may take this very partition. A collecting
+    // aggregate grows with every tuple, so the charge (and the budget
+    // check) then comes per tuple, not just per new group.
     ASTERIX_RETURN_NOT_OK(FeedGroup(&p.groups[*slot], *aggs_, t,
                                     is_partial ? AggMode::kGlobal : mode_,
-                                    keys_->size()));
-    if (inserted && ctx_.budget != nullptr) {
+                                    keys_->size(), &delta));
+    if (delta == 0) return Status::OK();
+    p.charged += delta;
+    if (ctx_.budget != nullptr) {
+      ctx_.budget->Charge(delta);
       while (can_spill && ctx_.budget->over_budget()) {
         ASTERIX_ASSIGN_OR_RETURN(bool spilled, SpillVictim(parts));
         if (!spilled) break;
@@ -1241,46 +1230,19 @@ Status SpillingHashGroupBy::Execute(const TupleSource& raw,
   return Status::OK();
 }
 
-OperatorDescriptor MakeGroupByImpl(const char* name, int parallelism,
-                                   std::vector<TupleEval> keys,
-                                   std::vector<AggSpec> aggs, AggMode mode,
-                                   bool preclustered) {
+}  // namespace
+
+OperatorDescriptor MakeHashGroupBy(int parallelism, std::vector<TupleEval> keys,
+                                   std::vector<AggSpec> aggs, AggMode mode) {
   OperatorDescriptor op;
-  op.name = name;
+  op.name = "hash-group-by";
   op.parallelism = parallelism;
   op.num_inputs = 1;
-  if (!preclustered) {
-    op.blocking_ports = {0};
-    op.memory_intensive = true;  // hash table over all groups
-  }
-  op.factory = Lambda([keys, aggs, mode, preclustered](
+  op.blocking_ports = {0};
+  op.memory_intensive = true;  // hash table over all groups
+  op.factory = Lambda([keys = std::move(keys), aggs = std::move(aggs), mode](
                           int, const std::vector<InChannel*>& in,
                           Emitter* out) {
-    size_t key_arity = keys.size();
-    if (preclustered) {
-      // Streaming: groups arrive contiguously.
-      bool has_group = false;
-      std::vector<Value> cur_keys;
-      GroupState cur = NewGroup(aggs);
-      Status st = ForEachInput(in[0], [&](Tuple& t) {
-        auto keys_r = EvalKeys(keys, t);
-        if (!keys_r.ok()) return keys_r.status();
-        bool same_group = has_group &&
-                          !TupleKeyLess{}(cur_keys, keys_r.value()) &&
-                          !TupleKeyLess{}(keys_r.value(), cur_keys);
-        if (has_group && !same_group) {
-          out->Push(FinishGroup(cur_keys, &cur, mode));
-          cur = NewGroup(aggs);
-        }
-        cur_keys = keys_r.take();
-        has_group = true;
-        return FeedGroup(&cur, aggs, t, mode, key_arity);
-      });
-      ASTERIX_RETURN_NOT_OK(st);
-      if (has_group) out->Push(FinishGroup(cur_keys, &cur, mode));
-      return Status::OK();
-    }
-    (void)key_arity;
     SpillingHashGroupBy grouper(&keys, &aggs, mode, out);
     Status st =
         grouper.Execute(ChannelSource(in[0]), EmptySource(), /*depth=*/0);
@@ -1288,200 +1250,6 @@ OperatorDescriptor MakeGroupByImpl(const char* name, int parallelism,
     return st;
   });
   return op;
-}
-
-// --- Budgeted bag group-by -------------------------------------------------
-//
-// Same spill scheme as SpillingHashGroupBy, with the group state being the
-// collected bags themselves. An evicted partition writes each group as one
-// [keys..., Bag(col0...), Bag(col1...)] tuple — exactly the operator's
-// output shape — and the recursion level concatenates bags out of such
-// partial tuples (bag collection is trivially combinable); raw input
-// arriving for an already-spilled partition diverts to a second run
-// unchanged.
-class SpillingBagGroupBy {
- public:
-  SpillingBagGroupBy(const std::vector<TupleEval>* keys,
-                     const std::vector<int>* collect_columns, Emitter* out)
-      : keys_(keys), collect_(collect_columns), ctx_(out, "bag-group-spill") {}
-
-  Status Execute(const TupleSource& raw, const TupleSource& partials,
-                 int depth);
-
-  void Report() { ctx_.Report(); }
-
- private:
-  struct Partition {
-    SerializedKeyTable table;  // payload = index into group_keys/bags
-    std::vector<std::vector<Value>> group_keys;
-    std::vector<std::vector<std::vector<Value>>> bags;  // [group][col][elem]
-    size_t charged = 0;
-    bool spilled = false;
-    std::unique_ptr<SpillRun> raw_run, partial_run;
-  };
-
-  /// The output (and spill-partial) tuple for one group; consumes the bags.
-  Tuple MakeOutput(const std::vector<Value>& gkeys,
-                   std::vector<std::vector<Value>>* bags) const {
-    Tuple o = gkeys;
-    for (auto& b : *bags) o.push_back(Value::Bag(std::move(b)));
-    return o;
-  }
-
-  Status Feed(std::vector<Partition>* parts, Tuple& t, bool is_partial,
-              int depth, bool can_spill) {
-    // Partial tuples carry their key VALUES as the leading columns (the
-    // output layout); key expressions only apply to raw input.
-    std::vector<Value> key_values;
-    if (is_partial) {
-      key_values.assign(t.begin(),
-                        t.begin() + static_cast<ptrdiff_t>(keys_->size()));
-    } else {
-      auto keys_r = EvalKeys(*keys_, t);
-      if (!keys_r.ok()) return keys_r.status();
-      key_values = keys_r.take();
-    }
-    key_.Clear();
-    for (const auto& v : key_values) {
-      adm::SerializeNormalizedKey(v, &key_);
-    }
-    uint64_t h = Hash64(key_.data().data(), key_.size());
-    Partition& p = (*parts)[SpillPartitionOf(h, depth)];
-    if (p.spilled) {
-      auto& run = is_partial ? p.partial_run : p.raw_run;
-      if (!run) run = std::make_unique<SpillRun>(ctx_.NextRunPath());
-      return run->AppendTuple(t);
-    }
-    size_t table_before = p.table.bytes();
-    bool inserted;
-    uint32_t* slot =
-        p.table.FindOrInsert(key_.data().data(), key_.size(), h, &inserted);
-    size_t delta = 0;
-    if (inserted) {
-      *slot = static_cast<uint32_t>(p.bags.size());
-      delta += p.table.bytes() - table_before +
-               EstimateTupleBytes(key_values) + kGroupOverheadBytes;
-      p.group_keys.push_back(std::move(key_values));
-      p.bags.emplace_back(collect_->size());
-    }
-    std::vector<std::vector<Value>>& bags = p.bags[*slot];
-    if (is_partial) {
-      for (size_t i = 0; i < collect_->size(); ++i) {
-        Value& bag = t[keys_->size() + i];
-        for (const Value& v : bag.AsList()) {
-          delta += EstimateValueBytes(v) + sizeof(Value);
-          bags[i].push_back(v);
-        }
-      }
-    } else {
-      for (size_t i = 0; i < collect_->size(); ++i) {
-        Value& v = t[static_cast<size_t>((*collect_)[i])];
-        delta += EstimateValueBytes(v) + sizeof(Value);
-        bags[i].push_back(std::move(v));
-      }
-    }
-    // Unlike aggregate group-by, state grows with every fed tuple, so the
-    // budget is charged (and checked) per tuple, not just per new group.
-    p.charged += delta;
-    if (ctx_.budget != nullptr) {
-      ctx_.budget->Charge(delta);
-      while (can_spill && ctx_.budget->over_budget()) {
-        ASTERIX_ASSIGN_OR_RETURN(bool spilled, SpillVictim(parts));
-        if (!spilled) break;
-      }
-    }
-    return Status::OK();
-  }
-
-  Result<bool> SpillVictim(std::vector<Partition>* parts) {
-    Partition* victim = nullptr;
-    for (auto& p : *parts) {
-      if (p.spilled || p.bags.empty()) continue;
-      if (victim == nullptr || p.charged > victim->charged) victim = &p;
-    }
-    if (victim == nullptr) return false;
-    victim->partial_run = std::make_unique<SpillRun>(ctx_.NextRunPath());
-    for (size_t i = 0; i < victim->bags.size(); ++i) {
-      Tuple partial = MakeOutput(victim->group_keys[i], &victim->bags[i]);
-      ASTERIX_RETURN_NOT_OK(victim->partial_run->AppendTuple(partial));
-    }
-    if (ctx_.budget != nullptr) ctx_.budget->Release(victim->charged);
-    victim->charged = 0;
-    victim->spilled = true;
-    victim->table = SerializedKeyTable();
-    std::vector<std::vector<Value>>().swap(victim->group_keys);
-    std::vector<std::vector<std::vector<Value>>>().swap(victim->bags);
-    ++ctx_.spilled_partitions;
-    return true;
-  }
-
-  static constexpr size_t kGroupOverheadBytes = 64;
-
-  const std::vector<TupleEval>* keys_;
-  const std::vector<int>* collect_;
-  SpillContext ctx_;
-  BytesWriter key_;
-};
-
-Status SpillingBagGroupBy::Execute(const TupleSource& raw,
-                                   const TupleSource& partials, int depth) {
-  const bool can_spill = ctx_.budget != nullptr && depth < kMaxSpillDepth;
-  std::vector<Partition> parts(kSpillFanout);
-  ASTERIX_RETURN_NOT_OK(partials([&](Tuple& t) {
-    return Feed(&parts, t, /*is_partial=*/true, depth, can_spill);
-  }));
-  ASTERIX_RETURN_NOT_OK(raw([&](Tuple& t) {
-    return Feed(&parts, t, /*is_partial=*/false, depth, can_spill);
-  }));
-
-  // Resident groups finish here; then free them before recursing.
-  for (auto& p : parts) {
-    if (p.spilled) continue;
-    for (size_t i = 0; i < p.bags.size(); ++i) {
-      ctx_.out->Push(MakeOutput(p.group_keys[i], &p.bags[i]));
-    }
-    ctx_.hash_build_bytes += p.charged;
-    if (ctx_.budget != nullptr) ctx_.budget->Release(p.charged);
-    p.charged = 0;
-    p.table = SerializedKeyTable();
-    std::vector<std::vector<Value>>().swap(p.group_keys);
-    std::vector<std::vector<std::vector<Value>>>().swap(p.bags);
-  }
-
-  for (auto& p : parts) {
-    if (!p.spilled) continue;
-    if (p.partial_run) {
-      ASTERIX_RETURN_NOT_OK(p.partial_run->Finish());
-      ctx_.spill_bytes += p.partial_run->bytes();
-    }
-    if (p.raw_run) {
-      ASTERIX_RETURN_NOT_OK(p.raw_run->Finish());
-      ctx_.spill_bytes += p.raw_run->bytes();
-    }
-    ASTERIX_RETURN_NOT_OK(Execute(
-        p.raw_run ? RunSource(p.raw_run.get()) : EmptySource(),
-        p.partial_run ? RunSource(p.partial_run.get()) : EmptySource(),
-        depth + 1));
-    if (p.raw_run) p.raw_run->Remove();
-    if (p.partial_run) p.partial_run->Remove();
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-OperatorDescriptor MakeHashGroupBy(int parallelism, std::vector<TupleEval> keys,
-                                   std::vector<AggSpec> aggs, AggMode mode) {
-  return MakeGroupByImpl("hash-group-by", parallelism, std::move(keys),
-                         std::move(aggs), mode, /*preclustered=*/false);
-}
-
-OperatorDescriptor MakePreclusteredGroupBy(int parallelism,
-                                           std::vector<TupleEval> keys,
-                                           std::vector<AggSpec> aggs,
-                                           AggMode mode) {
-  return MakeGroupByImpl("preclustered-group-by", parallelism, std::move(keys),
-                         std::move(aggs), mode, /*preclustered=*/true);
 }
 
 OperatorDescriptor MakeAggregate(int parallelism, std::vector<AggSpec> aggs,
@@ -1501,25 +1269,6 @@ OperatorDescriptor MakeAggregate(int parallelism, std::vector<AggSpec> aggs,
     }));
     out->Push(FinishGroup({}, &g, mode));
     return Status::OK();
-  });
-  return op;
-}
-
-OperatorDescriptor MakeBagGroupBy(int parallelism, std::vector<TupleEval> keys,
-                                  std::vector<int> collect_columns) {
-  OperatorDescriptor op;
-  op.name = "bag-group-by";
-  op.parallelism = parallelism;
-  op.num_inputs = 1;
-  op.blocking_ports = {0};
-  op.memory_intensive = true;  // bags buffer every collected input value
-  op.factory = Lambda([keys, collect_columns](
-                          int, const std::vector<InChannel*>& in, Emitter* out) {
-    SpillingBagGroupBy grouper(&keys, &collect_columns, out);
-    Status st =
-        grouper.Execute(ChannelSource(in[0]), EmptySource(), /*depth=*/0);
-    grouper.Report();
-    return st;
   });
   return op;
 }

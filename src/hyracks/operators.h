@@ -15,7 +15,7 @@ namespace hyracks {
 
 /// Aggregate call compiled into a group-by/aggregate operator.
 struct AggSpec {
-  std::string function;  // count/min/max/sum/avg or sql-*
+  std::string function;  // count/min/max/sum/avg, sql-*, or listify
   TupleEval input;       // evaluated per input tuple (ignored for count)
 };
 
@@ -127,32 +127,20 @@ OperatorDescriptor MakeHybridHashJoin(int parallelism,
 OperatorDescriptor MakeNestedLoopJoin(int parallelism, TupleEval predicate,
                                       size_t build_arity, bool left_outer);
 
-/// Hash group-by. mode=kLocal emits partial-state columns; kGlobal consumes
-/// them; kComplete does both at once. Budgeted: when the instance's
-/// MemoryBudget trips, hash partitions of group state spill to disk as
-/// partial-aggregate tuples and are merged back (Aggregator::Combine) on a
-/// recursive pass.
+/// Hash group-by; emits [keys..., one column per aggregate]. mode=kLocal
+/// emits partial-state columns; kGlobal consumes them; kComplete does both
+/// at once. A listify aggregate collects a bag per group (the `group by ...
+/// with $v` semantics whose materialization cost the paper's pilots
+/// exposed). Budgeted: when the instance's MemoryBudget trips, hash
+/// partitions of group state spill to disk as partial-aggregate tuples and
+/// are merged back (Aggregator::Combine) on a recursive pass; a collected
+/// bag is charged per value and concatenated back.
 OperatorDescriptor MakeHashGroupBy(int parallelism, std::vector<TupleEval> keys,
                                    std::vector<AggSpec> aggs, AggMode mode);
-
-/// Group-by over key-sorted input (streaming, no hash table).
-OperatorDescriptor MakePreclusteredGroupBy(int parallelism,
-                                           std::vector<TupleEval> keys,
-                                           std::vector<AggSpec> aggs,
-                                           AggMode mode);
 
 /// Ungrouped aggregation (the Figure 6 local-avg/global-avg pair).
 OperatorDescriptor MakeAggregate(int parallelism, std::vector<AggSpec> aggs,
                                  AggMode mode);
-
-/// Group-by that materializes, per group, a BAG of the values found in each
-/// of `collect_columns` (the un-rewritten `group by ... with $v` semantics
-/// whose materialization cost the paper's pilots exposed). Emits
-/// [keys..., bag(col0), bag(col1), ...]. Budgeted: hash partitions of bag
-/// state spill to disk as output-shaped partial tuples and are bag-
-/// concatenated back on a recursive pass, like MakeHashGroupBy.
-OperatorDescriptor MakeBagGroupBy(int parallelism, std::vector<TupleEval> keys,
-                                  std::vector<int> collect_columns);
 
 /// Hash-based duplicate elimination: on `keys` when given, else on whole
 /// tuples. Set semantics over serialized normalized key bytes (no per-key

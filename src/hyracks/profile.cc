@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 
+#include "common/string_utils.h"
 #include "hyracks/job.h"
 
 namespace asterix {
@@ -15,15 +16,6 @@ std::string FmtMs(double ms) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", ms);
   return buf;
-}
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "common/journal.h"
 #include "common/metrics.h"
+#include "common/string_utils.h"
 
 namespace asterix {
 namespace server {
@@ -45,15 +46,6 @@ std::string FormatRate(double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.0f", v);
   return buf;
-}
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Direct tests for operators not (or only indirectly) exercised by the
-// compiled query paths: preclustered group-by, bag-collecting group-by,
-// nested-loop joins with outer semantics, the HashPartitioningShuffle
-// connector, and the workload generators the benches rely on.
+// compiled query paths: bag collection through a listify aggregate on the
+// hash group-by, nested-loop joins with outer semantics, the
+// HashPartitioningShuffle connector, and the workload generators the benches
+// rely on.
 
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "adm/temporal.h"
+#include "functions/aggregates.h"
 #include "hyracks/cluster.h"
 #include "hyracks/operators.h"
 #include "workload/generator.h"
@@ -45,47 +47,15 @@ class OperatorsTest : public ::testing::Test {
   }
 };
 
-TEST_F(OperatorsTest, PreclusteredGroupByOnSortedInput) {
-  std::vector<Tuple> rows;
-  // Groups arrive contiguously: (1,1,1,2,2,3).
-  for (int64_t g : {1, 1, 1, 2, 2, 3}) {
-    rows.push_back({Value::Int64(g), Value::Int64(g * 10)});
-  }
-  auto got = RunThrough(
-      MakePreclusteredGroupBy(1, {Col(0)}, {{"count", Col(1)}, {"sum", Col(1)}},
-                              AggMode::kComplete),
-      rows);
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0][1].AsInt(), 3);             // count of group 1
-  EXPECT_DOUBLE_EQ(got[0][2].AsDouble(), 30);  // sum of group 1
-  EXPECT_EQ(got[2][1].AsInt(), 1);             // count of group 3
-}
-
-TEST_F(OperatorsTest, PreclusteredAgreesWithHashOnSortedInput) {
-  std::vector<Tuple> rows;
-  for (int i = 0; i < 60; ++i) {
-    rows.push_back({Value::Int64(i / 10), Value::Int64(i)});
-  }
-  auto pre = RunThrough(MakePreclusteredGroupBy(1, {Col(0)},
-                                                {{"sum", Col(1)}},
-                                                AggMode::kComplete),
-                        rows);
-  auto hashed = RunThrough(
-      MakeHashGroupBy(1, {Col(0)}, {{"sum", Col(1)}}, AggMode::kComplete),
-      rows);
-  ASSERT_EQ(pre.size(), hashed.size());
-  std::multiset<std::string> a, b;
-  for (auto& t : pre) a.insert(t[0].ToString() + t[1].ToString());
-  for (auto& t : hashed) b.insert(t[0].ToString() + t[1].ToString());
-  EXPECT_EQ(a, b);
-}
-
 TEST_F(OperatorsTest, BagGroupByCollectsBags) {
   std::vector<Tuple> rows;
   for (int64_t i = 0; i < 6; ++i) {
     rows.push_back({Value::Int64(i % 2), Value::String("v" + std::to_string(i))});
   }
-  auto got = RunThrough(MakeBagGroupBy(1, {Col(0)}, {1}), rows);
+  auto got = RunThrough(MakeHashGroupBy(1, {Col(0)},
+                                       {{functions::kListify, Col(1)}},
+                                       AggMode::kComplete),
+                        rows);
   ASSERT_EQ(got.size(), 2u);
   for (auto& t : got) {
     EXPECT_EQ(t[1].tag(), adm::TypeTag::kBag);

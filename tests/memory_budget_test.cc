@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "common/env.h"
+#include "functions/aggregates.h"
 #include "hyracks/cluster.h"
 #include "hyracks/operators.h"
 
@@ -350,19 +351,25 @@ std::multiset<std::string> BagFingerprint(const std::vector<Tuple>& rows,
   return out;
 }
 
+// `group by $0 with $1` as the compiler emits it: one complete hash group-by
+// whose listify aggregate collects column 1 into a bag per key.
+OperatorDescriptor BagGroupBy() {
+  return MakeHashGroupBy(1, {Col(0)}, {{functions::kListify, Col(1)}},
+                         AggMode::kComplete);
+}
+
 TEST_F(MemoryBudgetTest, BagGroupByOverBudgetMatchesUnbounded) {
   size_t before = ScratchEntries();
   auto rows = RandomRows(12000, 600, 17);
-  auto unbounded = RunUnary(MakeBagGroupBy(1, {Col(0)}, {1}), rows, 0);
-  auto budgeted =
-      RunUnary(MakeBagGroupBy(1, {Col(0)}, {1}), rows, kTinyBudget);
+  auto unbounded = RunUnary(BagGroupBy(), rows, 0);
+  auto budgeted = RunUnary(BagGroupBy(), rows, kTinyBudget);
   ASSERT_TRUE(unbounded.status.ok()) << unbounded.status.ToString();
   ASSERT_TRUE(budgeted.status.ok()) << budgeted.status.ToString();
   EXPECT_EQ(unbounded.rows.size(), 600u);
   EXPECT_EQ(BagFingerprint(unbounded.rows, 1), BagFingerprint(budgeted.rows, 1));
-  EXPECT_EQ(SpilledPartitions(unbounded, "bag-group-by"), 0u);
-  EXPECT_GT(SpilledPartitions(budgeted, "bag-group-by"), 0u);
-  EXPECT_GT(SpillBytes(budgeted, "bag-group-by"), 0u);
+  EXPECT_EQ(SpilledPartitions(unbounded, "hash-group-by"), 0u);
+  EXPECT_GT(SpilledPartitions(budgeted, "hash-group-by"), 0u);
+  EXPECT_GT(SpillBytes(budgeted, "hash-group-by"), 0u);
   EXPECT_EQ(ScratchEntries(), before);
 }
 
@@ -372,13 +379,12 @@ TEST_F(MemoryBudgetTest, BagGroupBySkewedKeysSurviveSpill) {
   // bag must still hold every element exactly once.
   size_t before = ScratchEntries();
   auto rows = SkewedRows(10000, 7, 18);
-  auto unbounded = RunUnary(MakeBagGroupBy(1, {Col(0)}, {1}), rows, 0);
-  auto budgeted =
-      RunUnary(MakeBagGroupBy(1, {Col(0)}, {1}), rows, kTinyBudget);
+  auto unbounded = RunUnary(BagGroupBy(), rows, 0);
+  auto budgeted = RunUnary(BagGroupBy(), rows, kTinyBudget);
   ASSERT_TRUE(unbounded.status.ok());
   ASSERT_TRUE(budgeted.status.ok());
   EXPECT_EQ(BagFingerprint(unbounded.rows, 1), BagFingerprint(budgeted.rows, 1));
-  EXPECT_GT(SpilledPartitions(budgeted, "bag-group-by"), 0u);
+  EXPECT_GT(SpilledPartitions(budgeted, "hash-group-by"), 0u);
   EXPECT_EQ(ScratchEntries(), before);
 }
 

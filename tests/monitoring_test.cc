@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "adm/adm_parser.h"
 #include "api/asterix.h"
 #include "common/env.h"
 #include "common/journal.h"
@@ -428,6 +430,23 @@ create dataset S(T) primary key id;
 };
 
 TEST_F(MonitoringE2ETest, ExpensiveQueryRanksFirstByCpuAndBytes) {
+  // Statement text is client input: a control byte in it must reach both
+  // rankings escaped, so each stays valid JSON.
+  ASSERT_TRUE(
+      db_->Execute("let $x := \"a\x01" "b\" return string-length($x);")
+          .ok());
+  for (const std::string& json :
+       {ledger::ResourceLedger::Default().TopJson(5), db_->StatusJson()}) {
+    EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                            [](char c) {
+                              return static_cast<unsigned char>(c) < 0x20;
+                            }),
+              0)
+        << json;
+    adm::Value parsed;
+    EXPECT_TRUE(adm::ParseAdm(json, &parsed).ok()) << json;
+  }
+
   // A few cheap queries, then one deliberately expensive self-join.
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
