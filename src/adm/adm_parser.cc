@@ -107,6 +107,9 @@ Status AdmParser::ParseString(std::string* out) {
         }
         default: out->push_back(e);
       }
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      // As in JSON: control characters must be escaped.
+      return Fail("unescaped control character in string");
     } else {
       out->push_back(c);
     }

@@ -689,63 +689,6 @@ OperatorDescriptor MakeProject(int parallelism, std::vector<int> columns) {
   return op;
 }
 
-namespace {
-
-// Serialized sorted run on disk for the external sort, in the shared spill
-// tuple format (varint column count + schemaless values); the reader streams
-// tuples back in order.
-class SortRun {
- public:
-  static Result<SortRun> Write(const std::string& path,
-                               const std::vector<Tuple>& tuples) {
-    BytesWriter w;
-    for (const auto& t : tuples) SerializeTuple(t, &w);
-    ASTERIX_RETURN_NOT_OK(env::WriteFileAtomic(path, w.data().data(), w.size()));
-    SortRun run;
-    run.path_ = path;
-    run.count_ = tuples.size();
-    run.file_bytes_ = w.size();
-    return run;
-  }
-
-  Status Open() {
-    ASTERIX_RETURN_NOT_OK(env::ReadFile(path_, &bytes_));
-    reader_ = std::make_unique<BytesReader>(bytes_.data(), bytes_.size());
-    return Advance();
-  }
-
-  bool exhausted() const { return exhausted_; }
-  const Tuple& head() const { return head_; }
-  uint64_t file_bytes() const { return file_bytes_; }
-
-  Status Advance() {
-    if (remaining_ == 0) {
-      exhausted_ = true;
-      return Status::OK();
-    }
-    ASTERIX_RETURN_NOT_OK(DeserializeTuple(reader_.get(), &head_));
-    --remaining_;
-    return Status::OK();
-  }
-
-  void Remove() { env::RemoveFile(path_); }
-
- private:
-  std::string path_;
-  size_t count_ = 0;
-  size_t remaining_ = 0;
-  uint64_t file_bytes_ = 0;
-  std::vector<uint8_t> bytes_;
-  std::unique_ptr<BytesReader> reader_;
-  Tuple head_;
-  bool exhausted_ = false;
-
- public:
-  void PrepareRead() { remaining_ = count_; }
-};
-
-}  // namespace
-
 OperatorDescriptor MakeSort(int parallelism, TupleCompare compare,
                             std::optional<size_t> limit,
                             size_t spill_budget_tuples) {
@@ -768,7 +711,7 @@ OperatorDescriptor MakeSort(int parallelism, TupleCompare compare,
     const size_t min_run_tuples = std::min<size_t>(64, spill_budget_tuples);
     std::vector<Tuple> buffer;
     size_t charged = 0;
-    std::vector<SortRun> runs;
+    std::vector<std::unique_ptr<SpillRun>> runs;
     ScratchDirGuard scratch("sort-spill");
     auto sort_buffer = [&] {
       std::stable_sort(buffer.begin(), buffer.end(),
@@ -778,10 +721,11 @@ OperatorDescriptor MakeSort(int parallelism, TupleCompare compare,
     };
     auto spill = [&]() -> Status {
       sort_buffer();
-      auto run = SortRun::Write(
-          scratch.dir() + "/run" + std::to_string(runs.size()), buffer);
-      if (!run.ok()) return run.status();
-      runs.push_back(run.take());
+      auto run = std::make_unique<SpillRun>(scratch.dir() + "/run" +
+                                            std::to_string(runs.size()));
+      for (const auto& t : buffer) ASTERIX_RETURN_NOT_OK(run->AppendTuple(t));
+      ASTERIX_RETURN_NOT_OK(run->Finish());
+      runs.push_back(std::move(run));
       buffer.clear();
       if (budget != nullptr) budget->Release(charged);
       charged = 0;
@@ -816,40 +760,43 @@ OperatorDescriptor MakeSort(int parallelism, TupleCompare compare,
     if (!buffer.empty()) ASTERIX_RETURN_NOT_OK(spill());
 
     uint64_t run_bytes = 0;
-    for (const auto& run : runs) run_bytes += run.file_bytes();
+    for (const auto& run : runs) run_bytes += run->bytes();
     out->AddSpill(run_bytes, runs.size());
 
-    // K-way merge: a binary heap of run heads replaces the O(k) scan per
-    // output tuple. Ties break toward the earlier run, preserving the
-    // stable order sequential spilling produced.
-    for (auto& run : runs) {
-      run.PrepareRead();
-      ASTERIX_RETURN_NOT_OK(run.Open());
+    // K-way merge over one streaming cursor per run (each holds at most a
+    // flush-sized window of its run): a binary heap of run heads replaces
+    // the O(k) scan per output tuple. Ties break toward the earlier run,
+    // preserving the stable order sequential spilling produced.
+    std::vector<std::unique_ptr<SpillRun::Cursor>> cursors;
+    std::vector<size_t> heap;
+    for (const auto& run : runs) {
+      cursors.push_back(std::make_unique<SpillRun::Cursor>(*run));
+      bool more = false;
+      ASTERIX_RETURN_NOT_OK(cursors.back()->Next(&more));
+      if (more) heap.push_back(cursors.size() - 1);
     }
     auto heap_after = [&](size_t a, size_t b) {
-      int c = compare(runs[a].head(), runs[b].head());
+      int c = compare(cursors[a]->tuple(), cursors[b]->tuple());
       if (c != 0) return c > 0;  // larger head pops later
       return a > b;
     };
-    std::vector<size_t> heap;
-    for (size_t i = 0; i < runs.size(); ++i) {
-      if (!runs[i].exhausted()) heap.push_back(i);
-    }
     std::make_heap(heap.begin(), heap.end(), heap_after);
     size_t emitted = 0;
     while (!heap.empty() && (!limit.has_value() || emitted < *limit)) {
       std::pop_heap(heap.begin(), heap.end(), heap_after);
       size_t best = heap.back();
-      heap.pop_back();
-      out->Push(runs[best].head());
+      out->Push(std::move(cursors[best]->tuple()));
       ++emitted;
-      ASTERIX_RETURN_NOT_OK(runs[best].Advance());
-      if (!runs[best].exhausted()) {
-        heap.push_back(best);
+      bool more = false;
+      ASTERIX_RETURN_NOT_OK(cursors[best]->Next(&more));
+      if (more) {
         std::push_heap(heap.begin(), heap.end(), heap_after);
+      } else {
+        heap.pop_back();
       }
     }
-    for (auto& run : runs) run.Remove();
+    cursors.clear();
+    for (auto& run : runs) run->Remove();
     return Status::OK();
   });
   return op;

@@ -1,10 +1,8 @@
 #include "hyracks/spill.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "adm/serde.h"
-#include "common/env.h"
 #include "common/journal.h"
 
 namespace asterix {
@@ -71,66 +69,79 @@ Status SpillRun::FlushBuffer() {
   return Status::OK();
 }
 
+void SpillRun::Cursor::Refill(size_t need) {
+  if (win_.size() - pos_ >= need) return;
+  // Compact the consumed prefix away and read one flush-sized chunk (never
+  // more than the run has left, so small runs stay small) — more only when
+  // a single record is larger than a chunk.
+  win_.erase(win_.begin(), win_.begin() + static_cast<ptrdiff_t>(pos_));
+  pos_ = 0;
+  size_t left = static_cast<size_t>(run_.bytes_ - reloaded_);
+  size_t target = std::max(need, std::min(kFlushBytes, left));
+  while (!eof_ && win_.size() < target) {
+    size_t old = win_.size();
+    win_.resize(target);
+    size_t got = file_->Read(win_.data() + old, target - old);
+    win_.resize(old + got);
+    reloaded_ += got;
+    if (got == 0) eof_ = true;
+  }
+}
+
+Status SpillRun::Cursor::Next(bool* more) {
+  *more = false;
+  if (run_.records_ == 0 || replayed_ == run_.records_) return Status::OK();
+  if (file_ == nullptr) {
+    file_ = std::make_unique<env::SequentialFileReader>(run_.path_);
+    if (!file_->ok()) return Status::IOError("open spill run: " + run_.path_);
+  }
+  // A record header is a kind byte plus a varint length (<=10 bytes).
+  Refill(11);
+  if (win_.size() == pos_) return Status::Corruption("spill run truncated");
+  uint8_t kind = win_[pos_];
+  BytesReader hdr(win_.data() + pos_ + 1, win_.size() - pos_ - 1);
+  uint64_t len;
+  ASTERIX_RETURN_NOT_OK(hdr.GetVarint(&len));
+  pos_ += 1 + hdr.position();
+  Refill(len);
+  if (win_.size() - pos_ < len) return Status::Corruption("spill run truncated");
+  const uint8_t* payload = win_.data() + pos_;
+  pos_ += len;
+  if (kind == kTupleRecord) {
+    BytesReader r(payload, len);
+    ASTERIX_RETURN_NOT_OK(DeserializeTuple(&r, &tuple_));
+    is_key_ = false;
+  } else if (kind == kKeyRecord) {
+    key_data_ = payload;
+    key_size_ = len;
+    is_key_ = true;
+  } else {
+    return Status::Corruption("bad spill record kind");
+  }
+  if (++replayed_ == run_.records_) {
+    journal::Journal::Default().Post(journal::EventKind::kSpillReload,
+                                     reloaded_, run_.records_);
+  }
+  *more = true;
+  return Status::OK();
+}
+
 Status SpillRun::ForEach(
     const std::function<Status(Tuple&)>& on_tuple,
     const std::function<Status(const uint8_t*, size_t)>& on_key) const {
-  if (records_ == 0) return Status::OK();
-  env::SequentialFileReader file(path_);
-  if (!file.ok()) return Status::IOError("open spill run: " + path_);
-
-  // Rolling window over the file: `win[pos..)` holds unparsed bytes. Refill
-  // compacts the consumed prefix away and reads one flush-sized chunk —
-  // more only when a single record is larger than a chunk.
-  std::vector<uint8_t> win;
-  size_t pos = 0;
-  uint64_t reloaded = 0;
-  bool eof = false;
-  auto refill = [&](size_t need) {
-    if (win.size() - pos >= need) return;
-    win.erase(win.begin(), win.begin() + static_cast<ptrdiff_t>(pos));
-    pos = 0;
-    size_t target = std::max(need, kFlushBytes);
-    while (!eof && win.size() < target) {
-      size_t old = win.size();
-      win.resize(target);
-      size_t got = file.Read(win.data() + old, target - old);
-      win.resize(old + got);
-      reloaded += got;
-      if (got == 0) eof = true;
-    }
-  };
-
-  Tuple t;
-  uint64_t replayed = 0;
-  while (true) {
-    // A record header is a kind byte plus a varint length (<=10 bytes).
-    refill(11);
-    if (win.size() == pos) break;  // clean EOF on a record boundary
-    uint8_t kind = win[pos];
-    BytesReader hdr(win.data() + pos + 1, win.size() - pos - 1);
-    uint64_t len;
-    ASTERIX_RETURN_NOT_OK(hdr.GetVarint(&len));
-    pos += 1 + hdr.position();
-    refill(len);
-    if (win.size() - pos < len) return Status::Corruption("spill run truncated");
-    const uint8_t* payload = win.data() + pos;
-    pos += len;
-    if (kind == kTupleRecord) {
-      BytesReader r(payload, len);
-      ASTERIX_RETURN_NOT_OK(DeserializeTuple(&r, &t));
-      ASTERIX_RETURN_NOT_OK(on_tuple(t));
-    } else if (kind == kKeyRecord) {
-      if (!on_key) return Status::Corruption("unexpected key record");
-      ASTERIX_RETURN_NOT_OK(on_key(payload, len));
+  Cursor cursor(*this);
+  for (;;) {
+    bool more = false;
+    ASTERIX_RETURN_NOT_OK(cursor.Next(&more));
+    if (!more) return Status::OK();
+    if (!cursor.is_key()) {
+      ASTERIX_RETURN_NOT_OK(on_tuple(cursor.tuple()));
+    } else if (!on_key) {
+      return Status::Corruption("unexpected key record");
     } else {
-      return Status::Corruption("bad spill record kind");
+      ASTERIX_RETURN_NOT_OK(on_key(cursor.key_data(), cursor.key_size()));
     }
-    ++replayed;
   }
-  if (replayed != records_) return Status::Corruption("spill run truncated");
-  journal::Journal::Default().Post(journal::EventKind::kSpillReload, reloaded,
-                                   records_);
-  return Status::OK();
 }
 
 void SpillRun::Remove() { env::RemoveFile(path_); }

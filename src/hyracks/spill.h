@@ -2,9 +2,12 @@
 #define ASTERIX_HYRACKS_SPILL_H_
 
 #include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
+#include "common/env.h"
 #include "common/status.h"
 #include "hyracks/tuple.h"
 
@@ -36,17 +39,52 @@ class ScratchDirGuard {
   std::string dir_;
 };
 
-/// One spilled partition run on disk: a stream of records appended
-/// incrementally (buffered, so spilling does not itself balloon memory) and
-/// read back in order. Records are either whole tuples or opaque key bytes —
-/// the latter carry a distinct operator's already-emitted key markers across
-/// a spill. Every record is length-prefixed, so readback streams the file
-/// frame-at-a-time through a rolling window (one flush-sized chunk resident,
-/// growing only for a single oversized record) instead of loading the whole
-/// run; each replay posts a `spill.reload` journal event with bytes read.
+/// One spilled run on disk — a sort run or a join/group-by/distinct spill
+/// partition: a stream of records appended incrementally (buffered, so
+/// spilling does not itself balloon memory) and read back in order. Records
+/// are either whole tuples or opaque key bytes — the latter carry a distinct
+/// operator's already-emitted key markers across a spill. Every record is
+/// length-prefixed, so readback streams the file frame-at-a-time through a
+/// rolling window (at most one flush-sized chunk resident, growing only for
+/// a single oversized record) instead of loading the whole run; each
+/// complete replay posts a `spill.reload` journal event with bytes read.
 class SpillRun {
  public:
   explicit SpillRun(std::string path) : path_(std::move(path)) {}
+
+  /// Pull cursor over a finished run, for readers that interleave several
+  /// runs (the external sort's k-way merge).
+  class Cursor {
+   public:
+    explicit Cursor(const SpillRun& run) : run_(run) {}
+    Cursor(const Cursor&) = delete;
+    Cursor& operator=(const Cursor&) = delete;
+
+    /// Reads the next record; `*more` is false once the run is exhausted.
+    Status Next(bool* more);
+    /// The current record: a tuple (which the caller may move from), or
+    /// key bytes that stay valid until the next call.
+    bool is_key() const { return is_key_; }
+    Tuple& tuple() { return tuple_; }
+    const uint8_t* key_data() const { return key_data_; }
+    size_t key_size() const { return key_size_; }
+
+   private:
+    /// Makes `need` unparsed bytes resident unless the file ends first.
+    void Refill(size_t need);
+
+    const SpillRun& run_;
+    std::unique_ptr<env::SequentialFileReader> file_;
+    std::vector<uint8_t> win_;  // win_[pos_..) holds unparsed bytes
+    size_t pos_ = 0;
+    uint64_t reloaded_ = 0;
+    uint64_t replayed_ = 0;
+    bool eof_ = false;
+    bool is_key_ = false;
+    Tuple tuple_;
+    const uint8_t* key_data_ = nullptr;
+    size_t key_size_ = 0;
+  };
 
   Status AppendTuple(const Tuple& t);
   Status AppendKeyBytes(const uint8_t* data, size_t n);

@@ -53,6 +53,18 @@ int BoundCompare(const CompositeKey& key, const CompositeKey& bound) {
   return key.size() < bound.size() ? -1 : 0;
 }
 
+int BoundsPosition(const CompositeKey& key, const ScanBounds& bounds) {
+  if (bounds.lo.has_value()) {
+    int c = BoundCompare(key, *bounds.lo);
+    if (c < 0 || (c == 0 && !bounds.lo_inclusive)) return -1;
+  }
+  if (bounds.hi.has_value()) {
+    int c = BoundCompare(key, *bounds.hi);
+    if (c > 0 || (c == 0 && !bounds.hi_inclusive)) return 1;
+  }
+  return 0;
+}
+
 BTreeBuilder::BTreeBuilder(std::string path) : path_(std::move(path)) {}
 
 Status BTreeBuilder::FlushLeaf() {
@@ -363,15 +375,9 @@ Status BTreeReader::RangeScan(const ScanBounds& bounds,
     for (uint16_t i = start; i < count; ++i) {
       IndexEntry e;
       ASTERIX_RETURN_NOT_OK(entry_at(i, &e));
-      if (bounds.lo.has_value()) {
-        int c = BoundCompare(e.key, *bounds.lo);
-        if (c < 0 || (c == 0 && !bounds.lo_inclusive)) continue;
-      }
-      if (bounds.hi.has_value()) {
-        int c = BoundCompare(e.key, *bounds.hi);
-        if (c > 0 || (c == 0 && !bounds.hi_inclusive)) return Status::OK();
-      }
-      ASTERIX_RETURN_NOT_OK(cb(e));
+      int where = BoundsPosition(e.key, bounds);
+      if (where > 0) return Status::OK();
+      if (where == 0) ASTERIX_RETURN_NOT_OK(cb(e));
     }
     page_no = next;
   }

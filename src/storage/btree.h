@@ -27,6 +27,9 @@ struct ScanBounds {
   bool hi_inclusive = true;
 };
 
+/// Where `key` falls against `bounds`: -1 below, 0 within, 1 above.
+int BoundsPosition(const CompositeKey& key, const ScanBounds& bounds);
+
 using EntryCallback = std::function<Status(const IndexEntry&)>;
 
 /// Writes an immutable, paged B+-tree file from entries that MUST be sorted

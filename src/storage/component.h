@@ -43,6 +43,25 @@ class DiskComponentReader {
   virtual bool MayContain(const CompositeKey& key) const = 0;
 };
 
+/// What an index structure plugs into the shared LSM core (the paper's
+/// LSM-ification framework, §4.3): its component file suffix, how a
+/// flush's or merge's entries become a component file, and how a finished
+/// file opens for reading. The core owns everything else — memtables,
+/// seqs, validity markers, merge policy, scheduling, recovery, accounting.
+class ComponentLayout {
+ public:
+  virtual ~ComponentLayout() = default;
+  virtual const char* suffix() const = 0;
+  /// Writes a component file at `path`. `feed` hands its callback every
+  /// entry in ascending key order (a memtable, or a merge's newest-wins
+  /// resolution of its inputs).
+  virtual Status Build(const std::string& path,
+                       const std::function<Status(const EntryCallback&)>& feed,
+                       uint64_t* num_entries) const = 0;
+  virtual Status Open(const std::string& path,
+                      std::shared_ptr<DiskComponentReader>* out) const = 0;
+};
+
 }  // namespace storage
 }  // namespace asterix
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <queue>
 #include <thread>
 
 #include "adm/serde.h"
@@ -55,7 +54,7 @@ void UpdateWriteAmplification() {
 /// doing the flush itself — 50us doubling per consecutive throttled write,
 /// capped at 2ms. The cap is deliberately far below a flush's own cost:
 /// the throttle only has to slow refill enough that the hard ceiling
-/// (mem_hard_limit_bytes, default 3x budget) is not hit before the
+/// (3x budget) is not hit before the
 /// background flush drains; pushing it higher just moves the sync design's
 /// latency cliff into the async tail.
 constexpr uint64_t kThrottleBaseUs = 50;
@@ -172,6 +171,113 @@ class RowComponentReader : public DiskComponentReader {
   bool compressed_;
 };
 
+/// The B+-tree layouts LsmOptions select: paged row B+-trees (payloads
+/// LZ-framed when compressed) or column components.
+class BTreeLayout : public ComponentLayout {
+ public:
+  BTreeLayout(BufferCache* cache, const LsmOptions& options)
+      : cache_(cache),
+        column_(options.format == StorageFormat::kColumn),
+        compress_(options.compress),
+        type_(options.record_type) {}
+
+  const char* suffix() const override { return column_ ? "col" : "btr"; }
+
+  Status Build(const std::string& path,
+               const std::function<Status(const EntryCallback&)>& feed,
+               uint64_t* num_entries) const override {
+    if (column_) {
+      column::ColumnComponentBuilder builder(path, type_, compress_);
+      ASTERIX_RETURN_NOT_OK(
+          feed([&](const IndexEntry& e) { return builder.Add(e); }));
+      ASTERIX_RETURN_NOT_OK(builder.Finish());
+      *num_entries = builder.num_entries();
+      return Status::OK();
+    }
+    BTreeBuilder builder(path);
+    IndexEntry framed;
+    ASTERIX_RETURN_NOT_OK(feed([&](const IndexEntry& e) {
+      if (!compress_ || e.antimatter) return builder.Add(e);
+      framed.key = e.key;
+      framed.payload = EncodeRowPayload(e.payload);
+      return builder.Add(framed);
+    }));
+    ASTERIX_RETURN_NOT_OK(builder.Finish());
+    *num_entries = builder.num_entries();
+    return Status::OK();
+  }
+
+  Status Open(const std::string& path,
+              std::shared_ptr<DiskComponentReader>* out) const override {
+    if (column_) {
+      auto r = column::ColumnComponentReader::Open(cache_, path, type_);
+      if (!r.ok()) return r.status();
+      *out = r.take();
+      return Status::OK();
+    }
+    auto r = BTreeReader::Open(cache_, path);
+    if (!r.ok()) return r.status();
+    *out = std::make_shared<RowComponentReader>(r.take(), type_, compress_);
+    return Status::OK();
+  }
+
+ private:
+  BufferCache* cache_;
+  bool column_;
+  bool compress_;
+  adm::DatatypePtr type_;
+};
+
+/// Calls `f(key, entry)` for each memtable entry within `bounds`, in order.
+template <typename F>
+Status ForEachInBounds(const LsmBTree::MemTable& table,
+                       const ScanBounds& bounds, F&& f) {
+  auto it = bounds.lo.has_value() ? table.lower_bound(*bounds.lo)
+                                  : table.begin();
+  for (; it != table.end(); ++it) {
+    int where = BoundsPosition(it->first, bounds);
+    if (where > 0) break;
+    if (where == 0) ASTERIX_RETURN_NOT_OK(f(it->first, it->second));
+  }
+  return Status::OK();
+}
+
+/// Newest-wins k-way resolution, shared by multi-component scans and merge
+/// builds. `runs[0]` holds the newest component's rows in key order, each
+/// later run an older component's. For every distinct key, `emit` gets the
+/// row of the newest run holding it — antimatter included: a scan hides
+/// it, a merge keeps it while older components remain to be cancelled.
+template <typename Row, typename Emit>
+Status ResolveNewestWins(const std::vector<std::vector<Row>>& runs,
+                         Emit&& emit) {
+  std::vector<size_t> pos(runs.size(), 0);
+  auto after = [&](size_t a, size_t b) {
+    int c = CompareKeys(runs[a][pos[a]].key, runs[b][pos[b]].key);
+    return c != 0 ? c > 0 : a > b;  // min-heap by key, newest run first
+  };
+  std::vector<size_t> heap;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (!runs[i].empty()) heap.push_back(i);
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+  const CompositeKey* last = nullptr;  // points into `runs`, which outlive it
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    size_t r = heap.back();
+    const Row& row = runs[r][pos[r]];
+    if (last == nullptr || CompareKeys(row.key, *last) != 0) {
+      last = &row.key;
+      ASTERIX_RETURN_NOT_OK(emit(row));
+    }
+    if (++pos[r] < runs[r].size()) {
+      std::push_heap(heap.begin(), heap.end(), after);
+    } else {
+      heap.pop_back();
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 bool MergePolicyFromName(const std::string& name, MergePolicy* out) {
@@ -258,7 +364,6 @@ Result<std::vector<ComponentInfo>> LsmLifecycle::Recover() {
     if (fname.size() < prefix.size() + 12) continue;
     std::string digits = fname.substr(prefix.size(), 12);
     uint64_t seq = std::strtoull(digits.c_str(), nullptr, 10);
-    std::string expect_data = name_;
     std::string data_path = ComponentPath(seq);
     std::string data_name = data_path.substr(dir_.size() + 1);
     if (fname == data_name) {
@@ -348,9 +453,13 @@ Result<std::vector<ComponentInfo>> LsmLifecycle::Recover() {
 
 LsmBTree::LsmBTree(BufferCache* cache, const std::string& dir,
                    const std::string& name, LsmOptions options)
-    : cache_(cache),
-      lifecycle_(dir, name,
-                 options.format == StorageFormat::kColumn ? "col" : "btr"),
+    : LsmBTree(dir, name, options,
+               std::make_unique<BTreeLayout>(cache, options)) {}
+
+LsmBTree::LsmBTree(const std::string& dir, const std::string& name,
+                   LsmOptions options, std::unique_ptr<ComponentLayout> layout)
+    : layout_(std::move(layout)),
+      lifecycle_(dir, name, layout_->suffix()),
       options_(std::move(options)) {}
 
 LsmBTree::~LsmBTree() {
@@ -364,61 +473,13 @@ const std::string& LsmBTree::compaction_label() const {
   return lifecycle_.name();
 }
 
-Status LsmBTree::OpenReader(const std::string& path,
-                            std::shared_ptr<DiskComponentReader>* out) const {
-  if (options_.format == StorageFormat::kColumn) {
-    auto r = column::ColumnComponentReader::Open(cache_, path,
-                                                 options_.record_type);
-    if (!r.ok()) return r.status();
-    *out = r.take();
-    return Status::OK();
-  }
-  auto r = BTreeReader::Open(cache_, path);
-  if (!r.ok()) return r.status();
-  *out = std::make_shared<RowComponentReader>(r.take(), options_.record_type,
-                                              options_.compress);
-  return Status::OK();
-}
-
-Status LsmBTree::BuildComponent(
-    const std::map<CompositeKey, MemEntry, KeyLess>& entries,
-    const std::string& path, uint64_t* num_entries) const {
-  if (options_.format == StorageFormat::kColumn) {
-    column::ColumnComponentBuilder builder(path, options_.record_type,
-                                           options_.compress);
-    for (const auto& [key, entry] : entries) {
-      IndexEntry e;
-      e.key = key;
-      e.antimatter = entry.antimatter;
-      e.payload = entry.payload;
-      ASTERIX_RETURN_NOT_OK(builder.Add(e));
-    }
-    ASTERIX_RETURN_NOT_OK(builder.Finish());
-    *num_entries = builder.num_entries();
-    return Status::OK();
-  }
-  BTreeBuilder builder(path);
-  for (const auto& [key, entry] : entries) {
-    IndexEntry e;
-    e.key = key;
-    e.antimatter = entry.antimatter;
-    e.payload = options_.compress && !entry.antimatter
-                    ? EncodeRowPayload(entry.payload)
-                    : entry.payload;
-    ASTERIX_RETURN_NOT_OK(builder.Add(e));
-  }
-  ASTERIX_RETURN_NOT_OK(builder.Finish());
-  *num_entries = builder.num_entries();
-  return Status::OK();
-}
-
 Status LsmBTree::Open() {
   std::unique_lock lock(mu_);
   auto comps_r = lifecycle_.Recover();
   if (!comps_r.ok()) return comps_r.status();
   for (auto& info : comps_r.value()) {
     std::shared_ptr<DiskComponentReader> reader;
-    ASTERIX_RETURN_NOT_OK(OpenReader(info.path, &reader));
+    ASTERIX_RETURN_NOT_OK(layout_->Open(info.path, &reader));
     flushed_lsn_ = std::max(flushed_lsn_, info.max_lsn);
     disk_.push_back(DiskComponent{std::move(info), std::move(reader)});
   }
@@ -427,21 +488,19 @@ Status LsmBTree::Open() {
 
 Status LsmBTree::Upsert(const CompositeKey& key, std::vector<uint8_t> payload,
                         uint64_t lsn) {
-  std::unique_lock lock(mu_);
-  size_t add = payload.size() + key.size() * 16 + 32;
-  auto [it, inserted] = mem_.insert_or_assign(key, MemEntry{false, std::move(payload)});
-  (void)it;
-  (void)inserted;
-  mem_bytes_ += add;
-  IngestedCounter()->Inc(add);
-  mem_max_lsn_ = std::max(mem_max_lsn_, lsn);
-  return MaybeRotateLocked(lock);
+  return Apply(key, MemEntry{false, std::move(payload)}, lsn);
 }
 
-Status LsmBTree::Delete(const CompositeKey& key, uint64_t lsn) {
+Status LsmBTree::Delete(const CompositeKey& key, uint64_t lsn,
+                        std::vector<uint8_t> payload) {
+  return Apply(key, MemEntry{true, std::move(payload)}, lsn);
+}
+
+Status LsmBTree::Apply(const CompositeKey& key, MemEntry entry, uint64_t lsn) {
   std::unique_lock lock(mu_);
-  mem_.insert_or_assign(key, MemEntry{true, {}});
-  size_t add = key.size() * 16 + 32;
+  size_t add = (entry.antimatter ? 0 : entry.payload.size()) +
+               key.size() * 16 + 32;
+  mem_.insert_or_assign(key, std::move(entry));
   mem_bytes_ += add;
   IngestedCounter()->Inc(add);
   mem_max_lsn_ = std::max(mem_max_lsn_, lsn);
@@ -478,13 +537,11 @@ Status LsmBTree::MaybeRotateLocked(std::unique_lock<std::shared_mutex>& lock) {
       // Queue full / scheduler stopping: fall through to the inline flush
       // below so memory stays bounded (the honest-stall path).
     } else {
-      // Default ceiling is 3x budget: the rotated imm component already
-      // holds ~1x, so anything lower leaves no soft band between the
-      // budget trip and the hard block — every writer would skip the
-      // throttle and stall for the whole flush.
-      size_t hard = options_.mem_hard_limit_bytes != 0
-                        ? options_.mem_hard_limit_bytes
-                        : 3 * options_.mem_budget_bytes;
+      // The ceiling is 3x budget: the rotated imm component already holds
+      // ~1x, so anything lower leaves no soft band between the budget trip
+      // and the hard block — every writer would skip the throttle and
+      // stall for the whole flush.
+      const size_t hard = 3 * options_.mem_budget_bytes;
       uint64_t stall_start_us = NowUs();
       if (mem_bytes_ + imm_->bytes < hard) {
         // Previous rotation still flushing: soft-throttle this writer with
@@ -534,236 +591,277 @@ Status LsmBTree::MaybeRotateLocked(std::unique_lock<std::shared_mutex>& lock) {
   return st;
 }
 
-Status LsmBTree::Flush() {
-  if (options_.scheduler != nullptr) options_.scheduler->Quiesce(this);
-  std::unique_lock lock(mu_);
+Status LsmBTree::BarrierLocked(std::unique_lock<std::shared_mutex>& lock) {
   imm_cv_.wait(lock, [&] {
     return (!flush_inflight_ && !merge_inflight_) || !bg_error_.ok();
   });
-  if (!bg_error_.ok()) return bg_error_;
-  return FlushLocked();
+  return bg_error_;
 }
 
-void LsmBTree::FinishFlushLocked(ComponentInfo info,
-                                 std::shared_ptr<DiskComponentReader> reader,
-                                 uint64_t bytes_in, uint64_t flush_start_us) {
-  uint64_t flushed_bytes = info.bytes;
-  uint64_t max_lsn = info.max_lsn;
-  disk_.push_back(DiskComponent{std::move(info), std::move(reader)});
-  flushed_lsn_ = std::max(flushed_lsn_, max_lsn);
-  {
-    auto& reg = metrics::MetricsRegistry::Default();
-    static metrics::Counter* flushes = reg.GetCounter("storage.lsm.flushes");
-    static metrics::Counter* bytes = reg.GetCounter("storage.lsm.bytes_flushed");
-    static metrics::Histogram* flush_us = reg.GetHistogram("storage.lsm.flush_us");
-    flushes->Inc();
-    bytes->Inc(flushed_bytes);
-    flush_us->Observe(NowUs() - flush_start_us);
-    if (options_.format == StorageFormat::kColumn) {
-      static metrics::Counter* col_bytes =
-          reg.GetCounter("storage.column.bytes_flushed");
-      col_bytes->Inc(flushed_bytes);
-    }
-    UpdateWriteAmplification();
-  }
-  // Physical write caused by the query whose ingest tripped the flush (0 =
-  // background/boot work, which the ledger ignores). Background jobs run
-  // under the triggering query's id (see CompactionScheduler).
-  ledger::ResourceLedger::Default().AddBytesWritten(journal::CurrentQueryId(),
-                                                    flushed_bytes);
-  journal::Journal::Default().Post(journal::EventKind::kLsmFlushEnd, bytes_in,
-                                   flushed_bytes, lifecycle_.name().c_str());
-}
-
-Status LsmBTree::FlushTableLocked(const MemTable& entries, size_t bytes_in,
-                                  uint64_t max_lsn) {
-  uint64_t flush_start_us = NowUs();
-  journal::Journal::Default().Post(journal::EventKind::kLsmFlushStart, bytes_in,
-                                   entries.size(), lifecycle_.name().c_str());
-  uint64_t seq = lifecycle_.AllocateSeq();
-  std::string path = lifecycle_.ComponentPath(seq);
-  uint64_t num_entries = 0;
-  ASTERIX_RETURN_NOT_OK(BuildComponent(entries, path, &num_entries));
-  // The validity bit makes the new component durable *after* its data file
-  // is fully written (shadowing).
-  ASTERIX_RETURN_NOT_OK(lifecycle_.MarkValid(seq, num_entries, max_lsn));
-  std::shared_ptr<DiskComponentReader> reader;
-  ASTERIX_RETURN_NOT_OK(OpenReader(path, &reader));
-  ComponentInfo info;
-  info.seq = seq;
-  info.path = path;
-  info.num_entries = num_entries;
-  info.bytes = env::FileSize(path);
-  info.max_lsn = max_lsn;
-  FinishFlushLocked(std::move(info), std::move(reader), bytes_in,
-                    flush_start_us);
-  return Status::OK();
-}
-
-Status LsmBTree::FlushLocked() {
-  if (imm_ != nullptr) {
-    // A rotated component whose background flush has not started (barrier
-    // call or async fallback): flush it inline, oldest data first.
-    ASTERIX_RETURN_NOT_OK(
-        FlushTableLocked(imm_->entries, imm_->bytes, imm_->max_lsn));
-    imm_.reset();
-    throttle_level_ = 0;
-    imm_cv_.notify_all();
-  }
-  if (!mem_.empty()) {
-    ASTERIX_RETURN_NOT_OK(FlushTableLocked(mem_, mem_bytes_, mem_max_lsn_));
-    mem_.clear();
-    mem_bytes_ = 0;
-    mem_max_lsn_ = 0;
-  }
-  return MaybeMergeLockedImpl();
-}
-
-Status LsmBTree::BackgroundFlush() {
-  std::shared_ptr<const ImmComponent> imm;
-  uint64_t seq = 0;
-  {
-    std::unique_lock lock(mu_);
-    if (!bg_error_.ok()) return bg_error_;
-    if (imm_ == nullptr) return Status::OK();  // resolved by a barrier
-    imm = imm_;
-    seq = lifecycle_.AllocateSeq();
-    flush_inflight_ = true;
-  }
-  // Build the component with no tree lock held: writers keep ingesting into
-  // the fresh memtable and readers keep scanning (imm stays visible).
-  uint64_t flush_start_us = NowUs();
-  journal::Journal::Default().Post(journal::EventKind::kLsmFlushStart,
-                                   imm->bytes, imm->entries.size(),
-                                   lifecycle_.name().c_str());
-  std::string path = lifecycle_.ComponentPath(seq);
-  uint64_t num_entries = 0;
-  std::shared_ptr<DiskComponentReader> reader;
-  Status st = BuildComponent(imm->entries, path, &num_entries);
-  if (st.ok()) st = lifecycle_.MarkValid(seq, num_entries, imm->max_lsn);
-  if (st.ok()) st = OpenReader(path, &reader);
-
+Status LsmBTree::Flush() {
+  if (options_.scheduler != nullptr) options_.scheduler->Quiesce(this);
   std::unique_lock lock(mu_);
-  flush_inflight_ = false;
-  if (!st.ok()) {
-    if (bg_error_.ok()) bg_error_ = st;
-    imm_cv_.notify_all();
-    return st;
-  }
-  ComponentInfo info;
-  info.seq = seq;
-  info.path = path;
-  info.num_entries = num_entries;
-  info.bytes = env::FileSize(path);
-  info.max_lsn = imm->max_lsn;
-  FinishFlushLocked(std::move(info), std::move(reader), imm->bytes,
-                    flush_start_us);
-  imm_.reset();
-  throttle_level_ = 0;
-  // Keep ingest ahead: if the mutable side already re-tripped its budget,
-  // rotate and queue the next flush before this job counts as done (so a
-  // Quiesce() waiter still sees the tree busy).
-  if (mem_bytes_ >= options_.mem_budget_bytes &&
-      options_.scheduler->Schedule(this, CompactionJobKind::kFlush)) {
-    RotateLocked();
-  }
-  if (MergeWantedLocked()) {
-    options_.scheduler->Schedule(this, CompactionJobKind::kMerge);
-  }
-  imm_cv_.notify_all();
-  return Status::OK();
+  ASTERIX_RETURN_NOT_OK(BarrierLocked(lock));
+  return FlushLocked();
 }
 
 Status LsmBTree::MaybeMerge() {
   if (options_.scheduler != nullptr) options_.scheduler->Quiesce(this);
   std::unique_lock lock(mu_);
-  imm_cv_.wait(lock, [&] {
-    return (!flush_inflight_ && !merge_inflight_) || !bg_error_.ok();
-  });
-  if (!bg_error_.ok()) return bg_error_;
-  return MaybeMergeLockedImpl();
+  ASTERIX_RETURN_NOT_OK(BarrierLocked(lock));
+  return RunJobLocked(CompactionJobKind::kMerge, nullptr);
 }
 
-Status LsmBTree::MergeComponents(size_t first, size_t count) {
-  if (count < 2) return Status::OK();
-  uint64_t merge_start_us = NowUs();
-  uint64_t bytes_in = 0;
-  for (size_t i = first; i < first + count; ++i) {
-    bytes_in += disk_[i].info.bytes;
+Status LsmBTree::FlushLocked() {
+  // Oldest data first: a rotated component whose background flush has not
+  // started (barrier call or async fallback), then the mutable one.
+  while (imm_ != nullptr || !mem_.empty()) {
+    if (imm_ == nullptr) RotateLocked();
+    ASTERIX_RETURN_NOT_OK(RunJobLocked(CompactionJobKind::kFlush, nullptr));
   }
-  journal::Journal::Default().Post(journal::EventKind::kLsmMergeStart, bytes_in,
-                                   count, lifecycle_.name().c_str());
-  bool includes_oldest = first == 0;
-  // Gather all entries from the run, newest component winning per key.
-  std::map<CompositeKey, MemEntry, KeyLess> merged;
-  for (size_t i = first; i < first + count; ++i) {
-    // Older first: later (newer) components overwrite.
-    ScanBounds all;
-    ASTERIX_RETURN_NOT_OK(disk_[i].reader->RangeScan(
-        all, [&](const IndexEntry& e) {
-          merged.insert_or_assign(e.key, MemEntry{e.antimatter, e.payload});
+  return RunJobLocked(CompactionJobKind::kMerge, nullptr);
+}
+
+Status LsmBTree::BackgroundFlush() {
+  return RunBackground(CompactionJobKind::kFlush);
+}
+
+Status LsmBTree::BackgroundMerge() {
+  return RunBackground(CompactionJobKind::kMerge);
+}
+
+Status LsmBTree::RunBackground(CompactionJobKind kind) {
+  std::unique_lock lock(mu_);
+  if (!bg_error_.ok()) return bg_error_;
+  Status st = RunJobLocked(kind, &lock);
+  if (bg_error_.ok()) {
+    // Keep ingest ahead: if the mutable side already re-tripped its budget,
+    // rotate and queue the next flush before this job counts as done (so a
+    // Quiesce() waiter still sees the tree busy). Tiering may want another
+    // round once a run has collapsed.
+    if (imm_ == nullptr && mem_bytes_ >= options_.mem_budget_bytes &&
+        options_.scheduler->Schedule(this, CompactionJobKind::kFlush)) {
+      RotateLocked();
+    }
+    size_t first = 0, count = 0;
+    if (SelectMergeRunLocked(&first, &count)) {
+      options_.scheduler->Schedule(this, CompactionJobKind::kMerge);
+    }
+  }
+  imm_cv_.notify_all();
+  return st;
+}
+
+Status LsmBTree::RunJobLocked(
+    CompactionJobKind kind,
+    std::unique_lock<std::shared_mutex>* unlock_for_build) {
+  bool merge = kind == CompactionJobKind::kMerge;
+  Job job;
+  if (!(merge ? SelectMergeLocked(&job) : SelectFlushLocked(&job))) {
+    return Status::OK();
+  }
+  bool& inflight = merge ? merge_inflight_ : flush_inflight_;
+  if (unlock_for_build != nullptr) {
+    // Build with no tree lock held: writers keep ingesting into the fresh
+    // memtable and readers keep scanning (imm_ and the merge run stay
+    // visible). Concurrent flushes only append behind a merge run and no
+    // other merge runs on this tree, so the run stays live and contiguous
+    // until install.
+    inflight = true;
+    unlock_for_build->unlock();
+  }
+  Status st = merge ? BuildMerge(&job) : BuildFlush(&job);
+  if (unlock_for_build != nullptr) {
+    unlock_for_build->lock();
+    inflight = false;
+    if (!st.ok() && bg_error_.ok()) bg_error_ = st;
+  }
+  if (!st.ok()) return st;
+  if (merge) return InstallMergeLocked(&job);
+  InstallFlushLocked(&job);
+  return Status::OK();
+}
+
+bool LsmBTree::SelectFlushLocked(Job* job) {
+  if (imm_ == nullptr) return false;  // resolved by a barrier
+  job->imm = imm_;
+  job->file_seq = lifecycle_.AllocateSeq();
+  return true;
+}
+
+bool LsmBTree::SelectMergeLocked(Job* job) {
+  // Never select while a background merge is mid-build: the two could pick
+  // overlapping runs, and the second install would delete files the first
+  // is still reading.
+  if (merge_inflight_) return false;
+  size_t first = 0, count = 0;
+  if (!SelectMergeRunLocked(&first, &count)) return false;
+  job->inputs.assign(disk_.begin() + first, disk_.begin() + first + count);
+  // Components are never inserted below the oldest, so a run that starts
+  // there leaves nothing for its antimatter to cancel.
+  job->includes_oldest = first == 0;
+  // The fresh seq only names the output file; the component sorts at its
+  // newest input's seq, so a flush installing concurrently (with a higher
+  // seq, since flushes always take the latest allocation) stays newer than
+  // this output both in memory and across recovery.
+  job->file_seq = lifecycle_.AllocateSeq();
+  return true;
+}
+
+Status LsmBTree::BuildFlush(Job* job) {
+  const ImmComponent& imm = *job->imm;
+  job->bytes_in = imm.bytes;
+  job->start_us = NowUs();
+  journal::Journal::Default().Post(journal::EventKind::kLsmFlushStart,
+                                   imm.bytes, imm.entries.size(),
+                                   lifecycle_.name().c_str());
+  std::string path = lifecycle_.ComponentPath(job->file_seq);
+  uint64_t num_entries = 0;
+  ASTERIX_RETURN_NOT_OK(layout_->Build(
+      path,
+      [&](const EntryCallback& add) {
+        IndexEntry e;
+        for (const auto& [key, entry] : imm.entries) {
+          e.key = key;
+          e.antimatter = entry.antimatter;
+          e.payload = entry.payload;
+          ASTERIX_RETURN_NOT_OK(add(e));
+        }
+        return Status::OK();
+      },
+      &num_entries));
+  // The validity bit makes the new component durable *after* its data file
+  // is fully written (shadowing).
+  ASTERIX_RETURN_NOT_OK(
+      lifecycle_.MarkValid(job->file_seq, num_entries, imm.max_lsn));
+  return OpenOutput(path, job->file_seq, num_entries, imm.max_lsn, job);
+}
+
+Status LsmBTree::BuildMerge(Job* job) {
+  const std::vector<DiskComponent>& inputs = job->inputs;
+  job->start_us = NowUs();
+  uint64_t max_lsn = 0;
+  for (const auto& dc : inputs) {
+    job->bytes_in += dc.info.bytes;
+    max_lsn = std::max(max_lsn, dc.info.max_lsn);
+  }
+  journal::Journal::Default().Post(journal::EventKind::kLsmMergeStart,
+                                   job->bytes_in, inputs.size(),
+                                   lifecycle_.name().c_str());
+  std::vector<std::vector<IndexEntry>> runs(inputs.size());  // newest first
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    std::vector<IndexEntry>& run = runs[inputs.size() - 1 - i];
+    ASTERIX_RETURN_NOT_OK(
+        inputs[i].reader->RangeScan(ScanBounds{}, [&](const IndexEntry& e) {
+          run.push_back(e);
           return Status::OK();
         }));
   }
-  // The output file gets a fresh name, but sorts at its newest input's
-  // position (and the marker's replaces range lets recovery finish the
-  // input cleanup if we crash after MarkValid).
-  uint64_t file_seq = lifecycle_.AllocateSeq();
-  uint64_t sort_seq = disk_[first + count - 1].info.seq;
-  uint64_t replaces_lo = disk_[first].info.seq;
-  std::string path = lifecycle_.ComponentPath(file_seq);
-  uint64_t max_lsn = 0;
-  for (size_t i = first; i < first + count; ++i) {
-    max_lsn = std::max(max_lsn, disk_[i].info.max_lsn);
-  }
-  // Antimatter entries are dropped only when no older component remains to
-  // be cancelled.
-  if (includes_oldest) {
-    for (auto it = merged.begin(); it != merged.end();) {
-      it = it->second.antimatter ? merged.erase(it) : std::next(it);
-    }
-  }
+  std::string path = lifecycle_.ComponentPath(job->file_seq);
   uint64_t num_entries = 0;
-  ASTERIX_RETURN_NOT_OK(BuildComponent(merged, path, &num_entries));
-  ASTERIX_RETURN_NOT_OK(lifecycle_.MarkValid(file_seq, num_entries, max_lsn,
-                                             sort_seq, replaces_lo, sort_seq));
-  std::shared_ptr<DiskComponentReader> reader;
-  ASTERIX_RETURN_NOT_OK(OpenReader(path, &reader));
-  ComponentInfo info;
+  ASTERIX_RETURN_NOT_OK(layout_->Build(
+      path,
+      [&](const EntryCallback& add) {
+        return ResolveNewestWins(runs, [&](const IndexEntry& e) {
+          if (e.antimatter && job->includes_oldest) return Status::OK();
+          return add(e);
+        });
+      },
+      &num_entries));
+  // The output sorts at its newest input's position, and the marker's
+  // replaces range lets recovery finish the input cleanup if we crash
+  // before install deletes them.
+  uint64_t sort_seq = inputs.back().info.seq;
+  ASTERIX_RETURN_NOT_OK(lifecycle_.MarkValid(job->file_seq, num_entries,
+                                             max_lsn, sort_seq,
+                                             inputs.front().info.seq,
+                                             sort_seq));
+  return OpenOutput(path, sort_seq, num_entries, max_lsn, job);
+}
+
+Status LsmBTree::OpenOutput(const std::string& path, uint64_t sort_seq,
+                            uint64_t num_entries, uint64_t max_lsn,
+                            Job* job) const {
+  ComponentInfo& info = job->out.info;
   info.seq = sort_seq;
   info.path = path;
   info.num_entries = num_entries;
   info.bytes = env::FileSize(path);
   info.max_lsn = max_lsn;
-  // Replace the merged run with the new component, then delete old files.
-  std::vector<DiskComponent> removed(disk_.begin() + first,
-                                     disk_.begin() + first + count);
-  disk_.erase(disk_.begin() + first, disk_.begin() + first + count);
-  disk_.insert(disk_.begin() + first, DiskComponent{info, std::move(reader)});
-  for (auto& dc : removed) {
+  return layout_->Open(path, &job->out.reader);
+}
+
+void LsmBTree::InstallFlushLocked(Job* job) {
+  RecordInstall(*job);
+  flushed_lsn_ = std::max(flushed_lsn_, job->out.info.max_lsn);
+  disk_.push_back(std::move(job->out));
+  imm_.reset();
+  throttle_level_ = 0;
+  imm_cv_.notify_all();
+}
+
+Status LsmBTree::InstallMergeLocked(Job* job) {
+  // Re-locate the run by seq: concurrent flush installs may have appended
+  // components behind it (never inside or below it).
+  const std::vector<DiskComponent>& inputs = job->inputs;
+  size_t first = 0;
+  while (first < disk_.size() &&
+         disk_[first].info.seq != inputs.front().info.seq) {
+    ++first;
+  }
+  bool intact = first + inputs.size() <= disk_.size();
+  for (size_t i = 0; intact && i < inputs.size(); ++i) {
+    intact = disk_[first + i].info.seq == inputs[i].info.seq;
+  }
+  if (!intact) {
+    // Only another merge could have changed the run, and select refuses
+    // to start one while this one is in flight.
+    return Status::Internal("merge run changed during its build");
+  }
+  RecordInstall(*job);
+  auto run = disk_.begin() + static_cast<ptrdiff_t>(first);
+  disk_.erase(run, run + static_cast<ptrdiff_t>(inputs.size()));
+  disk_.insert(disk_.begin() + static_cast<ptrdiff_t>(first),
+               std::move(job->out));
+  Status st;
+  for (auto& dc : job->inputs) {
     dc.reader.reset();  // closes the file in the cache
-    ASTERIX_RETURN_NOT_OK(lifecycle_.RemoveComponent(dc.info));
+    Status rm = lifecycle_.RemoveComponent(dc.info);
+    if (!rm.ok() && st.ok()) st = rm;
   }
-  {
-    auto& reg = metrics::MetricsRegistry::Default();
-    static metrics::Counter* merges = reg.GetCounter("storage.lsm.merges");
-    static metrics::Counter* bytes = reg.GetCounter("storage.lsm.bytes_merged");
-    static metrics::Histogram* merge_us = reg.GetHistogram("storage.lsm.merge_us");
-    merges->Inc();
-    bytes->Inc(info.bytes);
-    merge_us->Observe(NowUs() - merge_start_us);
-    if (options_.format == StorageFormat::kColumn) {
-      static metrics::Counter* col_bytes =
-          reg.GetCounter("storage.column.bytes_merged");
-      col_bytes->Inc(info.bytes);
-    }
-    UpdateWriteAmplification();
+  return st;
+}
+
+void LsmBTree::RecordInstall(const Job& job) const {
+  const bool merge = !job.inputs.empty();
+  const uint64_t bytes_out = job.out.info.bytes;
+  auto& reg = metrics::MetricsRegistry::Default();
+  static metrics::Counter* flushes = reg.GetCounter("storage.lsm.flushes");
+  static metrics::Counter* merges = reg.GetCounter("storage.lsm.merges");
+  static metrics::Counter* flushed = reg.GetCounter("storage.lsm.bytes_flushed");
+  static metrics::Counter* merged = reg.GetCounter("storage.lsm.bytes_merged");
+  static metrics::Histogram* flush_us = reg.GetHistogram("storage.lsm.flush_us");
+  static metrics::Histogram* merge_us = reg.GetHistogram("storage.lsm.merge_us");
+  (merge ? merges : flushes)->Inc();
+  (merge ? merged : flushed)->Inc(bytes_out);
+  (merge ? merge_us : flush_us)->Observe(NowUs() - job.start_us);
+  if (options_.format == StorageFormat::kColumn) {
+    static metrics::Counter* col_flushed =
+        reg.GetCounter("storage.column.bytes_flushed");
+    static metrics::Counter* col_merged =
+        reg.GetCounter("storage.column.bytes_merged");
+    (merge ? col_merged : col_flushed)->Inc(bytes_out);
   }
+  UpdateWriteAmplification();
+  // Physical write caused by the query whose ingest tripped the job (0 =
+  // background/boot work, which the ledger ignores). Background jobs run
+  // under the triggering query's id (see CompactionScheduler).
   ledger::ResourceLedger::Default().AddBytesWritten(journal::CurrentQueryId(),
-                                                    info.bytes);
-  journal::Journal::Default().Post(journal::EventKind::kLsmMergeEnd, bytes_in,
-                                   info.bytes, lifecycle_.name().c_str());
-  return Status::OK();
+                                                    bytes_out);
+  journal::Journal::Default().Post(merge ? journal::EventKind::kLsmMergeEnd
+                                         : journal::EventKind::kLsmFlushEnd,
+                                   job.bytes_in, bytes_out,
+                                   lifecycle_.name().c_str());
 }
 
 bool LsmBTree::SelectMergeRunLocked(size_t* first, size_t* count) const {
@@ -825,176 +923,19 @@ bool LsmBTree::SelectMergeRunLocked(size_t* first, size_t* count) const {
   return false;
 }
 
-bool LsmBTree::MergeWantedLocked() const {
-  size_t first = 0, count = 0;
-  return SelectMergeRunLocked(&first, &count);
-}
-
-Status LsmBTree::MaybeMergeLockedImpl() {
-  // Never merge inline while a background merge is mid-build: the two
-  // could pick overlapping runs, and the inline install would delete files
-  // the background job is still reading.
-  if (merge_inflight_) return Status::OK();
-  size_t first = 0, count = 0;
-  if (!SelectMergeRunLocked(&first, &count)) return Status::OK();
-  return MergeComponents(first, count);
-}
-
-Status LsmBTree::BackgroundMerge() {
-  std::vector<DiskComponent> inputs;
-  uint64_t file_seq = 0;
-  uint64_t max_lsn = 0;
-  bool includes_oldest = false;
-  {
-    std::unique_lock lock(mu_);
-    if (!bg_error_.ok()) return bg_error_;
-    size_t first = 0, count = 0;
-    if (!SelectMergeRunLocked(&first, &count)) return Status::OK();
-    inputs.assign(disk_.begin() + first, disk_.begin() + first + count);
-    includes_oldest = first == 0;
-    // The fresh seq only names the output file; the component sorts at its
-    // newest input's seq, so a flush installing concurrently (with a
-    // higher seq, since flushes always take the latest allocation) stays
-    // newer than this output both in memory and across recovery.
-    file_seq = lifecycle_.AllocateSeq();
-    for (const auto& dc : inputs) {
-      max_lsn = std::max(max_lsn, dc.info.max_lsn);
-    }
-    merge_inflight_ = true;
-  }
-  uint64_t merge_start_us = NowUs();
-  uint64_t bytes_in = 0;
-  for (const auto& dc : inputs) bytes_in += dc.info.bytes;
-  journal::Journal::Default().Post(journal::EventKind::kLsmMergeStart, bytes_in,
-                                   inputs.size(), lifecycle_.name().c_str());
-  // Gather + build with no tree lock held. The input components are
-  // immutable files; concurrent flushes only append to disk_ behind the
-  // run, and no other merge can run on this tree, so the run stays live
-  // and contiguous until install.
-  std::map<CompositeKey, MemEntry, KeyLess> merged;
-  Status st;
-  for (const auto& dc : inputs) {
-    ScanBounds all;
-    st = dc.reader->RangeScan(all, [&](const IndexEntry& e) {
-      merged.insert_or_assign(e.key, MemEntry{e.antimatter, e.payload});
-      return Status::OK();
-    });
-    if (!st.ok()) break;
-  }
-  if (st.ok() && includes_oldest) {
-    // Antimatter entries are dropped only when no older component remains
-    // to be cancelled (components are never inserted below the oldest).
-    for (auto it = merged.begin(); it != merged.end();) {
-      it = it->second.antimatter ? merged.erase(it) : std::next(it);
-    }
-  }
-  std::string path = lifecycle_.ComponentPath(file_seq);
-  uint64_t sort_seq = inputs.back().info.seq;
-  uint64_t num_entries = 0;
-  std::shared_ptr<DiskComponentReader> reader;
-  if (st.ok()) st = BuildComponent(merged, path, &num_entries);
-  if (st.ok()) {
-    st = lifecycle_.MarkValid(file_seq, num_entries, max_lsn, sort_seq,
-                              inputs.front().info.seq, sort_seq);
-  }
-  if (st.ok()) st = OpenReader(path, &reader);
-
-  std::unique_lock lock(mu_);
-  merge_inflight_ = false;
-  if (!st.ok()) {
-    if (bg_error_.ok()) bg_error_ = st;
-    imm_cv_.notify_all();
-    return st;
-  }
-  // Re-locate the run by seq: concurrent flush installs may have appended
-  // components behind it (never inside or below it).
-  size_t first = disk_.size();
-  for (size_t i = 0; i < disk_.size(); ++i) {
-    if (disk_[i].info.seq == inputs.front().info.seq) {
-      first = i;
-      break;
-    }
-  }
-  bool intact = first + inputs.size() <= disk_.size();
-  for (size_t i = 0; intact && i < inputs.size(); ++i) {
-    intact = disk_[first + i].info.seq == inputs[i].info.seq;
-  }
-  if (!intact) {
-    // A barrier merged the run inline while we were building (defensive —
-    // barriers wait out merge_inflight_, so this should not happen).
-    ComponentInfo orphan;
-    orphan.seq = file_seq;
-    orphan.path = path;
-    Status rm = lifecycle_.RemoveComponent(orphan);
-    (void)rm;
-    imm_cv_.notify_all();
-    journal::Journal::Default().Post(journal::EventKind::kLsmMergeEnd, bytes_in,
-                                     0, lifecycle_.name().c_str());
-    return Status::OK();
-  }
-  ComponentInfo info;
-  info.seq = sort_seq;
-  info.path = path;
-  info.num_entries = num_entries;
-  info.bytes = env::FileSize(path);
-  info.max_lsn = max_lsn;
-  std::vector<DiskComponent> removed(disk_.begin() + first,
-                                     disk_.begin() + first + inputs.size());
-  disk_.erase(disk_.begin() + first, disk_.begin() + first + inputs.size());
-  disk_.insert(disk_.begin() + first, DiskComponent{info, std::move(reader)});
-  for (auto& dc : removed) {
-    dc.reader.reset();  // closes the file in the cache
-    Status rm = lifecycle_.RemoveComponent(dc.info);
-    if (!rm.ok() && st.ok()) st = rm;
-  }
-  {
-    auto& reg = metrics::MetricsRegistry::Default();
-    static metrics::Counter* merges = reg.GetCounter("storage.lsm.merges");
-    static metrics::Counter* bytes = reg.GetCounter("storage.lsm.bytes_merged");
-    static metrics::Histogram* merge_us = reg.GetHistogram("storage.lsm.merge_us");
-    merges->Inc();
-    bytes->Inc(info.bytes);
-    merge_us->Observe(NowUs() - merge_start_us);
-    if (options_.format == StorageFormat::kColumn) {
-      static metrics::Counter* col_bytes =
-          reg.GetCounter("storage.column.bytes_merged");
-      col_bytes->Inc(info.bytes);
-    }
-    UpdateWriteAmplification();
-  }
-  ledger::ResourceLedger::Default().AddBytesWritten(journal::CurrentQueryId(),
-                                                    info.bytes);
-  journal::Journal::Default().Post(journal::EventKind::kLsmMergeEnd, bytes_in,
-                                   info.bytes, lifecycle_.name().c_str());
-  // Tiering may want another round once this run has collapsed.
-  if (MergeWantedLocked()) {
-    options_.scheduler->Schedule(this, CompactionJobKind::kMerge);
-  }
-  imm_cv_.notify_all();
-  return st;
-}
-
 Status LsmBTree::PointLookup(const CompositeKey& key, bool* found,
                              std::vector<uint8_t>* payload) const {
   std::shared_lock lock(mu_);
   *found = false;
-  auto it = mem_.find(key);
-  if (it != mem_.end()) {
-    if (it->second.antimatter) return Status::OK();
-    *found = true;
-    *payload = it->second.payload;
+  // The rotated component is older than mem_ but newer than any disk
+  // component — it stays visible until its background flush installs.
+  for (const MemTable* t : {&mem_, imm_ != nullptr ? &imm_->entries : nullptr}) {
+    if (t == nullptr) continue;
+    auto it = t->find(key);
+    if (it == t->end()) continue;
+    *found = !it->second.antimatter;
+    if (*found) *payload = it->second.payload;
     return Status::OK();
-  }
-  if (imm_ != nullptr) {
-    // The rotated component is older than mem_ but newer than any disk
-    // component — it stays visible until its background flush installs.
-    auto iit = imm_->entries.find(key);
-    if (iit != imm_->entries.end()) {
-      if (iit->second.antimatter) return Status::OK();
-      *found = true;
-      *payload = iit->second.payload;
-      return Status::OK();
-    }
   }
   auto& reg = metrics::MetricsRegistry::Default();
   static metrics::Counter* bloom_hits = reg.GetCounter("storage.bloom.hits");
@@ -1039,83 +980,30 @@ Status LsmBTree::RangeScan(const ScanBounds& bounds,
       return cb(e);
     });
   }
-  // K-way merge across the memory components and all disk components with
-  // newest-wins, antimatter-hides resolution. Each component's qualifying
-  // entries arrive in key order; a priority queue merges the streams.
-  struct Cursor {
-    std::vector<IndexEntry> entries;
-    size_t pos = 0;
-    size_t rank = 0;  // 0 = newest (mutable memory component)
+  // Newest-wins, antimatter-hides resolution across the memory components
+  // and all disk components, newest first.
+  std::vector<std::vector<IndexEntry>> runs(2 + disk_.size());
+  auto collect_mem = [&](const MemTable& table, std::vector<IndexEntry>* run) {
+    return ForEachInBounds(table, bounds,
+                           [&](const CompositeKey& key, const MemEntry& e) {
+                             run->push_back(
+                                 IndexEntry{key, e.antimatter, e.payload});
+                             return Status::OK();
+                           });
   };
-  std::vector<Cursor> cursors;
-
-  auto collect_mem = [&](const MemTable& table) {
-    Cursor mem_cursor;
-    mem_cursor.rank = cursors.size();
-    auto mem_begin =
-        bounds.lo.has_value() ? table.lower_bound(*bounds.lo) : table.begin();
-    for (auto it = mem_begin; it != table.end(); ++it) {
-      const auto& key = it->first;
-      const auto& entry = it->second;
-      if (bounds.lo.has_value()) {
-        int c = BoundCompare(key, *bounds.lo);
-        if (c < 0 || (c == 0 && !bounds.lo_inclusive)) continue;
-      }
-      if (bounds.hi.has_value()) {
-        int c = BoundCompare(key, *bounds.hi);
-        if (c > 0 || (c == 0 && !bounds.hi_inclusive)) break;
-      }
-      IndexEntry e;
-      e.key = key;
-      e.antimatter = entry.antimatter;
-      e.payload = entry.payload;
-      mem_cursor.entries.push_back(std::move(e));
-    }
-    cursors.push_back(std::move(mem_cursor));
-  };
-  collect_mem(mem_);
-  if (imm_ != nullptr) collect_mem(imm_->entries);
-  for (size_t i = disk_.size(); i > 0; --i) {
-    Cursor c;
-    c.rank = cursors.size();
-    ASTERIX_RETURN_NOT_OK(disk_[i - 1].reader->RangeScan(
+  ASTERIX_RETURN_NOT_OK(collect_mem(mem_, &runs[0]));
+  if (imm_ != nullptr) ASTERIX_RETURN_NOT_OK(collect_mem(imm_->entries, &runs[1]));
+  for (size_t i = 0; i < disk_.size(); ++i) {
+    std::vector<IndexEntry>& run = runs[2 + i];
+    ASTERIX_RETURN_NOT_OK(disk_[disk_.size() - 1 - i].reader->RangeScan(
         bounds, [&](const IndexEntry& e) {
-          c.entries.push_back(e);
+          run.push_back(e);
           return Status::OK();
         }));
-    cursors.push_back(std::move(c));
   }
-
-  auto cmp = [&](size_t a, size_t b) {
-    const IndexEntry& ea = cursors[a].entries[cursors[a].pos];
-    const IndexEntry& eb = cursors[b].entries[cursors[b].pos];
-    int c = CompareKeys(ea.key, eb.key);
-    if (c != 0) return c > 0;  // min-heap by key
-    return cursors[a].rank > cursors[b].rank;  // newest (lowest rank) first
-  };
-  std::priority_queue<size_t, std::vector<size_t>, decltype(cmp)> heap(cmp);
-  for (size_t i = 0; i < cursors.size(); ++i) {
-    if (!cursors[i].entries.empty()) heap.push(i);
-  }
-  const CompositeKey* last_key = nullptr;
-  CompositeKey last_key_storage;
-  while (!heap.empty()) {
-    size_t ci = heap.top();
-    heap.pop();
-    Cursor& cur = cursors[ci];
-    const IndexEntry& e = cur.entries[cur.pos];
-    bool duplicate = last_key != nullptr && CompareKeys(e.key, *last_key) == 0;
-    if (!duplicate) {
-      last_key_storage = e.key;
-      last_key = &last_key_storage;
-      if (!e.antimatter) {
-        ASTERIX_RETURN_NOT_OK(cb(e));
-      }
-    }
-    ++cur.pos;
-    if (cur.pos < cur.entries.size()) heap.push(ci);
-  }
-  return Status::OK();
+  return ResolveNewestWins(runs, [&](const IndexEntry& e) {
+    return e.antimatter ? Status::OK() : cb(e);
+  });
 }
 
 Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
@@ -1145,46 +1033,27 @@ Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
     bool antimatter = false;
     adm::Value record;
   };
-  struct Cursor {
-    std::vector<ProjRow> rows;
-    size_t pos = 0;
-    size_t rank = 0;  // 0 = newest (mutable memory component)
+  std::vector<std::vector<ProjRow>> runs(2 + disk_.size());  // newest first
+  auto collect_mem = [&](const MemTable& table, std::vector<ProjRow>* run) {
+    return ForEachInBounds(
+        table, bounds, [&](const CompositeKey& key, const MemEntry& e) {
+          ProjRow row;
+          row.key = key;
+          row.antimatter = e.antimatter;
+          if (stats != nullptr) stats->bytes_read += e.payload.size();
+          if (!e.antimatter) {
+            BytesReader r(e.payload);
+            adm::Value rec;
+            ASTERIX_RETURN_NOT_OK(
+                adm::DeserializeTyped(&r, options_.record_type, &rec));
+            row.record = column::ProjectRecord(rec, proj);
+          }
+          run->push_back(std::move(row));
+          return Status::OK();
+        });
   };
-  std::vector<Cursor> cursors;
-  auto collect_mem = [&](const MemTable& table) -> Status {
-    Cursor mem_cursor;
-    mem_cursor.rank = cursors.size();
-    auto mem_begin =
-        bounds.lo.has_value() ? table.lower_bound(*bounds.lo) : table.begin();
-    for (auto it = mem_begin; it != table.end(); ++it) {
-      const auto& key = it->first;
-      const auto& entry = it->second;
-      if (bounds.lo.has_value()) {
-        int c = BoundCompare(key, *bounds.lo);
-        if (c < 0 || (c == 0 && !bounds.lo_inclusive)) continue;
-      }
-      if (bounds.hi.has_value()) {
-        int c = BoundCompare(key, *bounds.hi);
-        if (c > 0 || (c == 0 && !bounds.hi_inclusive)) break;
-      }
-      ProjRow row;
-      row.key = key;
-      row.antimatter = entry.antimatter;
-      if (stats != nullptr) stats->bytes_read += entry.payload.size();
-      if (!entry.antimatter) {
-        BytesReader r(entry.payload);
-        adm::Value rec;
-        ASTERIX_RETURN_NOT_OK(
-            adm::DeserializeTyped(&r, options_.record_type, &rec));
-        row.record = column::ProjectRecord(rec, proj);
-      }
-      mem_cursor.rows.push_back(std::move(row));
-    }
-    cursors.push_back(std::move(mem_cursor));
-    return Status::OK();
-  };
-  ASTERIX_RETURN_NOT_OK(collect_mem(mem_));
-  if (imm_ != nullptr) ASTERIX_RETURN_NOT_OK(collect_mem(imm_->entries));
+  ASTERIX_RETURN_NOT_OK(collect_mem(mem_, &runs[0]));
+  if (imm_ != nullptr) ASTERIX_RETURN_NOT_OK(collect_mem(imm_->entries, &runs[1]));
   // Per-component key intervals: a column component may still min/max-prune
   // a row group on this multi-component path when the group's key span is
   // disjoint from every *other* component (and the memory component) — no
@@ -1202,13 +1071,12 @@ Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
     }
   }
   for (size_t i = disk_.size(); i > 0; --i) {
-    Cursor c;
-    c.rank = cursors.size();
+    std::vector<ProjRow>& run = runs[2 + disk_.size() - i];
     auto* col = dynamic_cast<const column::ColumnComponentReader*>(
         disk_[i - 1].reader.get());
     auto collect = [&](const CompositeKey& key, bool antimatter,
                        const adm::Value& rec) {
-      c.rows.push_back(ProjRow{key, antimatter, rec});
+      run.push_back(ProjRow{key, antimatter, rec});
       return Status::OK();
     };
     if (col != nullptr && ranges_known) {
@@ -1230,40 +1098,10 @@ Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
       ASTERIX_RETURN_NOT_OK(disk_[i - 1].reader->ProjectedScan(
           bounds, proj, /*allow_pruning=*/false, collect, stats));
     }
-    cursors.push_back(std::move(c));
   }
-
-  auto cmp = [&](size_t a, size_t b) {
-    const ProjRow& ra = cursors[a].rows[cursors[a].pos];
-    const ProjRow& rb = cursors[b].rows[cursors[b].pos];
-    int c = CompareKeys(ra.key, rb.key);
-    if (c != 0) return c > 0;  // min-heap by key
-    return cursors[a].rank > cursors[b].rank;  // newest (lowest rank) first
-  };
-  std::priority_queue<size_t, std::vector<size_t>, decltype(cmp)> heap(cmp);
-  for (size_t i = 0; i < cursors.size(); ++i) {
-    if (!cursors[i].rows.empty()) heap.push(i);
-  }
-  const CompositeKey* last_key = nullptr;
-  CompositeKey last_key_storage;
-  while (!heap.empty()) {
-    size_t ci = heap.top();
-    heap.pop();
-    Cursor& cur = cursors[ci];
-    const ProjRow& row = cur.rows[cur.pos];
-    bool duplicate =
-        last_key != nullptr && CompareKeys(row.key, *last_key) == 0;
-    if (!duplicate) {
-      last_key_storage = row.key;
-      last_key = &last_key_storage;
-      if (!row.antimatter) {
-        ASTERIX_RETURN_NOT_OK(cb(row.key, false, row.record));
-      }
-    }
-    ++cur.pos;
-    if (cur.pos < cur.rows.size()) heap.push(ci);
-  }
-  return Status::OK();
+  return ResolveNewestWins(runs, [&](const ProjRow& row) {
+    return row.antimatter ? Status::OK() : cb(row.key, false, row.record);
+  });
 }
 
 Status LsmBTree::BatchScan(const ScanBounds& bounds,
@@ -1289,6 +1127,18 @@ Status LsmBTree::BatchScan(const ScanBounds& bounds,
     return Status::NotImplemented("batch scan requires column storage");
   }
   return col->BatchScan(bounds, proj, nullptr, cb, stats);
+}
+
+Status LsmBTree::VisitNewestFirst(
+    const std::function<Status(const MemTable&)>& mem,
+    const std::function<Status(const DiskComponentReader&)>& disk) const {
+  std::shared_lock lock(mu_);
+  ASTERIX_RETURN_NOT_OK(mem(mem_));
+  if (imm_ != nullptr) ASTERIX_RETURN_NOT_OK(mem(imm_->entries));
+  for (size_t i = disk_.size(); i > 0; --i) {
+    ASTERIX_RETURN_NOT_OK(disk(*disk_[i - 1].reader));
+  }
+  return Status::OK();
 }
 
 size_t LsmBTree::mem_entries() const {

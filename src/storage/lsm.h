@@ -83,14 +83,12 @@ struct LsmOptions {
   /// memtable to an immutable component and schedules an async flush
   /// instead of flushing inline; merges run as background jobs too. When
   /// null (the default), flush and merge stay synchronous on the writer —
-  /// the original behavior, still used by tests and standalone trees.
+  /// the original behavior, still used by tests and standalone trees. In
+  /// async mode a writer blocks once the memtables hold 3x
+  /// mem_budget_bytes: the rotated component holds ~1x on its own and the
+  /// extra 1x is the soft-throttle band (a 2x ceiling would make writers
+  /// skip the throttle and block).
   CompactionScheduler* scheduler = nullptr;
-  /// Async mode only: total in-memory bytes (mutable + immutable) at which
-  /// a writer blocks until the in-flight flush completes, bounding memory
-  /// when ingest outruns the flush pool. 0 = 3 * mem_budget_bytes (the imm
-  /// component holds ~1x on its own; the extra 1x is the soft-throttle
-  /// band — a 2x ceiling would make writers skip the throttle and block).
-  size_t mem_hard_limit_bytes = 0;
 };
 
 /// A disk component's identity and stats. `max_lsn` is the largest WAL LSN
@@ -157,15 +155,32 @@ class LsmLifecycle {
   uint64_t next_seq_ = 1;
 };
 
-/// An LSM B+-tree: in-memory component (std::map) + immutable disk
-/// components, flushed and merged via bulk loads. Deletes are antimatter
-/// entries that cancel older matter. This one structure backs primary
-/// indexes (payload = record bytes), secondary B-tree indexes (composite
-/// key, empty payload), and — keyed by (token, pk) — the inverted indexes.
+/// The LSM core: an in-memory component (std::map) + immutable disk
+/// components, flushed and merged through one select/build/install path.
+/// Deletes are antimatter entries that cancel older matter. The disk layout
+/// comes from a ComponentLayout: row or column B+-trees picked from the
+/// options back primary indexes (payload = record bytes), secondary B-tree
+/// indexes (composite key, empty payload) and — keyed by (token, pk) — the
+/// inverted indexes; LsmRTree plugs STR-packed R-trees into the same core.
 class LsmBTree : public Compactable {
  public:
+  struct MemEntry {
+    bool antimatter = false;
+    std::vector<uint8_t> payload;
+  };
+  struct KeyLess {
+    bool operator()(const CompositeKey& a, const CompositeKey& b) const {
+      return CompareKeys(a, b) < 0;
+    }
+  };
+  using MemTable = std::map<CompositeKey, MemEntry, KeyLess>;
+
   LsmBTree(BufferCache* cache, const std::string& dir, const std::string& name,
            LsmOptions options);
+  /// A tree whose disk components use `layout` instead of the B+-tree
+  /// layouts `options` would pick.
+  LsmBTree(const std::string& dir, const std::string& name, LsmOptions options,
+           std::unique_ptr<ComponentLayout> layout);
   /// Quiesces and detaches from the scheduler before members go away; data
   /// still in memory is dropped (crash semantics — the WAL covers it).
   ~LsmBTree() override;
@@ -176,7 +191,11 @@ class LsmBTree : public Compactable {
   // -- Mutators (caller serializes per-key via the lock manager) ----------
   Status Upsert(const CompositeKey& key, std::vector<uint8_t> payload,
                 uint64_t lsn);
-  Status Delete(const CompositeKey& key, uint64_t lsn);
+  /// Antimatter for `key`. `payload` stays empty for B+-trees; an R-tree
+  /// keeps the deleted entry's MBR there so spatial searches find the
+  /// tombstone.
+  Status Delete(const CompositeKey& key, uint64_t lsn,
+                std::vector<uint8_t> payload = {});
 
   /// Forces all in-memory data to disk. In async mode this is a synchronous
   /// barrier: it waits for in-flight background maintenance to quiesce,
@@ -222,6 +241,13 @@ class LsmBTree : public Compactable {
                    const column::BatchCallback& cb,
                    column::ProjectedScanStats* stats) const;
 
+  /// For searches the key-ordered readers cannot express (spatial): under
+  /// the shared lock, hands `mem` the memtable then the rotated memtable,
+  /// then `disk` each disk component, newest first.
+  Status VisitNewestFirst(
+      const std::function<Status(const MemTable&)>& mem,
+      const std::function<Status(const DiskComponentReader&)>& disk) const;
+
   // -- Stats ---------------------------------------------------------------
   size_t mem_entries() const;
   size_t num_disk_components() const;
@@ -230,62 +256,71 @@ class LsmBTree : public Compactable {
   uint64_t flushed_lsn() const;
 
  private:
-  struct MemEntry {
-    bool antimatter = false;
-    std::vector<uint8_t> payload;
-  };
-  struct KeyLess {
-    bool operator()(const CompositeKey& a, const CompositeKey& b) const {
-      return CompareKeys(a, b) < 0;
-    }
-  };
-  using MemTable = std::map<CompositeKey, MemEntry, KeyLess>;
   struct DiskComponent {
     ComponentInfo info;
     std::shared_ptr<DiskComponentReader> reader;
   };
-  /// A rotated (immutable) in-memory component awaiting its background
-  /// flush. Readers traverse `entries` under the shared lock while the
-  /// flush job reads it lock-free — both sides are read-only, and the map
-  /// is never mutated after rotation.
+  /// A rotated (immutable) in-memory component awaiting its flush. Readers
+  /// traverse `entries` under the shared lock while a background flush
+  /// reads it lock-free — both sides are read-only, and the map is never
+  /// mutated after rotation.
   struct ImmComponent {
     MemTable entries;
     size_t bytes = 0;
     uint64_t max_lsn = 0;
   };
+  /// One flush or merge between its three steps. *Select* (under the tree
+  /// lock) takes the inputs and allocates the output's file seq; *build*
+  /// reads only immutable inputs, writes the component and its `.valid`
+  /// marker and opens `out`; *install* (under the lock) splices `out` in,
+  /// retires the inputs and does the accounting.
+  struct Job {
+    std::shared_ptr<const ImmComponent> imm;  // flush input
+    std::vector<DiskComponent> inputs;        // merge input, oldest first
+    bool includes_oldest = false;  // the merge may drop antimatter
+    uint64_t file_seq = 0;
+    uint64_t bytes_in = 0;
+    uint64_t start_us = 0;
+    DiskComponent out;
+  };
 
-  /// Opens a disk component with the reader matching options_.format.
-  Status OpenReader(const std::string& path,
-                    std::shared_ptr<DiskComponentReader>* out) const;
-  /// Bulk-loads `entries` (sorted, logical payloads) into a new component
-  /// file at `path` in options_.format, handling payload/page compression.
-  Status BuildComponent(const MemTable& entries, const std::string& path,
-                        uint64_t* num_entries) const;
-  /// The single budget-trip path shared by Upsert and Delete: rotate and
-  /// schedule in async mode (throttling when the previous rotation is still
-  /// in flight), flush inline in sync mode. May release and reacquire
-  /// `lock`; every stall goes through RecordWriteStall exactly once.
+  /// Upsert and Delete: writes `entry` into mem_, then trips the budget.
+  Status Apply(const CompositeKey& key, MemEntry entry, uint64_t lsn);
+  /// The single budget-trip path: rotate and schedule in async mode
+  /// (throttling when the previous rotation is still in flight), flush
+  /// inline in sync mode. May release and reacquire `lock`; every stall
+  /// goes through RecordWriteStall exactly once.
   Status MaybeRotateLocked(std::unique_lock<std::shared_mutex>& lock);
   /// Moves mem_ into a fresh imm_ (requires the unique lock; imm_ empty).
   void RotateLocked();
-  /// Builds and installs a disk component from `entries`, fully under the
-  /// lock (the synchronous flush body, shared by sync mode and barriers).
-  Status FlushTableLocked(const MemTable& entries, size_t bytes_in,
-                          uint64_t max_lsn);
-  /// Installs an already-built component and records flush accounting.
-  void FinishFlushLocked(ComponentInfo info,
-                         std::shared_ptr<DiskComponentReader> reader,
-                         uint64_t bytes_in, uint64_t flush_start_us);
   /// Flushes imm_ (if any) then mem_ inline, then applies the merge policy.
   Status FlushLocked();
-  Status MaybeMergeLockedImpl();
+  /// Waits out in-flight background jobs (the Flush/MaybeMerge barriers).
+  Status BarrierLocked(std::unique_lock<std::shared_mutex>& lock);
+  /// Select, build and install one job of `kind` under the unique lock.
+  /// Sync callers pass no lock; a background job passes its lock, which is
+  /// released around build. OK with nothing done when select finds no work.
+  Status RunJobLocked(CompactionJobKind kind,
+                      std::unique_lock<std::shared_mutex>* unlock_for_build);
+  /// A scheduler worker's job: RunJobLocked with the lock dropped around
+  /// build, then queue the follow-up work the install left behind.
+  Status RunBackground(CompactionJobKind kind);
+  bool SelectFlushLocked(Job* job);
+  bool SelectMergeLocked(Job* job);
+  Status BuildFlush(Job* job);
+  Status BuildMerge(Job* job);
+  /// Opens a built component file as `job->out` (build's last step).
+  Status OpenOutput(const std::string& path, uint64_t sort_seq,
+                    uint64_t num_entries, uint64_t max_lsn, Job* job) const;
+  void InstallFlushLocked(Job* job);
+  Status InstallMergeLocked(Job* job);
+  /// storage.lsm.* metrics, ledger bytes and the end-of-job journal event
+  /// for a built job about to install.
+  void RecordInstall(const Job& job) const;
   /// Merge-policy decision over the current disk_ state; false = no merge.
   bool SelectMergeRunLocked(size_t* first, size_t* count) const;
-  /// True when the merge policy wants a merge of the current disk_ state.
-  bool MergeWantedLocked() const;
-  Status MergeComponents(size_t first, size_t count);
 
-  BufferCache* cache_;
+  std::unique_ptr<ComponentLayout> layout_;
   LsmLifecycle lifecycle_;
   LsmOptions options_;
 

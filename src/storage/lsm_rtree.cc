@@ -1,201 +1,158 @@
 #include "storage/lsm_rtree.h"
 
-#include "common/env.h"
+#include <algorithm>
+#include <cstring>
 
 namespace asterix {
 namespace storage {
 
-LsmRTree::LsmRTree(BufferCache* cache, const std::string& dir,
-                   const std::string& name, LsmOptions options)
-    : cache_(cache), lifecycle_(dir, name, "rtr"), options_(options) {}
+namespace {
 
-Status LsmRTree::Open() {
-  std::unique_lock lock(mu_);
-  auto comps_r = lifecycle_.Recover();
-  if (!comps_r.ok()) return comps_r.status();
-  for (auto& info : comps_r.value()) {
-    auto reader_r = RTreeReader::Open(cache_, info.path);
-    if (!reader_r.ok()) return reader_r.status();
-    flushed_lsn_ = std::max(flushed_lsn_, info.max_lsn);
-    disk_.push_back(DiskComponent{std::move(info), reader_r.take()});
-  }
-  return Status::OK();
+// An entry's payload is its MBR: four doubles, xlo ylo xhi yhi.
+std::vector<uint8_t> EncodeMbr(const Mbr& mbr) {
+  std::vector<uint8_t> out(sizeof(Mbr));
+  std::memcpy(out.data(), &mbr, sizeof(Mbr));
+  return out;
 }
 
+Mbr DecodeMbr(const std::vector<uint8_t>& payload) {
+  Mbr mbr;
+  if (payload.size() == sizeof(Mbr)) {
+    std::memcpy(&mbr, payload.data(), sizeof(Mbr));
+  }
+  return mbr;
+}
+
+/// An STR-packed R-tree disk component seen as a key-ordered component:
+/// merges scan it sorted by pk, spatial searches use the R-tree itself.
+class RTreeComponent : public DiskComponentReader {
+ public:
+  explicit RTreeComponent(std::shared_ptr<RTreeReader> rtree)
+      : rtree_(std::move(rtree)) {}
+
+  const RTreeReader& rtree() const { return *rtree_; }
+
+  Status PointLookup(const CompositeKey&, bool*, IndexEntry*) override {
+    return Status::NotImplemented("r-tree components have no key lookup");
+  }
+
+  Status RangeScan(const ScanBounds& bounds,
+                   const EntryCallback& cb) const override {
+    std::vector<IndexEntry> entries;
+    ASTERIX_RETURN_NOT_OK(rtree_->ScanAll([&](const RTreeEntry& e) {
+      entries.push_back(IndexEntry{e.key, e.antimatter, EncodeMbr(e.mbr)});
+      return Status::OK();
+    }));
+    std::sort(entries.begin(), entries.end(),
+              [](const IndexEntry& a, const IndexEntry& b) {
+                return CompareKeys(a.key, b.key) < 0;
+              });
+    for (const IndexEntry& e : entries) {
+      int where = BoundsPosition(e.key, bounds);
+      if (where > 0) break;
+      if (where == 0) ASTERIX_RETURN_NOT_OK(cb(e));
+    }
+    return Status::OK();
+  }
+
+  Status ProjectedScan(const ScanBounds&, const column::Projection&, bool,
+                       const column::ProjectedEntryCallback&,
+                       column::ProjectedScanStats*) const override {
+    return Status::NotImplemented("r-tree components hold no records");
+  }
+
+  bool MayContain(const CompositeKey&) const override { return true; }
+
+ private:
+  std::shared_ptr<RTreeReader> rtree_;
+};
+
+class RTreeLayout : public ComponentLayout {
+ public:
+  explicit RTreeLayout(BufferCache* cache) : cache_(cache) {}
+
+  const char* suffix() const override { return "rtr"; }
+
+  Status Build(const std::string& path,
+               const std::function<Status(const EntryCallback&)>& feed,
+               uint64_t* num_entries) const override {
+    RTreeBuilder builder(path);
+    ASTERIX_RETURN_NOT_OK(feed([&](const IndexEntry& e) {
+      builder.Add(RTreeEntry{DecodeMbr(e.payload), e.key, e.antimatter});
+      return Status::OK();
+    }));
+    *num_entries = builder.num_entries();
+    return builder.Finish();
+  }
+
+  Status Open(const std::string& path,
+              std::shared_ptr<DiskComponentReader>* out) const override {
+    auto r = RTreeReader::Open(cache_, path);
+    if (!r.ok()) return r.status();
+    *out = std::make_shared<RTreeComponent>(r.take());
+    return Status::OK();
+  }
+
+ private:
+  BufferCache* cache_;
+};
+
+}  // namespace
+
+LsmRTree::LsmRTree(BufferCache* cache, const std::string& dir,
+                   const std::string& name, LsmOptions options)
+    : tree_(dir, name, std::move(options),
+            std::make_unique<RTreeLayout>(cache)) {}
+
 Status LsmRTree::Upsert(const CompositeKey& pk, const Mbr& mbr, uint64_t lsn) {
-  std::unique_lock lock(mu_);
-  mem_.insert_or_assign(pk, MemEntry{mbr, false});
-  mem_bytes_ += pk.size() * 16 + sizeof(Mbr) + 32;
-  mem_max_lsn_ = std::max(mem_max_lsn_, lsn);
-  if (mem_bytes_ >= options_.mem_budget_bytes) return FlushLocked();
-  return Status::OK();
+  return tree_.Upsert(pk, EncodeMbr(mbr), lsn);
 }
 
 Status LsmRTree::Delete(const CompositeKey& pk, const Mbr& old_mbr,
                         uint64_t lsn) {
-  std::unique_lock lock(mu_);
-  mem_.insert_or_assign(pk, MemEntry{old_mbr, true});
-  mem_bytes_ += pk.size() * 16 + 32;
-  mem_max_lsn_ = std::max(mem_max_lsn_, lsn);
-  if (mem_bytes_ >= options_.mem_budget_bytes) return FlushLocked();
-  return Status::OK();
-}
-
-Status LsmRTree::Flush() {
-  std::unique_lock lock(mu_);
-  return FlushLocked();
-}
-
-Status LsmRTree::FlushLocked() {
-  if (mem_.empty()) return Status::OK();
-  uint64_t seq = lifecycle_.AllocateSeq();
-  std::string path = lifecycle_.ComponentPath(seq);
-  RTreeBuilder builder(path);
-  for (const auto& [pk, entry] : mem_) {
-    RTreeEntry e;
-    e.mbr = entry.mbr;
-    e.key = pk;
-    e.antimatter = entry.antimatter;
-    builder.Add(std::move(e));
-  }
-  uint64_t count = builder.num_entries();
-  ASTERIX_RETURN_NOT_OK(builder.Finish());
-  ASTERIX_RETURN_NOT_OK(lifecycle_.MarkValid(seq, count, mem_max_lsn_));
-  auto reader_r = RTreeReader::Open(cache_, path);
-  if (!reader_r.ok()) return reader_r.status();
-  ComponentInfo info;
-  info.seq = seq;
-  info.path = path;
-  info.num_entries = count;
-  info.bytes = env::FileSize(path);
-  info.max_lsn = mem_max_lsn_;
-  disk_.push_back(DiskComponent{std::move(info), reader_r.take()});
-  flushed_lsn_ = std::max(flushed_lsn_, mem_max_lsn_);
-  mem_.clear();
-  mem_bytes_ = 0;
-  mem_max_lsn_ = 0;
-  return MaybeMergeLocked();
-}
-
-Status LsmRTree::MaybeMergeLocked() {
-  const MergePolicy& p = options_.merge_policy;
-  if (p.kind == MergePolicy::Kind::kNone) return Status::OK();
-  // R-trees only support full merges here (STR rebuild needs the full set
-  // for good packing anyway).
-  if (disk_.size() > p.max_components) return MergeAllLocked();
-  return Status::OK();
-}
-
-Status LsmRTree::MergeAllLocked() {
-  if (disk_.size() < 2) return Status::OK();
-  struct KeyLessLocal {
-    bool operator()(const CompositeKey& a, const CompositeKey& b) const {
-      return CompareKeys(a, b) < 0;
-    }
-  };
-  std::map<CompositeKey, MemEntry, KeyLessLocal> merged;
-  for (auto& dc : disk_) {  // oldest first; newer overwrite
-    ASTERIX_RETURN_NOT_OK(dc.reader->ScanAll([&](const RTreeEntry& e) {
-      merged.insert_or_assign(e.key, MemEntry{e.mbr, e.antimatter});
-      return Status::OK();
-    }));
-  }
-  uint64_t seq = lifecycle_.AllocateSeq();
-  std::string path = lifecycle_.ComponentPath(seq);
-  RTreeBuilder builder(path);
-  uint64_t max_lsn = 0;
-  for (const auto& dc : disk_) max_lsn = std::max(max_lsn, dc.info.max_lsn);
-  for (const auto& [pk, entry] : merged) {
-    if (entry.antimatter) continue;  // full merge: tombstones can drop
-    RTreeEntry e;
-    e.mbr = entry.mbr;
-    e.key = pk;
-    builder.Add(std::move(e));
-  }
-  uint64_t count = builder.num_entries();
-  ASTERIX_RETURN_NOT_OK(builder.Finish());
-  ASTERIX_RETURN_NOT_OK(lifecycle_.MarkValid(seq, count, max_lsn));
-  auto reader_r = RTreeReader::Open(cache_, path);
-  if (!reader_r.ok()) return reader_r.status();
-  ComponentInfo info;
-  info.seq = seq;
-  info.path = path;
-  info.num_entries = count;
-  info.bytes = env::FileSize(path);
-  info.max_lsn = max_lsn;
-  std::vector<DiskComponent> removed = std::move(disk_);
-  disk_.clear();
-  disk_.push_back(DiskComponent{info, reader_r.take()});
-  for (auto& dc : removed) {
-    dc.reader.reset();
-    ASTERIX_RETURN_NOT_OK(lifecycle_.RemoveComponent(dc.info));
-  }
-  return Status::OK();
+  return tree_.Delete(pk, lsn, EncodeMbr(old_mbr));
 }
 
 Status LsmRTree::Search(const Mbr& query, const RTreeCallback& cb) const {
-  std::shared_lock lock(mu_);
-  // Resolve newest-wins by pk: collect matches per component rank.
-  struct KeyLessLocal {
-    bool operator()(const CompositeKey& a, const CompositeKey& b) const {
-      return CompareKeys(a, b) < 0;
+  // Components arrive newest first, so the first version found of a pk is
+  // its newest. A memory component holds every version it has, so a disk
+  // hit whose pk any visited memtable holds is stale; among disk hits the
+  // newest component's wins (a tombstone carries the deleted MBR, so the
+  // searches that find an entry find its tombstone too).
+  std::vector<const LsmBTree::MemTable*> tables;
+  std::vector<RTreeEntry> hits;
+  auto in_memory = [&](const CompositeKey& pk) {
+    for (const auto* t : tables) {
+      if (t->count(pk) != 0) return true;
     }
+    return false;
   };
-  // pk -> (rank, entry); lower rank = newer.
-  std::map<CompositeKey, std::pair<size_t, RTreeEntry>, KeyLessLocal> best;
-  size_t rank = 0;
-  for (const auto& [pk, entry] : mem_) {
-    // Memory antimatter must also be consulted: include antimatter entries
-    // regardless of MBR so they can cancel older disk entries.
-    if (entry.antimatter || entry.mbr.Overlaps(query)) {
-      RTreeEntry e;
-      e.mbr = entry.mbr;
-      e.key = pk;
-      e.antimatter = entry.antimatter;
-      best.emplace(pk, std::make_pair(rank, std::move(e)));
-    }
-  }
-  for (size_t i = disk_.size(); i > 0; --i) {
-    ++rank;
-    ASTERIX_RETURN_NOT_OK(disk_[i - 1].reader->Search(
-        query, [&](const RTreeEntry& e) {
-          auto it = best.find(e.key);
-          if (it == best.end()) {
-            best.emplace(e.key, std::make_pair(rank, e));
-          }  // else a newer component already decided this pk
-          return Status::OK();
-        }));
-  }
-  for (const auto& [pk, ranked] : best) {
-    (void)pk;
-    const RTreeEntry& e = ranked.second;
-    if (!e.antimatter && e.mbr.Overlaps(query)) {
-      ASTERIX_RETURN_NOT_OK(cb(e));
-    }
+  ASTERIX_RETURN_NOT_OK(tree_.VisitNewestFirst(
+      [&](const LsmBTree::MemTable& table) {
+        for (const auto& [pk, e] : table) {
+          if (e.antimatter || in_memory(pk)) continue;
+          Mbr mbr = DecodeMbr(e.payload);
+          if (mbr.Overlaps(query)) hits.push_back(RTreeEntry{mbr, pk, false});
+        }
+        tables.push_back(&table);
+        return Status::OK();
+      },
+      [&](const DiskComponentReader& c) {
+        return static_cast<const RTreeComponent&>(c).rtree().Search(
+            query, [&](const RTreeEntry& e) {
+              if (!in_memory(e.key)) hits.push_back(e);
+              return Status::OK();
+            });
+      }));
+  std::stable_sort(hits.begin(), hits.end(),
+                   [](const RTreeEntry& a, const RTreeEntry& b) {
+                     return CompareKeys(a.key, b.key) < 0;
+                   });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    if (i > 0 && CompareKeys(hits[i].key, hits[i - 1].key) == 0) continue;
+    if (!hits[i].antimatter) ASTERIX_RETURN_NOT_OK(cb(hits[i]));
   }
   return Status::OK();
-}
-
-size_t LsmRTree::mem_entries() const {
-  std::shared_lock lock(mu_);
-  return mem_.size();
-}
-
-size_t LsmRTree::num_disk_components() const {
-  std::shared_lock lock(mu_);
-  return disk_.size();
-}
-
-uint64_t LsmRTree::total_disk_bytes() const {
-  std::shared_lock lock(mu_);
-  uint64_t total = 0;
-  for (const auto& dc : disk_) total += dc.info.bytes;
-  return total;
-}
-
-uint64_t LsmRTree::flushed_lsn() const {
-  std::shared_lock lock(mu_);
-  return flushed_lsn_;
 }
 
 }  // namespace storage

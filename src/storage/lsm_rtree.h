@@ -1,10 +1,7 @@
 #ifndef ASTERIX_STORAGE_LSM_RTREE_H_
 #define ASTERIX_STORAGE_LSM_RTREE_H_
 
-#include <map>
-#include <shared_mutex>
 #include <string>
-#include <vector>
 
 #include "storage/lsm.h"
 #include "storage/rtree.h"
@@ -12,17 +9,18 @@
 namespace asterix {
 namespace storage {
 
-/// LSM-ified R-tree for secondary spatial indexes. Entries are keyed by the
-/// referencing primary key so that deletes (antimatter by pk) cancel older
-/// spatial entries; the spatial payload is the indexed value's MBR. Flush
-/// and merge produce immutable STR-packed disk R-trees through the shared
-/// LsmLifecycle (validity-bit shadowing identical to the LSM B+-tree).
+/// LSM-ified R-tree for secondary spatial indexes: a thin layer over the
+/// shared LSM core (LsmBTree). Entries are keyed by the referencing primary
+/// key, so deletes (antimatter by pk) cancel older spatial entries, and the
+/// payload is the indexed value's MBR. Disk components are immutable
+/// STR-packed R-trees (`.rtr`); flushes, merges, merge policies, the
+/// compaction scheduler, recovery and accounting are the core's.
 class LsmRTree {
  public:
   LsmRTree(BufferCache* cache, const std::string& dir, const std::string& name,
            LsmOptions options);
 
-  Status Open();
+  Status Open() { return tree_.Open(); }
 
   /// Inserts/updates the spatial entry for `pk`.
   Status Upsert(const CompositeKey& pk, const Mbr& mbr, uint64_t lsn);
@@ -31,45 +29,19 @@ class LsmRTree {
   /// the cancelled entry in older components.
   Status Delete(const CompositeKey& pk, const Mbr& old_mbr, uint64_t lsn);
 
-  Status Flush();
+  Status Flush() { return tree_.Flush(); }
 
-  /// All live primary keys whose MBR overlaps `query`, LSM-resolved.
+  /// All live primary keys whose MBR overlaps `query`, LSM-resolved, in pk
+  /// order.
   Status Search(const Mbr& query, const RTreeCallback& cb) const;
 
-  size_t mem_entries() const;
-  size_t num_disk_components() const;
-  uint64_t total_disk_bytes() const;
-  uint64_t flushed_lsn() const;
+  size_t mem_entries() const { return tree_.mem_entries(); }
+  size_t num_disk_components() const { return tree_.num_disk_components(); }
+  uint64_t total_disk_bytes() const { return tree_.total_disk_bytes(); }
+  uint64_t flushed_lsn() const { return tree_.flushed_lsn(); }
 
  private:
-  struct MemEntry {
-    Mbr mbr;
-    bool antimatter = false;
-  };
-  struct KeyLess {
-    bool operator()(const CompositeKey& a, const CompositeKey& b) const {
-      return CompareKeys(a, b) < 0;
-    }
-  };
-  struct DiskComponent {
-    ComponentInfo info;
-    std::shared_ptr<RTreeReader> reader;
-  };
-
-  Status FlushLocked();
-  Status MaybeMergeLocked();
-  Status MergeAllLocked();
-
-  BufferCache* cache_;
-  LsmLifecycle lifecycle_;
-  LsmOptions options_;
-
-  mutable std::shared_mutex mu_;
-  std::map<CompositeKey, MemEntry, KeyLess> mem_;
-  size_t mem_bytes_ = 0;
-  uint64_t mem_max_lsn_ = 0;
-  uint64_t flushed_lsn_ = 0;
-  std::vector<DiskComponent> disk_;  // oldest first
+  LsmBTree tree_;
 };
 
 }  // namespace storage

@@ -172,6 +172,16 @@ TEST(AdmParserTest, RejectsGarbage) {
   EXPECT_FALSE(ParseAdm("[1, 2", &v).ok());
 }
 
+// As in JSON, a raw control byte inside a string is an error, while its
+// \u escape still decodes.
+TEST(AdmParserTest, StringsRejectRawControlBytes) {
+  Value v;
+  EXPECT_FALSE(ParseAdm("{ \"a\": \"x\x01y\" }", &v).ok());
+  EXPECT_FALSE(ParseAdm("\"tab\there\"", &v).ok());
+  ASSERT_TRUE(ParseAdm("{ \"a\": \"x\\u0001y\" }", &v).ok());
+  EXPECT_EQ(v.GetField("a").AsString(), std::string("x\x01y"));
+}
+
 TEST(AdmParserTest, SequenceParsing) {
   std::vector<Value> out;
   ASSERT_TRUE(ParseAdmSequence("{\"a\":1}\n{\"a\":2}\n{\"a\":3}", &out).ok());

@@ -8,8 +8,9 @@
 // scheduler stops, soft-throttle stall accounting, the tiered merge policy,
 // the with-clause merge-policy plumbing (DDL -> metadata -> reopen), the
 // watchdog's compaction-backlog condition, the StatusJson compaction
-// section, and a TSan hammer over writers + readers + background
-// maintenance.
+// section, spatial indexes on the same core (tiered policy, pool flushes),
+// and a TSan hammer over writers + readers + background maintenance on a
+// B-tree and an R-tree side by side.
 
 #include "storage/compaction.h"
 
@@ -28,8 +29,10 @@
 #include "common/env.h"
 #include "common/metrics.h"
 #include "common/timeseries.h"
+#include "common/journal.h"
 #include "server/watchdog.h"
 #include "storage/lsm.h"
+#include "storage/lsm_rtree.h"
 
 namespace asterix {
 namespace storage {
@@ -568,6 +571,91 @@ TEST_F(CompactionLsmTest, TieredPolicyCollapsesSimilarSizedRun) {
   EXPECT_EQ(n, 80u);
 }
 
+// Spatial indexes run on the shared LSM core, so they honour every merge
+// policy: tiering keeps one large old component out of the merge of the six
+// newer small ones (a constant policy would rewrite all seven into one).
+TEST_F(CompactionLsmTest, RTreeTieredPolicyKeepsLargeComponentOut) {
+  auto point = [](int64_t i) {
+    double x = static_cast<double>(i % 100), y = static_cast<double>(i / 100);
+    return Mbr{x, y, x, y};
+  };
+  LsmOptions o;
+  o.mem_budget_bytes = 1 << 20;
+  o.merge_policy = MergePolicy::None();
+  {
+    LsmRTree t(cache_.get(), dir_, "r", o);
+    ASSERT_TRUE(t.Open().ok());
+    for (int64_t i = 0; i < 2000; ++i) {
+      ASSERT_TRUE(t.Upsert({Value::Int64(i)}, point(i), i + 1).ok());
+    }
+    ASSERT_TRUE(t.Flush().ok());
+    for (int64_t c = 0; c < 5; ++c) {
+      for (int64_t i = 0; i < 10; ++i) {
+        int64_t k = 2000 + c * 10 + i;
+        ASSERT_TRUE(t.Upsert({Value::Int64(k)}, point(k), k + 1).ok());
+      }
+      ASSERT_TRUE(t.Flush().ok());
+    }
+    ASSERT_EQ(t.num_disk_components(), 6u);
+  }
+  o.merge_policy = MergePolicy::Tiered(/*k=*/5, /*ratio_x100=*/120);
+  LsmRTree t(cache_.get(), dir_, "r", o);
+  ASSERT_TRUE(t.Open().ok());
+  for (int64_t k = 2050; k < 2060; ++k) {
+    ASSERT_TRUE(t.Upsert({Value::Int64(k)}, point(k), k + 1).ok());
+  }
+  ASSERT_TRUE(t.Flush().ok());
+  EXPECT_EQ(t.num_disk_components(), 2u);
+  std::vector<int64_t> pks;
+  ASSERT_TRUE(t.Search(Mbr{-1, -1, 1000, 1000}, [&](const RTreeEntry& e) {
+                 pks.push_back(e.key[0].AsInt());
+                 return Status::OK();
+               }).ok());
+  ASSERT_EQ(pks.size(), 2060u);
+  for (size_t i = 0; i < pks.size(); ++i) EXPECT_EQ(pks[i], int64_t(i));
+}
+
+// A spatial index under a scheduler rotates and flushes on the pool (the
+// writer never builds a component), journals its flushes under its own
+// label, and every entry stays searchable throughout.
+TEST_F(CompactionLsmTest, RTreeFlushesOnThePool) {
+  CompactionScheduler sched({/*threads=*/2, /*queue_limit=*/64});
+  uint64_t min_seq = journal::Journal::Default().posted();
+  LsmRTree t(cache_.get(), dir_, "spatial", AsyncOpts(&sched, 2048));
+  ASSERT_TRUE(t.Open().ok());
+  const Mbr everything{-1, -1, 1000, 1000};
+  for (int64_t i = 0; i < 400; ++i) {
+    double x = static_cast<double>(i % 20), y = static_cast<double>(i / 20);
+    ASSERT_TRUE(t.Upsert({Value::Int64(i)}, Mbr{x, y, x, y}, i + 1).ok());
+    if (i % 25 == 0) {
+      size_t n = 0;
+      ASSERT_TRUE(t.Search(everything, [&](const RTreeEntry&) {
+                     ++n;
+                     return Status::OK();
+                   }).ok());
+      EXPECT_EQ(n, static_cast<size_t>(i + 1));
+    }
+  }
+  ASSERT_TRUE(t.Flush().ok());
+  EXPECT_GT(sched.Stats().completed, 0u);
+  EXPECT_EQ(t.mem_entries(), 0u);
+  size_t flush_events = 0;
+  for (const auto& e : journal::Journal::Default().Snapshot(min_seq)) {
+    if ((e.kind == journal::EventKind::kLsmFlushStart ||
+         e.kind == journal::EventKind::kLsmFlushEnd) &&
+        std::string(e.label) == "spatial") {
+      ++flush_events;
+    }
+  }
+  EXPECT_GT(flush_events, 0u);
+  size_t n = 0;
+  ASSERT_TRUE(t.Search(everything, [&](const RTreeEntry&) {
+                 ++n;
+                 return Status::OK();
+               }).ok());
+  EXPECT_EQ(n, 400u);
+}
+
 TEST(MergePolicyNameTest, RoundTripsAndRejectsUnknown) {
   MergePolicy p;
   ASSERT_TRUE(MergePolicyFromName("none", &p));
@@ -694,8 +782,14 @@ TEST(CompactionWatchdogTest, BacklogEscalatesToCritical) {
 
 // ---------------------------------------------------------------------------
 // Hammer (the TSan target): concurrent writers, readers, and background
-// maintenance on one tree, then a barrier + reopen.
+// maintenance on a B-tree and an R-tree sharing one pool, then a barrier +
+// reopen.
 // ---------------------------------------------------------------------------
+
+Mbr PointOf(int64_t key) {
+  double x = static_cast<double>(key % 97), y = static_cast<double>(key / 97);
+  return Mbr{x, y, x, y};
+}
 
 TEST_F(CompactionLsmTest, HammerWritersReadersAndMaintenance) {
   CompactionScheduler sched({/*threads=*/3, /*queue_limit=*/64});
@@ -705,6 +799,8 @@ TEST_F(CompactionLsmTest, HammerWritersReadersAndMaintenance) {
   {
     LsmBTree t(cache_.get(), dir_, "a", AsyncOpts(&sched, /*budget=*/4096));
     ASSERT_TRUE(t.Open().ok());
+    LsmRTree rt(cache_.get(), dir_, "r", AsyncOpts(&sched, /*budget=*/4096));
+    ASSERT_TRUE(rt.Open().ok());
     std::atomic<bool> stop{false};
     std::atomic<int> write_errors{0};
     std::vector<std::thread> threads;
@@ -718,6 +814,13 @@ TEST_F(CompactionLsmTest, HammerWritersReadersAndMaintenance) {
                   ? t.Delete({Value::Int64(key - 1)}, lsn)
                   : t.Upsert({Value::Int64(key)},
                              Payload(std::string(40, 'a' + (key % 26))), lsn);
+          if (!st.ok()) write_errors.fetch_add(1);
+          // The same write on the spatial index: a point per key, and the
+          // deleted key's point on its tombstone.
+          st = (i % 11 == 10) ? rt.Delete({Value::Int64(key - 1)},
+                                          PointOf(key - 1), lsn)
+                              : rt.Upsert({Value::Int64(key)}, PointOf(key),
+                                          lsn);
           if (!st.ok()) write_errors.fetch_add(1);
         }
       });
@@ -733,6 +836,10 @@ TEST_F(CompactionLsmTest, HammerWritersReadersAndMaintenance) {
             ++n;
             return Status::OK();
           });
+          (void)rt.Search(Mbr{0, 0, 50, 50}, [&](const RTreeEntry&) {
+            ++n;
+            return Status::OK();
+          });
         }
       });
     }
@@ -741,6 +848,7 @@ TEST_F(CompactionLsmTest, HammerWritersReadersAndMaintenance) {
     for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
     EXPECT_EQ(write_errors.load(), 0);
     ASSERT_TRUE(t.Flush().ok());
+    ASSERT_TRUE(rt.Flush().ok());
   }
   // Reopen and verify a stable read of everything that survived.
   LsmBTree t(cache_.get(), dir_, "a", AsyncOpts(&sched, /*budget=*/4096));
@@ -751,6 +859,20 @@ TEST_F(CompactionLsmTest, HammerWritersReadersAndMaintenance) {
                  return Status::OK();
                }).ok());
   EXPECT_GT(n, 0u);
+  // The spatial index saw the same writes: after reopen it holds exactly
+  // the B-tree's live keys.
+  std::vector<int64_t> btree_keys, rtree_keys;
+  ASSERT_TRUE(t.RangeScan({}, [&](const IndexEntry& e) {
+                 btree_keys.push_back(e.key[0].AsInt());
+                 return Status::OK();
+               }).ok());
+  LsmRTree rt(cache_.get(), dir_, "r", AsyncOpts(&sched, /*budget=*/4096));
+  ASSERT_TRUE(rt.Open().ok());
+  ASSERT_TRUE(rt.Search(Mbr{-1, -1, 1e9, 1e9}, [&](const RTreeEntry& e) {
+                 rtree_keys.push_back(e.key[0].AsInt());
+                 return Status::OK();
+               }).ok());
+  EXPECT_EQ(rtree_keys, btree_keys);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "common/env.h"
+#include "common/journal.h"
 #include "functions/aggregates.h"
 #include "hyracks/cluster.h"
 #include "hyracks/operators.h"
@@ -491,9 +492,16 @@ TEST_F(MemoryBudgetTest, SortByteBudgetSpillsAndStaysSorted) {
   };
   // Default tuple cap (1<<18) never trips; only the byte budget can spill.
   auto unbounded = RunUnary(MakeSort(1, cmp), rows, 0);
+  uint64_t min_seq = journal::Journal::Default().posted();
   auto budgeted = RunUnary(MakeSort(1, cmp), rows, kTinyBudget);
   ASSERT_TRUE(unbounded.status.ok());
   ASSERT_TRUE(budgeted.status.ok());
+  // The merge streams every run through a cursor: one spill.reload per run.
+  size_t reloads = 0;
+  for (const auto& e : journal::Journal::Default().Snapshot(min_seq)) {
+    if (e.kind == journal::EventKind::kSpillReload) ++reloads;
+  }
+  EXPECT_EQ(reloads, SpilledPartitions(budgeted, "sort"));
   ASSERT_EQ(budgeted.rows.size(), rows.size());
   for (size_t i = 1; i < budgeted.rows.size(); ++i) {
     EXPECT_LE(cmp(budgeted.rows[i - 1], budgeted.rows[i]), 0) << i;
