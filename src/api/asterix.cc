@@ -61,69 +61,117 @@ void AppendPhasesJson(std::string* out, const hyracks::PhaseSpans& ph) {
           ", \"result_us\": " + std::to_string(ph.result_us) + " }";
 }
 
-/// A one-line label for a submitted script: the leading fragment with
-/// whitespace collapsed, capped for log/status readability.
-std::string StatementLabel(const std::string& aql) {
-  std::string label;
-  label.reserve(std::min<size_t>(aql.size(), 160));
-  bool in_ws = true;
-  for (char c : aql) {
-    bool ws = c == ' ' || c == '\n' || c == '\r' || c == '\t';
-    if (ws) {
-      if (!in_ws) label.push_back(' ');
-      in_ws = true;
-    } else {
-      label.push_back(c);
-      in_ws = false;
-    }
-    if (label.size() >= 160) break;
-  }
-  while (!label.empty() && label.back() == ' ') label.pop_back();
-  return label;
-}
-
-/// Per-query accounting carried on the executing thread across the
-/// parse / optimize / execute / result phases. Execute() stacks one on the
-/// call frame; ExecuteQuery/Insert/Delete reach it through the thread-local
-/// so phase spans accumulate across a multi-statement script.
-struct QueryTracker {
-  hyracks::PhaseSpans phases;
-  ActiveQueryRecord* record = nullptr;
-};
-
-thread_local QueryTracker* tls_query_tracker = nullptr;
-
-class QueryTrackerScope {
- public:
-  explicit QueryTrackerScope(QueryTracker* t) : prev_(tls_query_tracker) {
-    tls_query_tracker = t;
-  }
-  ~QueryTrackerScope() { tls_query_tracker = prev_; }
-
- private:
-  QueryTracker* prev_;
-};
-
-void SetQueryPhase(QueryPhase phase) {
-  QueryTracker* t = tls_query_tracker;
-  if (t != nullptr && t->record != nullptr) {
-    t->record->phase.store(static_cast<int>(phase), std::memory_order_relaxed);
-  }
-}
-
 /// Version cell covering everything resolved through the metadata catalogs
 /// (functions, types, external/metadata datasets). Every DDL statement
 /// bumps it after commit.
 constexpr char kCatalogEpoch[] = "__catalog__";
+
+/// Whitespace-normalized script text, cut at `max_chars`: uncapped it is
+/// the textual half of the cache / coalescing key ("the same statement
+/// modulo formatting"); capped it labels the query in logs and status.
+std::string NormalizeScript(const std::string& aql,
+                            size_t max_chars = std::string::npos) {
+  std::string out;
+  out.reserve(std::min(aql.size(), max_chars));
+  bool in_ws = true;
+  for (char c : aql) {
+    bool ws = c == ' ' || c == '\n' || c == '\r' || c == '\t';
+    if (ws) {
+      if (!in_ws) out.push_back(' ');
+      in_ws = true;
+    } else {
+      out.push_back(c);
+      in_ws = false;
+    }
+    if (out.size() >= max_chars) break;
+  }
+  while (!out.empty() && out.back() == ' ') out.pop_back();
+  return out;
+}
+
+/// Length of the script label in the active-query table, the resource
+/// ledger and the slow-query log.
+constexpr size_t kScriptLabelChars = 160;
+
+bool IsSessionStatement(const aql::Statement& st) {
+  return st.kind == aql::Statement::Kind::kSet ||
+         st.kind == aql::Statement::Kind::kUseDataverse;
+}
+
+/// Scripts Serve() may answer from the cache or share with an identical
+/// concurrent request: at least one plain query, plus any `set`/`use`
+/// (the parse has already applied those to the client's session). EXPLAIN
+/// is excluded so its output always reflects the live optimizer.
+bool IsReadOnlyScript(const std::vector<aql::Statement>& stmts) {
+  bool has_query = false;
+  for (const auto& st : stmts) {
+    if (IsSessionStatement(st)) continue;
+    if (st.kind != aql::Statement::Kind::kQuery || st.explain) return false;
+    has_query = true;
+  }
+  return has_query;
+}
+
+/// The session fields that change how a script parses, as a key suffix.
+std::string SessionKey(const aql::ParserContext& session) {
+  return '\x1f' + session.dataverse + '\x1f' + session.sim_function + '\x1f' +
+         std::to_string(session.sim_threshold);
+}
+
+/// The session a read-only script's answer depends on: the client's state
+/// before the parse with whatever the script's leading `use`/`set`
+/// statements override replaced. So `use dataverse A; …` shares one entry
+/// whether or not the client was already in A.
+std::string EffectiveSessionKey(aql::ParserContext session,
+                                const std::vector<aql::Statement>& stmts) {
+  for (const auto& st : stmts) {
+    if (!IsSessionStatement(st)) break;
+    aql::ApplySessionStatement(st, &session);
+  }
+  return SessionKey(session);
+}
+
+/// Rough retained size of a cached result, for the cache's byte budget.
+uint64_t EstimateResultBytes(const ExecutionResult& r) {
+  uint64_t bytes = r.logical_plan.size() + r.job_plan.size() +
+                   r.stage_plan.size() + r.profiled_plan.size() + 64;
+  for (const auto& v : r.values) {
+    std::string s;
+    v.AppendTo(&s);
+    bytes += s.size() + 32;
+  }
+  return bytes;
+}
+
+/// Stamps the query-level spans (parse/optimize/result) onto a finished
+/// job's profile — the executor already filled admission/execute — and folds
+/// the executor-measured spans into the request's totals.
+void StampProfilePhases(hyracks::JobStats* stats,
+                        hyracks::PhaseSpans* request, uint64_t optimize_us,
+                        uint64_t result_us) {
+  request->result_us += result_us;
+  if (!stats->profile) return;
+  hyracks::PhaseSpans& job = stats->profile->phases;
+  request->admission_us += job.admission_us;
+  request->execute_us += job.execute_us;
+  job.optimize_us = optimize_us;
+  job.result_us = result_us;
+  job.parse_us = request->parse_us;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// One request: its read set and the state passed down from its entry point
+// ---------------------------------------------------------------------------
 
 /// Collects the read set of one cacheable execution: every dataset the
 /// query resolves, pinned to its version *at resolution time* (i.e. before
 /// any data is read). Writers bump versions after commit, so a recorded
 /// dep whose version still matches at Lookup() proves no mutation landed
 /// in between. Thread-safe because compiled jobs evaluate subplan scans on
-/// executor-pool threads; ExecuteQuery re-publishes the active recorder on
-/// those threads via the scan callback.
-class ReadSetRecorder {
+/// executor-pool threads, whose scan callback carries the recorder.
+class AsterixInstance::ReadSetRecorder {
  public:
   void RecordDataset(const std::string& qualified) {
     vclock::VersionClock::Cell* cell =
@@ -156,76 +204,39 @@ class ReadSetRecorder {
   std::atomic<bool> uncacheable_{false};
 };
 
-thread_local ReadSetRecorder* tls_read_set = nullptr;
+/// One Execute(), Serve() or Explain() call. Its entry point builds it and
+/// passes it to the parse, the statement loop and ExecutePlan; the read set
+/// goes on from there to the parser's UDF hook, the optimizer's catalog,
+/// the dataset resolver and ScanDataset.
+struct AsterixInstance::Request {
+  Request(AsterixInstance* db, std::string client_id,
+          ReadSetRecorder* recorder = nullptr)
+      : client(std::move(client_id)),
+        session(db->SessionOf(client)),
+        read_set(recorder) {}
 
-/// Publishes a recorder on the current thread (and restores the previous
-/// one on exit) — used both on the serving thread for the leader execution
-/// and on pool worker threads running subplan scans for that execution.
-class ReadSetScope {
- public:
-  explicit ReadSetScope(ReadSetRecorder* r) : prev_(tls_read_set) {
-    tls_read_set = r;
+  void SetPhase(QueryPhase phase) {
+    if (record != nullptr) {
+      record->phase.store(static_cast<int>(phase), std::memory_order_relaxed);
+    }
   }
-  ~ReadSetScope() { tls_read_set = prev_; }
 
- private:
-  ReadSetRecorder* prev_;
+  const uint64_t query_id = journal::NextQueryId();
+  /// Storage and executor threads find the query id through the journal's
+  /// thread-local; this publishes it on the calling thread.
+  const journal::ScopedQueryId query_scope{query_id};
+  const std::chrono::steady_clock::time_point start =
+      std::chrono::steady_clock::now();
+  const std::string client;
+  /// A copy of the client's session; the parse applies `use`/`set` to it.
+  aql::ParserContext session;
+  /// Phase spans summed over every statement of the script.
+  hyracks::PhaseSpans phases;
+  /// Set for a cacheable Serve(): what the execution reads.
+  ReadSetRecorder* read_set;
+  /// The active-query entry, while Run() has the request registered.
+  ActiveQueryRecord* record = nullptr;
 };
-
-/// Whitespace-normalized script text: the textual half of the cache /
-/// coalescing key ("the same statement modulo formatting").
-std::string NormalizeScript(const std::string& aql) {
-  std::string out;
-  out.reserve(aql.size());
-  bool in_ws = true;
-  for (char c : aql) {
-    bool ws = c == ' ' || c == '\n' || c == '\r' || c == '\t';
-    if (ws) {
-      if (!in_ws) out.push_back(' ');
-      in_ws = true;
-    } else {
-      out.push_back(c);
-      in_ws = false;
-    }
-  }
-  while (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
-}
-
-/// Rough retained size of a cached result, for the cache's byte budget.
-uint64_t EstimateResultBytes(const ExecutionResult& r) {
-  uint64_t bytes = r.logical_plan.size() + r.job_plan.size() +
-                   r.stage_plan.size() + r.profiled_plan.size() + 64;
-  for (const auto& v : r.values) {
-    std::string s;
-    v.AppendTo(&s);
-    bytes += s.size() + 32;
-  }
-  return bytes;
-}
-
-/// Stamps the query-level spans (parse/optimize/result) onto a finished
-/// job's profile — the executor already filled admission/execute — and folds
-/// the executor-measured spans into the per-query tracker.
-void StampProfilePhases(hyracks::JobStats* stats, uint64_t optimize_us,
-                        uint64_t result_us) {
-  QueryTracker* tracker = tls_query_tracker;
-  if (tracker != nullptr) {
-    tracker->phases.result_us += result_us;
-    if (stats->profile) {
-      tracker->phases.admission_us += stats->profile->phases.admission_us;
-      tracker->phases.execute_us += stats->profile->phases.execute_us;
-    }
-  }
-  if (stats->profile) {
-    stats->profile->phases.optimize_us = optimize_us;
-    stats->profile->phases.result_us = result_us;
-    stats->profile->phases.parse_us =
-        tracker != nullptr ? tracker->phases.parse_us : 0;
-  }
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Rule catalog over the live datasets
@@ -233,13 +244,14 @@ void StampProfilePhases(hyracks::JobStats* stats, uint64_t optimize_us,
 
 class AsterixInstance::Catalog : public algebricks::RuleCatalog {
  public:
-  explicit Catalog(AsterixInstance* instance) : instance_(instance) {}
+  Catalog(AsterixInstance* instance, ReadSetRecorder* read_set)
+      : instance_(instance), read_set_(read_set) {}
 
   const algebricks::CatalogDataset* FindDataset(
       const std::string& qualified) const override {
     // The optimizer resolving a dataset counts as reading it: record the
     // dependency before any data (or index metadata) is consulted.
-    if (ReadSetRecorder* rs = tls_read_set) rs->RecordDataset(qualified);
+    if (read_set_ != nullptr) read_set_->RecordDataset(qualified);
     auto it = cache_.find(qualified);
     if (it != cache_.end()) return &it->second;
     auto dsit = instance_->datasets_.find(qualified);
@@ -276,6 +288,7 @@ class AsterixInstance::Catalog : public algebricks::RuleCatalog {
 
  private:
   AsterixInstance* instance_;
+  ReadSetRecorder* read_set_;
   mutable std::map<std::string, algebricks::CatalogDataset> cache_;
 };
 
@@ -311,22 +324,19 @@ Status AsterixInstance::Boot() {
   }
   // Background compaction pool, created before any LSM tree exists and
   // wired into the LsmOptions every index (metadata catalogs included) is
-  // constructed with. ASTERIX_INGEST_SYNC=1 forces the pre-PR-10 fully
-  // synchronous maintenance (the bench_ingest A/B baseline).
+  // constructed with. ASTERIX_INGEST_SYNC=1 forces fully synchronous
+  // maintenance (the bench_ingest A/B baseline).
   const char* sync_env = std::getenv("ASTERIX_INGEST_SYNC");
   bool sync_forced = sync_env != nullptr && sync_env[0] == '1';
   if (config_.async_compaction && !sync_forced) {
-    storage::CompactionScheduler::Options copts;
-    copts.threads = config_.cluster.compaction_threads;
-    copts.queue_limit = config_.cluster.compaction_queue_limit;
-    compaction_ = std::make_unique<storage::CompactionScheduler>(copts);
+    compaction_ = std::make_unique<storage::CompactionScheduler>(
+        storage::CompactionScheduler::Options{});
     config_.lsm.scheduler = compaction_.get();
   } else {
     config_.lsm.scheduler = nullptr;
   }
   cache_ = std::make_unique<storage::BufferCache>(1u << 16);
   txns_ = std::make_unique<txn::TxnManager>(config_.base_dir + "/wal.log",
-                                            config_.lock_timeout_ms,
                                             config_.group_commit_latency_us);
   cluster_ = std::make_unique<hyracks::Cluster>(config_.cluster);
   feeds_ = std::make_unique<feeds::FeedManager>();
@@ -341,15 +351,6 @@ Status AsterixInstance::Boot() {
     next_dataset_id_ = std::max(next_dataset_id_, def.dataset_id + 1);
     ASTERIX_RETURN_NOT_OK(InstantiateDataset(def));
   }
-
-  parser_ctx_ = aql::ParserContext();
-  parser_ctx_.find_function = [this](const std::string& dv,
-                                     const std::string& name, size_t arity) {
-    // Resolving a UDF ties the execution to the catalog epoch: dropping or
-    // redefining any function bumps it and invalidates dependent entries.
-    if (ReadSetRecorder* rs = tls_read_set) rs->RecordCatalog();
-    return metadata_->FindFunction(dv, name, arity);
-  };
 
   result_cache_ = std::make_unique<server::ResultCache<ExecutionResult>>(
       config_.result_cache_bytes);
@@ -422,9 +423,8 @@ storage::PartitionedDataset* AsterixInstance::FindDataset(
 }
 
 Status AsterixInstance::ScanDataset(
-    const std::string& qualified,
+    const std::string& qualified, ReadSetRecorder* rs,
     const std::function<Status(const Value&)>& cb) {
-  ReadSetRecorder* rs = tls_read_set;
   storage::PartitionedDataset* ds = nullptr;
   if (auto it = datasets_.find(qualified); it != datasets_.end()) {
     ds = it->second.get();
@@ -448,72 +448,99 @@ Status AsterixInstance::ScanDataset(
   return Status::NotFound("no such dataset: " + qualified);
 }
 
-Result<ExecutionResult> AsterixInstance::Execute(const std::string& aql) {
-  // Every Execute() call is one query: it gets a process-unique id that the
-  // thread-local journal context carries through parse, compile, job
-  // execution (re-published on pool worker threads), storage, and txn code,
-  // so every journal event and profile span ties back to this request.
-  const uint64_t query_id = journal::NextQueryId();
-  journal::ScopedQueryId query_scope(query_id);
+aql::ParserContext AsterixInstance::SessionOf(const std::string& client) {
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  auto it = sessions_.find(client);
+  return it == sessions_.end() ? aql::ParserContext() : it->second;
+}
 
+Result<std::vector<aql::Statement>> AsterixInstance::Parse(
+    const std::string& aql, Request* req) {
+  auto parse_start = std::chrono::steady_clock::now();
+  // Resolving a UDF ties the request to the catalog epoch: dropping or
+  // redefining any function bumps it and invalidates dependent entries.
+  ReadSetRecorder* rs = req->read_set;
+  req->session.find_function = [this, rs](const std::string& dv,
+                                          const std::string& name,
+                                          size_t arity) {
+    if (rs != nullptr) rs->RecordCatalog();
+    return metadata_->FindFunction(dv, name, arity);
+  };
+  Result<std::vector<aql::Statement>> stmts_r = [&] {
+    std::shared_lock<std::shared_mutex> lock(ddl_mu_);
+    return aql::ParseAql(aql, &req->session);
+  }();
+  req->phases.parse_us += ElapsedUs(parse_start);
+  if (stmts_r.ok() && std::any_of(stmts_r.value().begin(),
+                                  stmts_r.value().end(), IsSessionStatement)) {
+    aql::ParserContext saved = req->session;
+    saved.find_function = nullptr;
+    const bool is_default = SessionKey(saved) == SessionKey({});
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    if (is_default) {
+      sessions_.erase(req->client);
+    } else {
+      sessions_[req->client] = std::move(saved);
+    }
+  }
+  return stmts_r;
+}
+
+Result<ExecutionResult> AsterixInstance::Run(
+    const std::string& aql, const Result<std::vector<aql::Statement>>& parsed,
+    Request* req, bool run) {
   auto record = std::make_shared<ActiveQueryRecord>();
-  record->query_id = query_id;
-  record->start = std::chrono::steady_clock::now();
-  record->statement = StatementLabel(aql);
+  record->query_id = req->query_id;
+  record->start = req->start;
+  record->statement = NormalizeScript(aql, kScriptLabelChars);
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
-    active_queries_[query_id] = record;
+    active_queries_[req->query_id] = record;
   }
+  req->record = record.get();
   journal::Journal::Default().Post(journal::EventKind::kQueryStart,
                                    aql.size());
   // Open the resource-ledger entry the executor and storage layers will
   // charge (by query id) while this script runs.
-  ledger::ResourceLedger::Default().Begin(query_id, ledger::CurrentClient(),
+  ledger::ResourceLedger::Default().Begin(req->query_id, req->client,
                                           record->statement);
   static metrics::Counter* queries_counter =
       metrics::MetricsRegistry::Default().GetCounter("api.queries");
   queries_counter->Inc();
 
-  QueryTracker tracker;
-  tracker.record = record.get();
-  Result<ExecutionResult> result = [&] {
-    QueryTrackerScope tracker_scope(&tracker);
-    return ExecuteScript(aql);
+  Result<ExecutionResult> result = [&]() -> Result<ExecutionResult> {
+    if (!parsed.ok()) return parsed.status();
+    ExecutionResult last;
+    for (const auto& st : parsed.value()) {
+      req->SetPhase(QueryPhase::kExecute);
+      ASTERIX_RETURN_NOT_OK(ExecuteStatement(st, run, req, &last));
+    }
+    return last;
   }();
 
-  uint64_t elapsed_us = ElapsedUs(record->start);
+  uint64_t elapsed_us = ElapsedUs(req->start);
   journal::Journal::Default().Post(journal::EventKind::kQueryFinish,
                                    elapsed_us, result.ok() ? 0 : 1);
-  ledger::ResourceLedger::Default().Finish(query_id, result.ok(), elapsed_us);
+  ledger::ResourceLedger::Default().Finish(req->query_id, result.ok(),
+                                           elapsed_us);
+  req->record = nullptr;
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
-    active_queries_.erase(query_id);
+    active_queries_.erase(req->query_id);
   }
-  MaybeLogSlowQuery(query_id, record->statement, elapsed_us, tracker.phases,
+  MaybeLogSlowQuery(req->query_id, record->statement, elapsed_us, req->phases,
                     result);
   return result;
 }
 
-Result<ExecutionResult> AsterixInstance::ExecuteScript(const std::string& aql) {
-  SetQueryPhase(QueryPhase::kParse);
-  auto parse_start = std::chrono::steady_clock::now();
-  // The parser context carries cross-statement session state (current
-  // dataverse, sim function); concurrent Execute() calls — SubmitAsync runs
-  // scripts on pool threads — must not mutate it unsynchronized.
-  Result<std::vector<aql::Statement>> stmts_r = [&] {
-    std::lock_guard<std::mutex> lock(parser_mu_);
-    return aql::ParseAql(aql, &parser_ctx_);
-  }();
-  if (QueryTracker* tracker = tls_query_tracker) {
-    tracker->phases.parse_us += ElapsedUs(parse_start);
-  }
-  if (!stmts_r.ok()) return stmts_r.status();
-  ExecutionResult last;
-  for (const auto& st : stmts_r.value()) {
-    SetQueryPhase(QueryPhase::kExecute);
-    ASTERIX_RETURN_NOT_OK(ExecuteStatement(st, &last));
-  }
-  return last;
+Result<ExecutionResult> AsterixInstance::Execute(const std::string& aql) {
+  Request req(this, ledger::kDirectClient);
+  return Run(aql, Parse(aql, &req), &req, /*run=*/true);
+}
+
+Result<ExecutionResult> AsterixInstance::Explain(const std::string& aql) {
+  Request req(this, ledger::kDirectClient);
+  return Run(aql, Parse(aql, &req), &req, /*run=*/false);
 }
 
 void AsterixInstance::MaybeLogSlowQuery(uint64_t query_id,
@@ -545,49 +572,34 @@ std::string AsterixInstance::SlowQueryLogPath() const {
   return config_.base_dir + "/slow_query.log";
 }
 
-bool AsterixInstance::ClassifyForServing(const std::string& aql,
-                                         std::string* key) {
-  std::lock_guard<std::mutex> lock(parser_mu_);
-  // Session state that changes how the same text parses/resolves is part
-  // of the key: identical scripts under different dataverses (or sim
-  // settings) are different queries.
-  *key = NormalizeScript(aql) + '\x1f' + parser_ctx_.dataverse + '\x1f' +
-         parser_ctx_.sim_function + '\x1f' +
-         std::to_string(parser_ctx_.sim_threshold);
-  aql::ParserContext probe_ctx = parser_ctx_;
-  auto stmts_r = aql::ParseAql(aql, &probe_ctx);
-  if (!stmts_r.ok() || stmts_r.value().empty()) return false;
-  for (const auto& st : stmts_r.value()) {
-    // Only pure read-only scripts qualify: a `set`/`use` statement mutates
-    // session state a cache hit would silently skip, and EXPLAIN output
-    // should always reflect the live optimizer.
-    if (st.kind != aql::Statement::Kind::kQuery || st.explain) return false;
-  }
-  return true;
-}
-
 Result<ExecutionResult> AsterixInstance::Serve(const std::string& aql,
                                                const ServeOptions& opts) {
-  // Attribute everything below — including the Execute() path's ledger
-  // entry — to the requesting client.
-  ledger::ScopedClient client_scope(opts.client_id);
   if (rate_limiter_ && rate_limiter_->enabled()) {
     ASTERIX_RETURN_NOT_OK(rate_limiter_->Admit(opts.client_id));
   }
-  std::string key;
-  if (!ClassifyForServing(aql, &key)) {
-    // Mutations, DDL, and session statements go straight through; job
-    // admission still gates them underneath.
-    return Execute(aql);
+  // The read set is recorded from the parse on: a UDF resolved there ties
+  // the answer to the catalog epoch as of that moment.
+  ReadSetRecorder recorder;
+  Request req(this, opts.client_id, &recorder);
+  aql::ParserContext before = req.session;
+  const Result<std::vector<aql::Statement>> stmts_r = Parse(aql, &req);
+  if (!stmts_r.ok() || !IsReadOnlyScript(stmts_r.value())) {
+    // Mutations, DDL and EXPLAIN go straight through; job admission still
+    // gates them underneath.
+    req.read_set = nullptr;
+    return Run(aql, stmts_r, &req, /*run=*/true);
   }
+  const std::string key =
+      NormalizeScript(aql) +
+      EffectiveSessionKey(std::move(before), stmts_r.value());
 
   if (result_cache_ && result_cache_->enabled()) {
     if (std::shared_ptr<const ExecutionResult> hit =
             result_cache_->Lookup(key)) {
       ExecutionResult out = *hit;
       out.from_cache = true;
-      // Cache hits never reach Execute(), so the per-client table is the
-      // only place this request's outcome is recorded.
+      // Cache hits never run, so the per-client table is the only place
+      // this request's outcome is recorded.
       ledger::ResourceLedger::Default().RecordServed(
           opts.client_id, ledger::CacheOutcome::kHit);
       return out;
@@ -606,11 +618,7 @@ Result<ExecutionResult> AsterixInstance::Serve(const std::string& aql,
 
   // Leader: execute with the read set recorded, cache on success, and hand
   // every follower the shared result (errors included).
-  ReadSetRecorder recorder;
-  Result<ExecutionResult> result = [&] {
-    ReadSetScope scope(&recorder);
-    return Execute(aql);
-  }();
+  Result<ExecutionResult> result = Run(aql, stmts_r, &req, /*run=*/true);
   if (result.ok() && !recorder.uncacheable() && result_cache_ &&
       result_cache_->enabled()) {
     auto payload = std::make_shared<ExecutionResult>(result.value());
@@ -875,34 +883,16 @@ std::string AsterixInstance::MetricsPrometheus() {
   return metrics::MetricsRegistry::Default().ToPrometheus();
 }
 
-Result<ExecutionResult> AsterixInstance::Explain(const std::string& aql) {
-  Result<std::vector<aql::Statement>> stmts_r = [&] {
-    std::lock_guard<std::mutex> lock(parser_mu_);
-    return aql::ParseAql(aql, &parser_ctx_);
-  }();
-  if (!stmts_r.ok()) return stmts_r.status();
-  ExecutionResult out;
-  std::shared_lock<std::shared_mutex> ddl_lock(ddl_mu_);
-  for (const auto& st : stmts_r.value()) {
-    if (st.kind == aql::Statement::Kind::kQuery) {
-      ASTERIX_RETURN_NOT_OK(ExecuteQuery(st, /*run=*/false, &out));
-    } else if (st.kind == aql::Statement::Kind::kSet ||
-               st.kind == aql::Statement::Kind::kUseDataverse) {
-      // Context-only statements already applied by the parser.
-    } else {
-      return Status::InvalidArgument("explain supports query statements only");
-    }
-  }
-  return out;
-}
-
-Status AsterixInstance::ExecuteStatement(const aql::Statement& st,
-                                         ExecutionResult* last) {
+Status AsterixInstance::ExecuteStatement(const aql::Statement& st, bool run,
+                                         Request* req, ExecutionResult* last) {
   using K = aql::Statement::Kind;
+  if (!run && st.kind != K::kQuery && !IsSessionStatement(st)) {
+    return Status::InvalidArgument("explain supports query statements only");
+  }
   switch (st.kind) {
     case K::kSet:
     case K::kUseDataverse:
-      return Status::OK();  // applied by the parser context
+      return Status::OK();  // applied to the session by the parse
     case K::kCreateDataverse:
     case K::kDropDataverse:
     case K::kCreateType:
@@ -923,7 +913,7 @@ Status AsterixInstance::ExecuteStatement(const aql::Statement& st,
     }
     case K::kConnectFeed: {
       std::unique_lock<std::shared_mutex> ddl_lock(ddl_mu_);
-      Status s = ConnectFeedStatement(st);
+      Status s = ConnectFeedStatement(st, req->session);
       if (s.ok()) vclock::VersionClock::Default().Bump(kCatalogEpoch);
       return s;
     }
@@ -933,11 +923,11 @@ Status AsterixInstance::ExecuteStatement(const aql::Statement& st,
     }
     case K::kInsert: {
       std::shared_lock<std::shared_mutex> lock(ddl_mu_);
-      return ExecuteInsert(st, last);
+      return ExecuteInsert(st, req, last);
     }
     case K::kDelete: {
       std::shared_lock<std::shared_mutex> lock(ddl_mu_);
-      return ExecuteDelete(st, last);
+      return ExecuteDelete(st, req, last);
     }
     case K::kQuery: {
       std::shared_lock<std::shared_mutex> lock(ddl_mu_);
@@ -945,7 +935,8 @@ Status AsterixInstance::ExecuteStatement(const aql::Statement& st,
         // EXPLAIN returns the plan text as the statement's single value;
         // EXPLAIN ANALYZE runs the query first and returns the plan
         // annotated with actuals.
-        ASTERIX_RETURN_NOT_OK(ExecuteQuery(st, /*run=*/st.analyze, last));
+        ASTERIX_RETURN_NOT_OK(
+            ExecutePlan(st.plan, /*run=*/run && st.analyze, req, last));
         std::string text;
         if (st.analyze && !last->profiled_plan.empty()) {
           text = last->profiled_plan;
@@ -958,7 +949,7 @@ Status AsterixInstance::ExecuteStatement(const aql::Statement& st,
         last->values.push_back(Value::String(std::move(text)));
         return Status::OK();
       }
-      return ExecuteQuery(st, /*run=*/true, last);
+      return ExecutePlan(st.plan, run, req, last);
     }
   }
   return Status::Internal("unreachable statement kind");
@@ -1175,7 +1166,8 @@ Status AsterixInstance::ExecuteDdl(const aql::Statement& st) {
   }
 }
 
-Status AsterixInstance::ConnectFeedStatement(const aql::Statement& st) {
+Status AsterixInstance::ConnectFeedStatement(
+    const aql::Statement& st, const aql::ParserContext& session) {
   std::string feed_name = st.name;
   std::string dataverse = st.dataverse;
   if (auto dot = feed_name.find('.'); dot != std::string::npos) {
@@ -1195,15 +1187,16 @@ Status AsterixInstance::ConnectFeedStatement(const aql::Statement& st) {
     if (!fn) {
       return Status::NotFound("feed function " + def->applied_function);
     }
-    aql::ParserContext fn_ctx = parser_ctx_;
+    aql::ParserContext fn_ctx = session;
     fn_ctx.dataverse = fn->dataverse;
     auto body_r = aql::ParseAqlExpression(fn->body, &fn_ctx);
     if (!body_r.ok()) return body_r.status();
     auto body = body_r.take();
     std::string param = fn->params[0];
+    // The transform runs on feed threads long after this request.
     auto scan_fn = [this](const std::string& q,
                           const std::function<Status(const Value&)>& cb) {
-      return ScanDataset(q, cb);
+      return ScanDataset(q, /*read_set=*/nullptr, cb);
     };
     transform = [body, param, scan_fn](const Value& record) -> Result<Value> {
       EvalContext ctx(scan_fn);
@@ -1246,11 +1239,11 @@ Status AsterixInstance::ConnectFeedStatement(const aql::Statement& st) {
   return Status::NotImplemented("feed adaptor " + def->adaptor);
 }
 
-feeds::PushAdaptor* AsterixInstance::FeedInput(const std::string& feed_name) {
-  std::string key = feed_name.find('.') != std::string::npos
-                        ? feed_name
-                        : parser_ctx_.dataverse + "." + feed_name;
-  auto it = feed_inputs_.find(key);
+feeds::PushAdaptor* AsterixInstance::FeedInput(
+    const std::string& qualified_feed) {
+  // Shared against connect feed, which fills feed_inputs_ exclusively.
+  std::shared_lock<std::shared_mutex> ddl_lock(ddl_mu_);
+  auto it = feed_inputs_.find(qualified_feed);
   return it == feed_inputs_.end() ? nullptr : it->second;
 }
 
@@ -1267,15 +1260,16 @@ Status AsterixInstance::ExecuteLoad(const aql::Statement& st) {
   return ds->FlushAll();
 }
 
-Status AsterixInstance::ExecuteInsert(const aql::Statement& st,
+Status AsterixInstance::ExecuteInsert(const aql::Statement& st, Request* req,
                                       ExecutionResult* last) {
   storage::PartitionedDataset* ds = FindDataset(st.dataset);
   if (!ds) return Status::NotFound("dataset " + st.dataset);
   // Evaluate the payload expression: a record, or a collection of records
   // (e.g. an inserted subquery).
-  EvalContext ctx([this](const std::string& q,
-                         const std::function<Status(const Value&)>& cb) {
-    return ScanDataset(q, cb);
+  EvalContext ctx([this, rs = req->read_set](
+                      const std::string& q,
+                      const std::function<Status(const Value&)>& cb) {
+    return ScanDataset(q, rs, cb);
   });
   auto payload_r = algebricks::EvalExpr(*st.expr, ctx);
   if (!payload_r.ok()) return payload_r.status();
@@ -1304,20 +1298,23 @@ Status AsterixInstance::ExecuteInsert(const aql::Statement& st,
                 return storage::HashKey(key);
               });
   job.Connect(hyracks::ConnectorType::kMToNReplicating, ins, res);
-  job.query_id = journal::CurrentQueryId();
+  job.query_id = req->query_id;
   auto stats_r = cluster_->ExecuteJob(job);
   if (!stats_r.ok()) return stats_r.status();
   last->stats = stats_r.take();
-  StampProfilePhases(&last->stats, 0, 0);
+  StampProfilePhases(&last->stats, &req->phases, 0, 0);
   last->values = {Value::Int64(static_cast<int64_t>(batch))};
   return Status::OK();
 }
 
-Status AsterixInstance::ExecuteDelete(const aql::Statement& st,
+Status AsterixInstance::ExecuteDelete(const aql::Statement& st, Request* req,
                                       ExecutionResult* last) {
   storage::PartitionedDataset* ds = FindDataset(st.dataset);
   if (!ds) return Status::NotFound("dataset " + st.dataset);
-  // Find matching primary keys with a read plan, then delete via a job.
+  // Find the victims' primary keys with a query (scan -> select -> one pk
+  // list per record) planned like any other, so a keyed delete probes the
+  // primary index instead of reading every partition; then delete them
+  // with a job.
   auto scan = algebricks::MakeOp(LogicalOp::Kind::kDataSourceScan);
   scan->dataset = st.dataset;
   scan->var = st.var;
@@ -1330,7 +1327,6 @@ Status AsterixInstance::ExecuteDelete(const aql::Statement& st,
   }
   auto dist = algebricks::MakeOp(LogicalOp::Kind::kDistribute);
   dist->inputs = {tip};
-  // Emit the pk values as a list per record.
   std::vector<algebricks::ExprPtr> pk_exprs;
   for (const auto& f : ds->def().primary_key_fields) {
     algebricks::ExprPtr fa = algebricks::Expr::Var(st.var);
@@ -1346,15 +1342,11 @@ Status AsterixInstance::ExecuteDelete(const aql::Statement& st,
   }
   dist->expr = algebricks::Expr::ListCtor(pk_exprs);
 
-  EvalContext ctx([this](const std::string& q,
-                         const std::function<Status(const Value&)>& cb) {
-    return ScanDataset(q, cb);
-  });
-  auto keys_r = algebricks::InterpretToValues(dist, ctx);
-  if (!keys_r.ok()) return keys_r.status();
-
+  ExecutionResult victims;
+  ASTERIX_RETURN_NOT_OK(ExecutePlan(dist, /*run=*/true, req, &victims));
+  last->logical_plan = std::move(victims.logical_plan);
   std::vector<hyracks::Tuple> rows;
-  for (const auto& keylist : keys_r.value()) {
+  for (const auto& keylist : victims.values) {
     rows.push_back(hyracks::Tuple(keylist.AsList().begin(),
                                   keylist.AsList().end()));
   }
@@ -1375,36 +1367,35 @@ Status AsterixInstance::ExecuteDelete(const aql::Statement& st,
   job.Connect(hyracks::ConnectorType::kMToNPartitioning, src, del, 0,
               hyracks::HashOnColumns(key_cols));
   job.Connect(hyracks::ConnectorType::kMToNReplicating, del, res);
-  job.query_id = journal::CurrentQueryId();
+  job.query_id = req->query_id;
   auto stats_r = cluster_->ExecuteJob(job);
   if (!stats_r.ok()) return stats_r.status();
   last->stats = stats_r.take();
-  StampProfilePhases(&last->stats, 0, 0);
+  StampProfilePhases(&last->stats, &req->phases, 0, 0);
   int64_t deleted = 0;
   for (const auto& t : *sink) deleted += t[0].AsInt();
   last->values = {Value::Int64(deleted)};
   return Status::OK();
 }
 
-Status AsterixInstance::ExecuteQuery(const aql::Statement& st, bool run,
-                                     ExecutionResult* out) {
-  SetQueryPhase(QueryPhase::kOptimize);
+Status AsterixInstance::ExecutePlan(const LogicalOpPtr& logical, bool run,
+                                    Request* req, ExecutionResult* out) {
+  req->SetPhase(QueryPhase::kOptimize);
   auto optimize_start = std::chrono::steady_clock::now();
-  Catalog catalog(this);
-  auto plan_r = algebricks::Optimize(st.plan, catalog, config_.optimizer);
+  ReadSetRecorder* rs = req->read_set;
+  Catalog catalog(this, rs);
+  auto plan_r = algebricks::Optimize(logical, catalog, config_.optimizer);
   if (!plan_r.ok()) return plan_r.status();
   LogicalOpPtr plan = plan_r.take();
   out->logical_plan = plan->ToString();
   out->values.clear();
 
   // Subplan scans inside compiled expressions run on executor-pool worker
-  // threads: re-publish this query's read-set recorder (if any) there so
-  // every dataset the execution touches lands in the cache entry's deps.
-  ReadSetRecorder* recorder = tls_read_set;
-  auto scan_fn = [this, recorder](const std::string& q,
-                                  const std::function<Status(const Value&)>& cb) {
-    ReadSetScope scope(recorder);
-    return ScanDataset(q, cb);
+  // threads; the callback carries this request's read set there so every
+  // dataset the execution touches lands in the cache entry's deps.
+  auto scan_fn = [this, rs](const std::string& q,
+                            const std::function<Status(const Value&)>& cb) {
+    return ScanDataset(q, rs, cb);
   };
 
   // Physical compilation. Internal datasets compile to parallel jobs;
@@ -1412,19 +1403,17 @@ Status AsterixInstance::ExecuteQuery(const aql::Statement& st, bool run,
   // interpreter (they are small/catalog-sized).
   algebricks::PhysicalCompiler compiler(
       cluster_.get(), txns_.get(),
-      [this](const std::string& q) -> storage::PartitionedDataset* {
+      [this, rs](const std::string& q) -> storage::PartitionedDataset* {
         auto it = datasets_.find(q);
         if (it == datasets_.end()) return nullptr;
-        if (ReadSetRecorder* rs = tls_read_set) rs->RecordDataset(q);
+        if (rs != nullptr) rs->RecordDataset(q);
         return it->second.get();
       },
       scan_fn, config_.optimizer);
   auto sink = std::make_shared<std::vector<hyracks::Tuple>>();
   auto job_r = compiler.Compile(plan, sink);
   uint64_t optimize_us = ElapsedUs(optimize_start);
-  if (QueryTracker* tracker = tls_query_tracker) {
-    tracker->phases.optimize_us += optimize_us;
-  }
+  req->phases.optimize_us += optimize_us;
   if (job_r.ok()) {
     out->job_plan = job_r.value().ToString();
     out->stage_plan = hyracks::ComputeStages(job_r.value()).ToString();
@@ -1432,19 +1421,19 @@ Status AsterixInstance::ExecuteQuery(const aql::Statement& st, bool run,
       out->used_compiled_path = true;
       return Status::OK();
     }
-    job_r.value().query_id = journal::CurrentQueryId();
-    SetQueryPhase(QueryPhase::kExecute);
+    job_r.value().query_id = req->query_id;
+    req->SetPhase(QueryPhase::kExecute);
     auto stats_r = cluster_->ExecuteJob(job_r.value());
     if (stats_r.ok()) {
       out->stats = stats_r.take();
       out->used_compiled_path = true;
-      SetQueryPhase(QueryPhase::kResult);
+      req->SetPhase(QueryPhase::kResult);
       auto result_start = std::chrono::steady_clock::now();
       for (auto& t : *sink) out->values.push_back(std::move(t[0]));
       uint64_t result_us = ElapsedUs(result_start);
       // Stamp query-level phases onto the profile before rendering the
       // annotated plan, so EXPLAIN ANALYZE shows the full lifecycle.
-      StampProfilePhases(&out->stats, optimize_us, result_us);
+      StampProfilePhases(&out->stats, &req->phases, optimize_us, result_us);
       if (out->stats.profile) {
         out->profiled_plan =
             hyracks::AnnotatePlan(job_r.value(), *out->stats.profile);
@@ -1463,13 +1452,11 @@ Status AsterixInstance::ExecuteQuery(const aql::Statement& st, bool run,
 
   // Reference interpreter fallback.
   if (!run) return Status::OK();
-  SetQueryPhase(QueryPhase::kExecute);
+  req->SetPhase(QueryPhase::kExecute);
   auto interp_start = std::chrono::steady_clock::now();
   EvalContext ctx(scan_fn);
   auto values_r = algebricks::InterpretToValues(plan, ctx);
-  if (QueryTracker* tracker = tls_query_tracker) {
-    tracker->phases.execute_us += ElapsedUs(interp_start);
-  }
+  req->phases.execute_us += ElapsedUs(interp_start);
   if (!values_r.ok()) return values_r.status();
   out->values = values_r.take();
   out->used_compiled_path = false;

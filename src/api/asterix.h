@@ -32,7 +32,6 @@ struct InstanceConfig {
   hyracks::ClusterConfig cluster;
   storage::LsmOptions lsm;
   algebricks::OptimizerOptions optimizer;
-  int64_t lock_timeout_ms = 2000;
   /// Simulated WAL flush latency with group commit (0 = disabled).
   int64_t group_commit_latency_us = 0;
   /// Serving layer (src/server): capacity of the plan-keyed result cache
@@ -54,11 +53,11 @@ struct InstanceConfig {
   /// WatchdogOptions thresholds for the health conditions.
   server::WatchdogOptions watchdog;
   /// Background LSM maintenance: when true (the default), Boot() creates a
-  /// shared compaction scheduler (ClusterConfig::compaction_threads) and
-  /// every index flushes/merges off the ingest path — writers rotate to a
-  /// fresh memtable instead of paying the flush inline. Set false (or
+  /// shared compaction scheduler (CompactionScheduler::Options' defaults)
+  /// and every index flushes/merges off the ingest path — writers rotate to
+  /// a fresh memtable instead of paying the flush inline. Set false (or
   /// export ASTERIX_INGEST_SYNC=1) to restore fully synchronous
-  /// maintenance: flushes stall the writer, as before PR 10 — the A/B knob
+  /// maintenance, where flushes stall the writer — the A/B knob
   /// bench_ingest compares against.
   bool async_compaction = true;
 };
@@ -85,7 +84,8 @@ struct ExecutionResult {
 
 /// Per-request options for Serve()/ServeAsync().
 struct ServeOptions {
-  /// Identity the rate limiter buckets on (one token bucket per client).
+  /// The requesting client: the rate limiter's token bucket, the resource
+  /// ledger's row, and the session its `use`/`set` statements persist in.
   std::string client_id = "default";
 };
 
@@ -126,16 +126,21 @@ class AsterixInstance {
   /// datasets recorded there, and recovers from the WAL.
   Status Boot();
 
-  /// Runs a full AQL script (any mix of DDL/DML/queries), synchronously.
+  /// Runs a full AQL script (any mix of DDL/DML/queries), synchronously,
+  /// as the ledger's "direct" client: its `use`/`set` statements carry over
+  /// to later Execute(), Explain() and SubmitAsync() calls, not to Serve().
   Result<ExecutionResult> Execute(const std::string& aql);
 
-  /// The concurrent serving entry point: Execute() behind the server-layer
-  /// pipeline — per-client token-bucket rate limiting (kRateLimited), the
-  /// plan-keyed result cache (read-only scripts whose dependency versions
-  /// still match are answered without executing), and single-flight request
-  /// coalescing (identical concurrent read-only scripts share one
-  /// execution). Mutating scripts pass straight through to Execute(); job
-  /// admission (kOverloaded) applies underneath either way.
+  /// The concurrent serving entry point: Execute() in the session of
+  /// `opts.client_id`, behind the server-layer pipeline — per-client
+  /// token-bucket rate limiting (kRateLimited), the plan-keyed result cache
+  /// (read-only scripts whose dependency versions still match are answered
+  /// without executing), and single-flight request coalescing (identical
+  /// concurrent read-only scripts share one execution). Read-only means
+  /// queries plus any `use`/`set`, which the parse applies to the client's
+  /// session even when the answer comes from the cache. Mutating scripts
+  /// pass straight through; job admission (kOverloaded) applies underneath
+  /// either way.
   Result<ExecutionResult> Serve(const std::string& aql,
                                 const ServeOptions& opts = {});
 
@@ -196,8 +201,9 @@ class AsterixInstance {
   txn::TxnManager* txns() { return txns_.get(); }
   storage::BufferCache* buffer_cache() { return cache_.get(); }
 
-  /// The push adaptor of a connected push/socket feed (to push records at).
-  feeds::PushAdaptor* FeedInput(const std::string& feed_name);
+  /// The push adaptor of a connected push/socket feed (to push records at),
+  /// by qualified name: "Dataverse.feed".
+  feeds::PushAdaptor* FeedInput(const std::string& qualified_feed);
 
   /// Flushes every dataset's memory components (no log truncation).
   Status FlushAll();
@@ -212,10 +218,25 @@ class AsterixInstance {
 
  private:
   class Catalog;
+  class ReadSetRecorder;
+  struct Request;
 
-  /// Execute() body after query registration: parse + statement loop, with
-  /// phase timing recorded into the calling thread's query tracker.
-  Result<ExecutionResult> ExecuteScript(const std::string& aql);
+  /// A copy of the client's stored session (the defaults if it has none).
+  aql::ParserContext SessionOf(const std::string& client);
+  /// Parses the script exactly once, in the request's copy of its client's
+  /// session and under ddl_mu_ held shared: parse-time UDF lookup reads the
+  /// function catalog that create/drop function change exclusively. The
+  /// copy is written back only when the script parses and has a `set` or
+  /// `use`.
+  Result<std::vector<aql::Statement>> Parse(const std::string& aql,
+                                            Request* req);
+  /// Runs parsed statements as one registered query (active-query table,
+  /// journal, resource ledger, slow-query log); a parse failure is
+  /// registered as a failed query. `run` = false compiles queries without
+  /// running them and rejects every other statement (Explain()).
+  Result<ExecutionResult> Run(const std::string& aql,
+                              const Result<std::vector<aql::Statement>>& parsed,
+                              Request* req, bool run);
   /// Appends a JSON line with the full annotated profile when the query's
   /// wall time crossed ClusterConfig::slow_query_us.
   void MaybeLogSlowQuery(uint64_t query_id, const std::string& statement,
@@ -223,30 +244,35 @@ class AsterixInstance {
                          const hyracks::PhaseSpans& phases,
                          const Result<ExecutionResult>& result);
 
-  Status ExecuteStatement(const aql::Statement& st, ExecutionResult* last);
+  Status ExecuteStatement(const aql::Statement& st, bool run, Request* req,
+                          ExecutionResult* last);
   Status ExecuteDdl(const aql::Statement& st);
   /// Post-commit serving invalidation for a DDL statement: bumps the
   /// catalog epoch (and the target dataset's version cell, when the
   /// statement names one) and eagerly drops dependent cache entries.
   void InvalidateServingAfterDdl(const aql::Statement& st);
-  /// Classifies a script for the serving layer and builds its cache key.
-  /// Cacheable = every statement is a plain query (or context-only
-  /// set/use); the key folds in the session state that affects parsing.
-  bool ClassifyForServing(const std::string& aql, std::string* key);
   /// Registers an async task and returns its handle (SubmitAsync and
   /// ServeAsync share the bookkeeping the destructor drains).
   Result<uint64_t> LaunchAsync(std::function<Result<ExecutionResult>()> run);
   Status FlushAllInternal();
-  Status ExecuteInsert(const aql::Statement& st, ExecutionResult* last);
-  Status ExecuteDelete(const aql::Statement& st, ExecutionResult* last);
+  Status ExecuteInsert(const aql::Statement& st, Request* req,
+                       ExecutionResult* last);
+  Status ExecuteDelete(const aql::Statement& st, Request* req,
+                       ExecutionResult* last);
   Status ExecuteLoad(const aql::Statement& st);
-  Status ConnectFeedStatement(const aql::Statement& st);
-  Status ExecuteQuery(const aql::Statement& st, bool run, ExecutionResult* out);
+  Status ConnectFeedStatement(const aql::Statement& st,
+                              const aql::ParserContext& session);
+  /// Optimizes and compiles a logical plan, then (when `run`) executes it:
+  /// on the cluster, or in the reference interpreter when the plan does not
+  /// compile. Queries and a delete's victim search both go through here.
+  Status ExecutePlan(const algebricks::LogicalOpPtr& plan, bool run,
+                     Request* req, ExecutionResult* out);
   Status InstantiateDataset(const storage::DatasetDef& def);
 
   /// Dataset scan hook for the interpreter/subplans: internal, metadata,
-  /// and external datasets.
-  Status ScanDataset(const std::string& qualified,
+  /// and external datasets. Records what it reads into `read_set` when one
+  /// is given.
+  Status ScanDataset(const std::string& qualified, ReadSetRecorder* read_set,
                      const std::function<Status(const adm::Value&)>& cb);
 
   InstanceConfig config_;
@@ -281,13 +307,15 @@ class AsterixInstance {
   std::unique_ptr<server::ResultCache<ExecutionResult>> result_cache_;
   server::RequestCoalescer<Result<ExecutionResult>> coalescer_;
   std::unique_ptr<server::RateLimiter> rate_limiter_;
-  /// Guards parser_ctx_ against concurrent Execute()/Explain() (async
-  /// submissions parse on pool threads).
-  std::mutex parser_mu_;
-  aql::ParserContext parser_ctx_;
+  /// Per-client sessions, keyed by ServeOptions::client_id (Execute(),
+  /// Explain() and SubmitAsync() use ledger::kDirectClient). Holds only
+  /// sessions that differ from the defaults; no hook is stored.
+  std::mutex sessions_mu_;
+  std::map<std::string, aql::ParserContext> sessions_;
   uint32_t next_dataset_id_ = 100;
 
-  /// Queries currently inside Execute(), keyed by query id (StatusJson).
+  /// Queries currently running their statements, keyed by query id
+  /// (StatusJson).
   mutable std::mutex queries_mu_;
   std::map<uint64_t, std::shared_ptr<ActiveQueryRecord>> active_queries_;
   /// Serializes slow-query log appends so concurrent async queries never

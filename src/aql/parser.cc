@@ -300,7 +300,7 @@ Result<Statement> Parser::ParseStatement() {
     st.kind = Statement::Kind::kUseDataverse;
     ASTERIX_ASSIGN_OR_RETURN(st.name, ExpectName());
     st.dataverse = st.name;
-    ctx_->dataverse = st.name;
+    ApplySessionStatement(st, ctx_);
     return st;
   }
   if (PeekIdent("set")) {
@@ -309,10 +309,7 @@ Result<Statement> Parser::ParseStatement() {
     st.kind = Statement::Kind::kSet;
     ASTERIX_ASSIGN_OR_RETURN(st.set_key, ExpectName());
     ASTERIX_ASSIGN_OR_RETURN(st.set_value, ExpectString());
-    if (st.set_key == "simfunction") ctx_->sim_function = st.set_value;
-    if (st.set_key == "simthreshold") {
-      ctx_->sim_threshold = std::strtod(st.set_value.c_str(), nullptr);
-    }
+    ApplySessionStatement(st, ctx_);
     st.dataverse = ctx_->dataverse;
     return st;
   }
@@ -1122,6 +1119,17 @@ Result<ExprPtr> Parser::ParseFlwor() {
 }
 
 }  // namespace
+
+void ApplySessionStatement(const Statement& st, ParserContext* ctx) {
+  if (st.kind == Statement::Kind::kUseDataverse) {
+    ctx->dataverse = st.name;
+  } else if (st.kind == Statement::Kind::kSet) {
+    if (st.set_key == "simfunction") ctx->sim_function = st.set_value;
+    if (st.set_key == "simthreshold") {
+      ctx->sim_threshold = std::strtod(st.set_value.c_str(), nullptr);
+    }
+  }
+}
 
 Result<std::vector<Statement>> ParseAql(const std::string& text,
                                         ParserContext* ctx) {

@@ -37,6 +37,10 @@ struct ParserContext {
 Result<std::vector<Statement>> ParseAql(const std::string& text,
                                         ParserContext* ctx);
 
+/// Applies a `use dataverse` or `set` statement to `ctx`, as the parser
+/// does when it meets one; any other statement leaves `ctx` unchanged.
+void ApplySessionStatement(const Statement& st, ParserContext* ctx);
+
 /// Parses a single standalone AQL expression (used to inline UDF bodies and
 /// by tests).
 Result<algebricks::ExprPtr> ParseAqlExpression(const std::string& text,

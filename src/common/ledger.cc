@@ -9,10 +9,6 @@ namespace ledger {
 
 namespace {
 
-thread_local std::string tls_client;  // empty means "direct"
-
-const std::string kDirect = "direct";
-
 void AppendQueryJson(const QueryUsage& q, std::string* out) {
   *out += "{ \"query_id\": " + std::to_string(q.query_id) + ", \"client\": ";
   AppendJsonString(q.client, out);
@@ -57,7 +53,7 @@ void ResourceLedger::Begin(uint64_t query_id, const std::string& client,
   std::lock_guard<std::mutex> lock(mu_);
   QueryUsage& u = live_[query_id];
   u.query_id = query_id;
-  u.client = client.empty() ? kDirect : client;
+  u.client = client.empty() ? kDirectClient : client;
   u.statement = statement;
 }
 
@@ -120,7 +116,7 @@ void ResourceLedger::Finish(uint64_t query_id, bool ok, uint64_t elapsed_us) {
 void ResourceLedger::RecordServed(const std::string& client,
                                   CacheOutcome outcome) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::string& name = client.empty() ? kDirect : client;
+  const std::string& name = client.empty() ? kDirectClient : client;
   ClientUsage& c = clients_[name];
   c.client = name;
   if (outcome == CacheOutcome::kHit) c.cache_hits += 1;
@@ -217,17 +213,6 @@ void ResourceLedger::Reset() {
   finished_.clear();
   clients_.clear();
 }
-
-const std::string& CurrentClient() {
-  return tls_client.empty() ? kDirect : tls_client;
-}
-
-ScopedClient::ScopedClient(std::string client) {
-  prev_ = tls_client;
-  tls_client = std::move(client);
-}
-
-ScopedClient::~ScopedClient() { tls_client = std::move(prev_); }
 
 }  // namespace ledger
 }  // namespace asterix

@@ -20,6 +20,10 @@ enum class CacheOutcome : int {
 };
 const char* CacheOutcomeName(CacheOutcome outcome);
 
+/// The client work is attributed to when no serving-layer client asked for
+/// it: Execute(), Explain() and SubmitAsync(), and any empty client id.
+inline constexpr char kDirectClient[] = "direct";
+
 /// Accumulated resource usage of one query (one Execute() call), attributed
 /// through the process-wide query-id plumbing: operator-task thread CPU
 /// time, storage bytes read, bytes written (LSM flush/merge output + spill
@@ -107,23 +111,6 @@ class ResourceLedger {
   std::map<uint64_t, QueryUsage> live_;
   std::deque<QueryUsage> finished_;  // bounded by retain_
   std::map<std::string, ClientUsage> clients_;
-};
-
-/// Client identity attached to work on this thread ("direct" when no
-/// serving-layer context applies). Serve() publishes its ServeOptions
-/// client id here so Execute()'s ledger entry is attributed correctly.
-const std::string& CurrentClient();
-
-/// RAII: sets this thread's client id, restoring the previous on exit.
-class ScopedClient {
- public:
-  explicit ScopedClient(std::string client);
-  ~ScopedClient();
-  ScopedClient(const ScopedClient&) = delete;
-  ScopedClient& operator=(const ScopedClient&) = delete;
-
- private:
-  std::string prev_;
 };
 
 }  // namespace ledger

@@ -48,9 +48,6 @@ struct ClusterConfig {
   /// a channel holds at most capacity x kDefaultFrameTuples tuples — but
   /// finite, so a fast producer can no longer grow memory without limit.
   size_t channel_capacity_frames = 64;
-  /// Executor-pool threads created at cluster boot; the pool grows on
-  /// demand past this and never shrinks. 0 = 2x partitions.
-  size_t executor_pool_boot_threads = 0;
   /// Per-job memory budget for operator build state, divided evenly across
   /// the job's memory-intensive operator instances (hash join, hash
   /// group-by, distinct, sort). An instance that exceeds its share spills
@@ -66,18 +63,9 @@ struct ClusterConfig {
   /// this pool before it runs (FIFO queue, kOverloaded on overflow or
   /// timeout), and the *grant* — not op_memory_budget_bytes directly — is
   /// what gets divided across the job's instances. 0 = no admission gate;
-  /// every job budgets independently as before.
+  /// every job budgets independently as before. The queue bound and wait
+  /// timeout are AdmissionOptions' defaults.
   size_t cluster_memory_pool_bytes = 0;
-  /// Max jobs queued for pool capacity before new arrivals are rejected.
-  size_t admission_queue_limit = 64;
-  /// Max milliseconds a job waits in the admission queue.
-  uint64_t admission_timeout_ms = 10000;
-  /// Background LSM compaction worker threads shared by every index on the
-  /// node (flushes and merges off the ingest path). 0 = 2.
-  size_t compaction_threads = 0;
-  /// Max flush+merge jobs queued for the compaction pool; writers whose
-  /// Schedule() is rejected fall back to an inline synchronous flush.
-  size_t compaction_queue_limit = 64;
 };
 
 /// Post-execution statistics used by benches and tests.
@@ -114,13 +102,12 @@ class Cluster {
  public:
   explicit Cluster(ClusterConfig config)
       : config_(config),
-        pool_(config.executor_pool_boot_threads > 0
-                  ? config.executor_pool_boot_threads
-                  : static_cast<size_t>(config.num_nodes *
-                                        config.partitions_per_node * 2)),
-        admission_(server::AdmissionOptions{
-            config.cluster_memory_pool_bytes, config.admission_queue_limit,
-            config.admission_timeout_ms}) {}
+        // Two threads per partition at boot; the pool grows on demand past
+        // that and never shrinks.
+        pool_(static_cast<size_t>(config.num_nodes *
+                                  config.partitions_per_node * 2)),
+        admission_(
+            server::AdmissionOptions{config.cluster_memory_pool_bytes}) {}
 
   int num_partitions() const {
     return config_.num_nodes * config_.partitions_per_node;

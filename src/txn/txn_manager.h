@@ -16,10 +16,9 @@ namespace txn {
 /// to track beyond held locks.
 class TxnManager {
  public:
-  TxnManager(std::string wal_path, int64_t lock_timeout_ms = 2000,
-             int64_t group_commit_latency_us = 0)
-      : locks_(lock_timeout_ms),
-        log_(std::move(wal_path), group_commit_latency_us) {}
+  explicit TxnManager(std::string wal_path,
+                      int64_t group_commit_latency_us = 0)
+      : log_(std::move(wal_path), group_commit_latency_us) {}
 
   TxnId Begin() { return next_txn_.fetch_add(1); }
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "api/asterix.h"
 #include "common/env.h"
 
@@ -45,6 +48,43 @@ create index uidIdx on Msgs(uid) type btree;
   std::string dir_;
   std::unique_ptr<api::AsterixInstance> db_;
 };
+
+TEST_F(CompilerPlansTest, KeyedDeleteProbesThePrimaryIndex) {
+  constexpr int kUsers = 10000;
+  std::vector<adm::Value> users;
+  users.reserve(kUsers);
+  for (int i = 0; i < kUsers; ++i) {
+    const std::string name = "u" + std::to_string(i);
+    users.push_back(adm::RecordBuilder()
+                        .Add("id", adm::Value::Int64(i))
+                        .Add("name", adm::Value::String(name))
+                        .Add("since", adm::Value::Datetime(i * 1000))
+                        .Build());
+  }
+  ASSERT_TRUE(db_->FindDataset("P.Users")->LoadBulk(users).ok());
+
+  auto del = db_->Execute(
+      "use dataverse P;\ndelete $u from dataset Users where $u.id = 4321;");
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  EXPECT_NE(del.value().logical_plan.find("[index: <primary>]"),
+            std::string::npos)
+      << del.value().logical_plan;
+  ASSERT_EQ(del.value().values.size(), 1u);
+  EXPECT_EQ(del.value().values[0].AsInt(), 1);
+
+  auto left = db_->Execute(
+      "use dataverse P;\n"
+      "for $u in dataset Users where $u.id >= 4320 and $u.id <= 4322 "
+      "order by $u.id return $u.id;");
+  ASSERT_TRUE(left.ok()) << left.status().ToString();
+  ASSERT_EQ(left.value().values.size(), 2u);
+  EXPECT_EQ(left.value().values[0].AsInt(), 4320);
+  EXPECT_EQ(left.value().values[1].AsInt(), 4322);
+  auto count = db_->Execute(
+      "use dataverse P;\ncount(for $u in dataset Users return $u);");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value().values[0].AsInt(), kUsers - 1);
+}
 
 TEST_F(CompilerPlansTest, FullScanIsPartitionParallel) {
   std::string job = JobFor("for $u in dataset Users return $u;");

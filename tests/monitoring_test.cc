@@ -278,20 +278,6 @@ TEST(ResourceLedgerTest, LiveQueriesRankAndFinishedRingIsBounded) {
   EXPECT_EQ(clients[0].queries, 5u);  // cumulative despite the bounded ring
 }
 
-TEST(ResourceLedgerTest, ScopedClientNestsAndRestores) {
-  EXPECT_EQ(ledger::CurrentClient(), "direct");
-  {
-    ledger::ScopedClient outer("alpha");
-    EXPECT_EQ(ledger::CurrentClient(), "alpha");
-    {
-      ledger::ScopedClient inner("beta");
-      EXPECT_EQ(ledger::CurrentClient(), "beta");
-    }
-    EXPECT_EQ(ledger::CurrentClient(), "alpha");
-  }
-  EXPECT_EQ(ledger::CurrentClient(), "direct");
-}
-
 // ---------------------------------------------------------------------------
 // Health watchdog
 // ---------------------------------------------------------------------------

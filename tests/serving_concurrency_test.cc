@@ -1,8 +1,10 @@
 // Serving-layer concurrency tests, written to run under ThreadSanitizer:
 // cached reads racing committed writes must never serve stale results
 // (counts observed by any single reader are monotonic while a writer only
-// inserts), and DDL churn racing served queries must neither crash nor
-// leak results across drop/recreate incarnations of a dataset.
+// inserts), DDL churn racing served queries must neither crash nor leak
+// results across drop/recreate incarnations of a dataset, and each client's
+// `use dataverse` must hold for that client alone while functions are
+// created and dropped under the parses.
 
 #include <gtest/gtest.h>
 
@@ -167,6 +169,59 @@ TEST_F(ServingConcurrencyTest, MixedServeAsyncAndDdlJoinCleanly) {
     int64_t n = r.value().values[0].AsInt();
     EXPECT_TRUE(n == 50 || n == 51) << n;
   }
+}
+
+TEST_F(ServingConcurrencyTest, ClientSessionsHoldWhileFunctionsChurn) {
+  // Dataverse Vc's dataset D holds c + 1 records, so every count names the
+  // dataverse it resolved in.
+  constexpr int kClients = 4;
+  for (int c = 0; c < kClients; ++c) {
+    const std::string dv = "V" + std::to_string(c);
+    ASSERT_TRUE(db_->Execute("create dataverse " + dv + "; use dataverse " +
+                             dv + R"aql(;
+create type T as { id: int64 }
+create dataset D(T) primary key id;
+)aql").ok());
+    std::vector<Value> records;
+    for (int i = 0; i <= c; ++i) {
+      records.push_back(
+          adm::RecordBuilder().Add("id", Value::Int64(i)).Build());
+    }
+    ASSERT_TRUE(db_->FindDataset(dv + ".D")->LoadBulk(records).ok());
+  }
+
+  // Parse-time function lookup reads the catalog these change.
+  std::atomic<bool> stop{false};
+  std::thread ddl([&] {
+    for (int round = 0; round < 20; ++round) {
+      ASSERT_TRUE(db_->Execute("use dataverse SC;\n"
+                               "create function churn($x) { $x + 1 };")
+                      .ok());
+      ASSERT_TRUE(db_->Execute("use dataverse SC;\ndrop function churn;").ok());
+    }
+    stop = true;
+  });
+
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const std::string use = "use dataverse V" + std::to_string(c) + ";";
+      const std::string count = "count(for $d in dataset D return $d)";
+      api::ServeOptions opts{"client-" + std::to_string(c)};
+      ASSERT_TRUE(db_->Serve(use, opts).ok());
+      for (int round = 0; round < 5 || !stop.load(std::memory_order_acquire);
+           ++round) {
+        // Alternate unqualified counts with scripts that repeat the `use`.
+        auto r = db_->Serve(round % 2 == 0 ? count : use + " " + count, opts);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        if (r.value().values[0].AsInt() != c + 1) ++wrong;
+      }
+    });
+  }
+  ddl.join();
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

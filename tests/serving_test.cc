@@ -438,6 +438,79 @@ TEST_F(ServingTest, AsyncSubmissionsJoinedOnDestroy) {
   db_.reset();
 }
 
+// Two dataverses with a same-named dataset: A.D holds two records, B.D one.
+// Unqualified requests resolve in whatever dataverse their client's session
+// is in.
+class ServingSessionTest : public ServingTest {
+ protected:
+  void SetUp() override {
+    ServingTest::SetUp();
+    ASSERT_TRUE(db_->Execute(R"aql(
+create dataverse A; use dataverse A;
+create type T as { id: int64 }
+create dataset D(T) primary key id;
+insert into dataset D ([{ "id": 1 }, { "id": 2 }]);
+create dataverse B; use dataverse B;
+create type T as { id: int64 }
+create dataset D(T) primary key id;
+insert into dataset D ([{ "id": 1 }]);
+)aql").ok());
+  }
+
+  int64_t CountFor(const std::string& aql, const api::ServeOptions& opts) {
+    auto r = db_->Serve(aql, opts);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r.value().values[0].AsInt() : -1;
+  }
+
+  static constexpr const char* kUnqualifiedCount =
+      "count(for $d in dataset D return $d)";
+};
+
+TEST_F(ServingSessionTest, UseDataverseStaysWithItsClient) {
+  api::ServeOptions x{"client-x"};
+  api::ServeOptions b{"client-b"};
+  ASSERT_TRUE(db_->Serve("use dataverse A;", x).ok());
+  EXPECT_EQ(CountFor(kUnqualifiedCount, x), 2);
+
+  EXPECT_EQ(CountFor("use dataverse B; count(for $d in dataset D return $d)",
+                     b),
+            1);
+  EXPECT_EQ(CountFor(kUnqualifiedCount, x), 2);
+
+  // Execute() has its own session too.
+  ASSERT_TRUE(db_->Execute("use dataverse B;").ok());
+  EXPECT_EQ(CountFor(kUnqualifiedCount, x), 2);
+  auto direct = db_->Execute(kUnqualifiedCount);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(direct.value().values[0].AsInt(), 1);
+}
+
+TEST_F(ServingSessionTest, UseScriptsAreCachedAndStillSwitchTheSession) {
+  const std::string script =
+      "use dataverse A; count(for $d in dataset D return $d)";
+  api::ServeOptions c{"client-c"};
+  auto cold = db_->Serve(script, c);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_FALSE(cold.value().from_cache);
+  EXPECT_EQ(cold.value().values[0].AsInt(), 2);
+
+  auto hit = db_->Serve(script, c);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_TRUE(hit.value().from_cache);
+  EXPECT_EQ(hit.value().values[0].AsInt(), 2);
+  EXPECT_EQ(CountFor(kUnqualifiedCount, c), 2);
+
+  // A client that starts elsewhere shares the entry, and the answer from
+  // the cache still moves its session to A.
+  api::ServeOptions d{"client-d"};
+  ASSERT_TRUE(db_->Serve("use dataverse B;", d).ok());
+  auto shared = db_->Serve(script, d);
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  EXPECT_TRUE(shared.value().from_cache);
+  EXPECT_EQ(CountFor(kUnqualifiedCount, d), 2);
+}
+
 class ServingRateLimitTest : public ServingTest {
  protected:
   void Customize(api::InstanceConfig* config) override {
