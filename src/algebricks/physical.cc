@@ -181,6 +181,31 @@ std::unique_ptr<vec::PredNode> LowerPred(const ExprPtr& e,
   }
 }
 
+/// The fields the optimizer pushed into `scan` (Projection::All() for a
+/// whole-record scan) — what a primary fetch of its records materializes.
+storage::column::Projection FetchProjection(const LogicalOp& scan) {
+  return scan.scan_project_all
+             ? storage::column::Projection::All()
+             : storage::column::Projection::Of(scan.projected_fields);
+}
+
+/// FetchProjection plus the sargable ranges for columnar min/max page
+/// skipping — what a scan of `scan`'s dataset reads.
+storage::column::Projection ScanProjection(const LogicalOp& scan) {
+  storage::column::Projection proj = FetchProjection(scan);
+  if (scan.scan_project_all) return proj;
+  for (const auto& r : scan.scan_ranges) {
+    storage::column::FieldRange fr;
+    fr.field = r.field;
+    fr.lo = r.lo;
+    fr.hi = r.hi;
+    fr.lo_inclusive = r.lo_inclusive;
+    fr.hi_inclusive = r.hi_inclusive;
+    proj.ranges.push_back(std::move(fr));
+  }
+  return proj;
+}
+
 /// The scan at the bottom of a select chain, or null if the chain bottoms
 /// out in anything else.
 const LogicalOp* ScanUnderSelects(const LogicalOpPtr& op) {
@@ -370,23 +395,10 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileScan(
   Stream s;
   s.parallelism = static_cast<int>(ds->num_partitions());
 
-  // Projection pushed down by the optimizer: full scans and primary range
-  // scans materialize only the fields downstream operators touch, plus the
-  // sargable ranges for columnar min/max page skipping. Index-based paths
-  // go through primary point lookups and always fetch whole records.
-  storage::column::Projection proj = storage::column::Projection::All();
-  if (!op->scan_project_all) {
-    proj = storage::column::Projection::Of(op->projected_fields);
-    for (const auto& r : op->scan_ranges) {
-      storage::column::FieldRange fr;
-      fr.field = r.field;
-      fr.lo = r.lo;
-      fr.hi = r.hi;
-      fr.lo_inclusive = r.lo_inclusive;
-      fr.hi_inclusive = r.hi_inclusive;
-      proj.ranges.push_back(std::move(fr));
-    }
-  }
+  // Projection pushed down by the optimizer: every read of the dataset —
+  // full scans, primary range scans and the primary fetches of index
+  // paths — materializes only the fields downstream operators touch.
+  storage::column::Projection proj = ScanProjection(*op);
 
   const AccessPath& ap = op->access_path;
   if (ap.kind == AccessPath::Kind::kNone) {
@@ -466,8 +478,8 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileScan(
   int sort_id = job->AddOperator(
       hyracks::MakeSort(s.parallelism, CompareOnColumns(pk_cols)));
   job->Connect(ConnectorType::kOneToOne, search_id, sort_id);
-  int fetch_id = job->AddOperator(
-      hyracks::MakePrimarySearch(ds, txns_, pk_cols, /*locked=*/true));
+  int fetch_id = job->AddOperator(hyracks::MakePrimarySearch(
+      ds, txns_, pk_cols, /*locked=*/true, FetchProjection(*op)));
   job->Connect(ConnectorType::kOneToOne, sort_id, fetch_id);
 
   s.op_id = fetch_id;
@@ -541,7 +553,8 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileJoin(
         size_t pk_arity = ds->def().primary_key_fields.size();
         if (is_pk) {
           int fetch_id = job->AddOperator(hyracks::MakePrimarySearch(
-              ds, txns_, {key_col}, /*locked=*/false));
+              ds, txns_, {key_col}, /*locked=*/false,
+              FetchProjection(*indexed)));
           job->Connect(ConnectorType::kMToNPartitioning, assign_id, fetch_id, 0,
                        hyracks::HashOnColumns({key_col}));
           s.op_id = fetch_id;
@@ -558,7 +571,7 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileJoin(
             pk_cols.push_back(key_col + 1 + static_cast<int>(i));
           }
           int fetch_id = job->AddOperator(hyracks::MakePrimarySearch(
-              ds, txns_, pk_cols, /*locked=*/true));
+              ds, txns_, pk_cols, /*locked=*/true, FetchProjection(*indexed)));
           job->Connect(ConnectorType::kOneToOne, probe_id, fetch_id);
           s.op_id = fetch_id;
           s.schema[indexed->var] = key_col + 1 + static_cast<int>(pk_arity);
@@ -771,17 +784,7 @@ std::optional<PhysicalCompiler::Stream> PhysicalCompiler::TryCompileVectorSource
     preds.push_back(std::move(p));
   }
 
-  storage::column::Projection proj =
-      storage::column::Projection::Of(scan->projected_fields);
-  for (const auto& r : scan->scan_ranges) {
-    storage::column::FieldRange fr;
-    fr.field = r.field;
-    fr.lo = r.lo;
-    fr.hi = r.hi;
-    fr.lo_inclusive = r.lo_inclusive;
-    fr.hi_inclusive = r.hi_inclusive;
-    proj.ranges.push_back(std::move(fr));
-  }
+  storage::column::Projection proj = ScanProjection(*scan);
   storage::ScanBounds bounds;
   if (scan->access_path.kind == AccessPath::Kind::kPrimary) {
     if (scan->access_path.lo) {

@@ -715,7 +715,13 @@ void CollectVarUsesOp(const LogicalOpPtr& op, const LogicalOp* scan,
       (void)gv;
       CollectVarUsesExpr(ge, v, whole, fields);
     }
-    for (const auto& a : op->aggs) CollectVarUsesExpr(a.arg, v, whole, fields);
+    for (const auto& a : op->aggs) {
+      // count($v) reads no field: the count aggregator skips only MISSING,
+      // and a scan's (projected) record never is.
+      bool counts_v = (a.fn == "count" || a.fn == "sql-count") && a.arg &&
+                      a.arg->kind == Expr::Kind::kVar && a.arg->var == v;
+      if (!counts_v) CollectVarUsesExpr(a.arg, v, whole, fields);
+    }
     for (const auto& [oe, asc] : op->order_keys) {
       (void)asc;
       CollectVarUsesExpr(oe, v, whole, fields);

@@ -45,27 +45,33 @@ OperatorFactory Lambda(std::function<Status(int, const std::vector<InChannel*>&,
   };
 }
 
-/// Drains one input channel frame-at-a-time, invoking `fn` per tuple. One
-/// channel synchronization buys a whole frame of work, so every operator
-/// built on this helper consumes input at frame granularity.
-Status ForEachInput(InChannel* in, const std::function<Status(Tuple&)>& fn) {
+/// Drains one input channel frame-at-a-time, invoking `fn` per frame. A
+/// columnar batch that reached a row-oriented operator arrives as its
+/// selected rows, so every operator is a safe vectorization boundary.
+Status ForEachFrame(InChannel* in, const std::function<Status(Frame&)>& fn) {
   Frame frame;
   while (true) {
     auto r = in->NextFrame(&frame);
     if (!r.ok()) return r.status();
     if (!r.value()) return Status::OK();
-    for (Tuple& t : frame.tuples) {
-      ASTERIX_RETURN_NOT_OK(fn(t));
-    }
     if (frame.batch != nullptr) {
-      // A columnar batch reached a row-oriented operator: materialize the
-      // selected rows, so every operator is a safe vectorization boundary.
       for (uint32_t row : frame.batch->sel.rows) {
-        Tuple t{frame.batch->MaterializeRow(row)};
-        ASTERIX_RETURN_NOT_OK(fn(t));
+        frame.tuples.push_back({frame.batch->MaterializeRow(row)});
       }
+      frame.batch.reset();
     }
+    ASTERIX_RETURN_NOT_OK(fn(frame));
   }
+}
+
+/// ForEachFrame, invoking `fn` per tuple. One channel synchronization buys
+/// a whole frame of work, so every operator built on this helper consumes
+/// input at frame granularity.
+Status ForEachInput(InChannel* in, const std::function<Status(Tuple&)>& fn) {
+  return ForEachFrame(in, [&](Frame& frame) {
+    for (Tuple& t : frame.tuples) ASTERIX_RETURN_NOT_OK(fn(t));
+    return Status::OK();
+  });
 }
 
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
@@ -499,37 +505,85 @@ OperatorDescriptor MakePrimaryRangeScan(storage::PartitionedDataset* dataset,
   return op;
 }
 
+namespace {
+
+/// One fetch batch: the frame's keys, grouped by storage partition, sorted
+/// and de-duplicated, go to one MultiGet per partition; each input tuple
+/// that finds its record is emitted, in input order, as tuple ++ [record].
+Status FetchFrame(storage::PartitionedDataset* dataset, txn::TxnId txn,
+                  const std::vector<int>& key_columns,
+                  const storage::column::Projection& proj, Frame* frame,
+                  Emitter* out) {
+  std::vector<Tuple>& tuples = frame->tuples;
+  // Per partition: (key, input position) pairs.
+  std::vector<std::vector<std::pair<storage::CompositeKey, size_t>>> parts(
+      dataset->num_partitions());
+  for (size_t k = 0; k < tuples.size(); ++k) {
+    storage::CompositeKey pk;
+    for (int c : key_columns) pk.push_back(tuples[k][static_cast<size_t>(c)]);
+    uint32_t part = dataset->PartitionOf(pk);
+    parts[part].emplace_back(std::move(pk), k);
+  }
+  std::vector<Value> fetched(tuples.size());
+  std::vector<char> hit(tuples.size(), 0);
+  std::vector<storage::CompositeKey> keys;
+  std::vector<size_t> first;  // keys[i]'s first entry in the sorted pairs
+  for (uint32_t part = 0; part < parts.size(); ++part) {
+    auto& entries = parts[part];
+    if (entries.empty()) continue;
+    std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+      return storage::CompareKeys(a.first, b.first) < 0;
+    });
+    keys.clear();
+    first.clear();
+    for (size_t e = 0; e < entries.size(); ++e) {
+      if (keys.empty() ||
+          storage::CompareKeys(keys.back(), entries[e].first) != 0) {
+        keys.push_back(entries[e].first);
+        first.push_back(e);
+      }
+    }
+    ASTERIX_RETURN_NOT_OK(dataset->partition(part)->MultiGet(
+        txn, keys, proj,
+        [&](size_t i, Value rec) {
+          size_t end = i + 1 < first.size() ? first[i + 1] : entries.size();
+          for (size_t e = first[i]; e < end; ++e) {
+            fetched[entries[e].second] = rec;
+            hit[entries[e].second] = 1;
+          }
+          return Status::OK();
+        }));
+  }
+  for (size_t k = 0; k < tuples.size(); ++k) {
+    if (!hit[k]) continue;
+    Tuple o = std::move(tuples[k]);
+    o.push_back(std::move(fetched[k]));
+    out->Push(std::move(o));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 OperatorDescriptor MakePrimarySearch(storage::PartitionedDataset* dataset,
                                      txn::TxnManager* txns,
-                                     std::vector<int> key_columns, bool locked) {
+                                     std::vector<int> key_columns, bool locked,
+                                     storage::column::Projection projection) {
   OperatorDescriptor op;
   op.name = std::string("btree-search(") + dataset->def().name + ".primary)";
+  std::string ptag = projection.ToString();
+  if (!ptag.empty()) op.name += " " + ptag;
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 1;
-  op.factory = Lambda([dataset, txns, key_columns, locked](
+  auto proj =
+      std::make_shared<storage::column::Projection>(std::move(projection));
+  op.factory = Lambda([dataset, txns, key_columns, locked, proj](
                           int, const std::vector<InChannel*>& in,
                           Emitter* out) {
     // One implicit read transaction per task; S locks release at commit.
     txn::TxnId t = locked ? txns->Begin() : 0;
-    Status st = ForEachInput(in[0], [&](Tuple& tuple) {
-      storage::CompositeKey pk;
-      for (int c : key_columns) pk.push_back(tuple[static_cast<size_t>(c)]);
-      bool found = false;
-      Value rec;
-      uint32_t part = dataset->PartitionOf(pk);
-      if (locked) {
-        ASTERIX_RETURN_NOT_OK(
-            dataset->partition(part)->LockedLookup(t, pk, &found, &rec));
-      } else {
-        ASTERIX_RETURN_NOT_OK(
-            dataset->partition(part)->PointLookup(pk, &found, &rec));
-      }
-      if (found) {
-        Tuple o = tuple;
-        o.push_back(std::move(rec));
-        out->Push(std::move(o));
-      }
-      return Status::OK();
+    Status st = ForEachFrame(in[0], [&](Frame& frame) {
+      return FetchFrame(dataset, t, key_columns, *proj, &frame, out);
     });
     // Read-only transaction: release the S locks; no WAL record needed.
     if (locked) txns->locks().ReleaseAll(t);

@@ -55,13 +55,18 @@ OperatorDescriptor MakePrimaryRangeScan(
     storage::PartitionedDataset* dataset, storage::ScanBounds bounds,
     storage::column::Projection projection = storage::column::Projection::All());
 
-/// Primary-index point lookups driven by input tuples: `key_columns` name
-/// the input columns holding the primary key; each match emits
-/// input-tuple ++ [record]. With `locked`, each fetch takes an S record
-/// lock first (the paper's secondary-index post-validation protocol).
-OperatorDescriptor MakePrimarySearch(storage::PartitionedDataset* dataset,
-                                     txn::TxnManager* txns,
-                                     std::vector<int> key_columns, bool locked);
+/// Primary-index lookups driven by input tuples: `key_columns` name the
+/// input columns holding the primary key; each match emits
+/// input-tuple ++ [record], in input order. Each input frame is one batch:
+/// its keys are sorted and de-duplicated per storage partition and fetched
+/// with one MultiGet, so a columnar row group is decoded once per batch.
+/// `projection` restricts the fetched fields as in MakeDatasetScan. With
+/// `locked`, the batch's S record locks are taken first (the paper's
+/// secondary-index post-validation protocol).
+OperatorDescriptor MakePrimarySearch(
+    storage::PartitionedDataset* dataset, txn::TxnManager* txns,
+    std::vector<int> key_columns, bool locked,
+    storage::column::Projection projection = storage::column::Projection::All());
 
 /// Secondary B-tree index range scan with constant bounds; emits the
 /// referenced primary keys as [pk...] tuples. Runs on every partition

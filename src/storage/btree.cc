@@ -232,9 +232,9 @@ Result<std::shared_ptr<BTreeReader>> BTreeReader::Open(BufferCache* cache,
   }
   std::vector<uint8_t> fbytes;
   ASTERIX_RETURN_NOT_OK(cache->ReadRange(file, size - 8 - flen, flen, &fbytes));
-  if (flen < 4 ||
-      Crc32(fbytes.data(), flen - 4) !=
-          *reinterpret_cast<const uint32_t*>(fbytes.data() + flen - 4)) {
+  uint32_t stored_crc = 0;
+  if (flen >= 4) std::memcpy(&stored_crc, fbytes.data() + flen - 4, 4);
+  if (flen < 4 || Crc32(fbytes.data(), flen - 4) != stored_crc) {
     return Status::Corruption("btree footer checksum mismatch: " + path);
   }
   BytesReader fr(fbytes.data(), flen - 4);

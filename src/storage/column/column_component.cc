@@ -63,6 +63,24 @@ ColumnCounters& Counters() {
   return c;
 }
 
+/// Folds one read's accounting into the caller's stats (optional) and the
+/// storage.column.* counters.
+void Publish(const ProjectedScanStats& local, uint64_t groups_pruned,
+             ProjectedScanStats* stats) {
+  if (stats != nullptr) {
+    stats->bytes_read += local.bytes_read;
+    stats->bytes_skipped += local.bytes_skipped;
+    stats->pages_read += local.pages_read;
+    stats->pages_pruned += local.pages_pruned;
+  }
+  ColumnCounters& c = Counters();
+  c.pages_read->Inc(local.pages_read);
+  c.bytes_read->Inc(local.bytes_read);
+  c.bytes_skipped->Inc(local.bytes_skipped);
+  c.pages_pruned->Inc(local.pages_pruned);
+  c.row_groups_pruned->Inc(groups_pruned);
+}
+
 metrics::Counter* CompressRawCounter() {
   static metrics::Counter* c =
       metrics::MetricsRegistry::Default().GetCounter("storage.compress.bytes_raw");
@@ -551,12 +569,40 @@ Status ColumnComponentReader::ReadGroup(size_t group,
                                         ProjectedScanStats* stats) const {
   cols_out->assign(cols_.size(), DecodedColumn{});
   for (size_t ci = 0; ci < cols_.size(); ++ci) {
-    if (!needed[ci]) continue;
+    if (!needed[ci]) {
+      stats->bytes_skipped += cols_[ci].pages[group].stored_size;
+      continue;
+    }
     ASTERIX_RETURN_NOT_OK(DecodeGroup(ci, group, &(*cols_out)[ci]));
     stats->pages_read += 1;
     stats->bytes_read += cols_[ci].pages[group].stored_size;
   }
   return Status::OK();
+}
+
+std::vector<char> ColumnComponentReader::NeededColumns(
+    const Projection& proj) const {
+  std::vector<char> needed(cols_.size(), proj.all_fields ? 1 : 0);
+  if (proj.all_fields) return needed;
+  for (const auto& f : proj.fields) {
+    bool found = false;
+    for (size_t ci = 0; ci < cols_.size(); ++ci) {
+      if (cols_[ci].kind != ColumnDesc::Kind::kCatchAll &&
+          cols_[ci].name == f) {
+        needed[ci] = 1;
+        found = true;
+        break;
+      }
+    }
+    if (!found && catchall_idx_ >= 0) needed[catchall_idx_] = 1;
+  }
+  return needed;
+}
+
+uint64_t ColumnComponentReader::GroupBytes(size_t group) const {
+  uint64_t bytes = 0;
+  for (const auto& col : cols_) bytes += col.pages[group].stored_size;
+  return bytes;
 }
 
 adm::Value ColumnComponentReader::AssembleRow(
@@ -706,51 +752,26 @@ Status ColumnComponentReader::ScanImpl(const ScanBounds& bounds,
   BoundRows(bounds, &r0, &r1);
   // Key-spine bytes are charged per row actually walked, so bytes_read
   // reflects what the scan decodes post-pruning, not what Open() mapped.
-  uint64_t avg_key_bytes = keys_.empty() ? 0 : keys_bytes_ / keys_.size();
-
-  // Which columns must be materialized.
-  std::vector<char> needed(cols_.size(), 0);
-  if (proj.all_fields) {
-    std::fill(needed.begin(), needed.end(), 1);
-  } else {
-    for (const auto& f : proj.fields) {
-      bool found = false;
-      for (size_t ci = 0; ci < cols_.size(); ++ci) {
-        if (cols_[ci].kind != ColumnDesc::Kind::kCatchAll &&
-            cols_[ci].name == f) {
-          needed[ci] = 1;
-          found = true;
-          break;
-        }
-      }
-      if (!found && catchall_idx_ >= 0) needed[catchall_idx_] = 1;
-    }
-  }
+  const uint64_t avg_key_bytes = AvgKeyBytes();
+  const std::vector<char> needed = NeededColumns(proj);
+  const uint64_t needed_pages = std::count(needed.begin(), needed.end(), 1);
 
   Status cb_status;
   std::vector<DecodedColumn> dec;
   for (size_t g = r0 / kRowsPerGroup; g * kRowsPerGroup < r1; ++g) {
-    uint64_t group_bytes = 0;
-    for (const auto& col : cols_) group_bytes += col.pages[g].stored_size;
-    uint64_t needed_pages = 0;
-    for (size_t ci = 0; ci < cols_.size(); ++ci) {
-      if (needed[ci]) ++needed_pages;
-    }
     size_t lo = std::max(r0, g * kRowsPerGroup);
     size_t hi = std::min<size_t>(r1, (g + 1) * kRowsPerGroup);
+    // No row of the group is in bounds (a point bound between two keys):
+    // none of its pages is needed.
+    if (lo >= hi) continue;
     if (allow_pruning && GroupPrunable(g, proj, lo, hi, exclusions)) {
       ++groups_pruned;
       local.pages_pruned += needed_pages;
-      local.bytes_skipped += group_bytes + avg_key_bytes * (hi - lo);
+      local.bytes_skipped += GroupBytes(g) + avg_key_bytes * (hi - lo);
       continue;
     }
     ASTERIX_RETURN_NOT_OK(ReadGroup(g, needed, &dec, &local));
-    uint64_t read_bytes = 0;
-    for (size_t ci = 0; ci < cols_.size(); ++ci) {
-      if (needed[ci]) read_bytes += cols_[ci].pages[g].stored_size;
-    }
     local.bytes_read += avg_key_bytes * (hi - lo);
-    local.bytes_skipped += group_bytes - read_bytes;
     for (size_t r = lo; r < hi; ++r) {
       const auto& [key, antimatter] = keys_[r];
       if (antimatter) {
@@ -762,19 +783,7 @@ Status ColumnComponentReader::ScanImpl(const ScanBounds& bounds,
     }
     if (!cb_status.ok()) break;
   }
-
-  if (stats != nullptr) {
-    stats->bytes_read += local.bytes_read;
-    stats->bytes_skipped += local.bytes_skipped;
-    stats->pages_read += local.pages_read;
-    stats->pages_pruned += local.pages_pruned;
-  }
-  ColumnCounters& c = Counters();
-  c.pages_read->Inc(local.pages_read);
-  c.bytes_read->Inc(local.bytes_read);
-  c.bytes_skipped->Inc(local.bytes_skipped);
-  c.pages_pruned->Inc(local.pages_pruned);
-  c.row_groups_pruned->Inc(groups_pruned);
+  Publish(local, groups_pruned, stats);
   return cb_status;
 }
 
@@ -830,37 +839,28 @@ Status ColumnComponentReader::BatchScan(const ScanBounds& bounds,
   uint64_t groups_pruned = 0;
   size_t r0 = 0, r1 = keys_.size();
   BoundRows(bounds, &r0, &r1);
-  uint64_t avg_key_bytes = keys_.empty() ? 0 : keys_bytes_ / keys_.size();
+  const uint64_t avg_key_bytes = AvgKeyBytes();
 
   std::vector<char> needed(cols_.size(), 0);
   for (int ci : field_col) {
     if (ci >= 0) needed[static_cast<size_t>(ci)] = 1;
   }
+  const uint64_t needed_pages = std::count(needed.begin(), needed.end(), 1);
 
   Status cb_status;
   std::vector<DecodedColumn> dec;
   for (size_t g = r0 / kRowsPerGroup; g * kRowsPerGroup < r1; ++g) {
-    uint64_t group_bytes = 0;
-    for (const auto& col : cols_) group_bytes += col.pages[g].stored_size;
-    uint64_t needed_pages = 0;
-    for (size_t ci = 0; ci < cols_.size(); ++ci) {
-      if (needed[ci]) ++needed_pages;
-    }
     size_t lo = std::max(r0, g * kRowsPerGroup);
     size_t hi = std::min<size_t>(r1, (g + 1) * kRowsPerGroup);
+    if (lo >= hi) continue;  // no row of the group in bounds
     if (GroupPrunable(g, proj, lo, hi, exclusions)) {
       ++groups_pruned;
       local.pages_pruned += needed_pages;
-      local.bytes_skipped += group_bytes + avg_key_bytes * (hi - lo);
+      local.bytes_skipped += GroupBytes(g) + avg_key_bytes * (hi - lo);
       continue;
     }
     ASTERIX_RETURN_NOT_OK(ReadGroup(g, needed, &dec, &local));
-    uint64_t read_bytes = 0;
-    for (size_t ci = 0; ci < cols_.size(); ++ci) {
-      if (needed[ci]) read_bytes += cols_[ci].pages[g].stored_size;
-    }
     local.bytes_read += avg_key_bytes * (hi - lo);
-    local.bytes_skipped += group_bytes - read_bytes;
 
     size_t n = hi - lo;
     auto batch = std::make_shared<ColumnBatch>();
@@ -898,18 +898,7 @@ Status ColumnComponentReader::BatchScan(const ScanBounds& bounds,
     }
   }
 
-  if (stats != nullptr) {
-    stats->bytes_read += local.bytes_read;
-    stats->bytes_skipped += local.bytes_skipped;
-    stats->pages_read += local.pages_read;
-    stats->pages_pruned += local.pages_pruned;
-  }
-  ColumnCounters& c = Counters();
-  c.pages_read->Inc(local.pages_read);
-  c.bytes_read->Inc(local.bytes_read);
-  c.bytes_skipped->Inc(local.bytes_skipped);
-  c.pages_pruned->Inc(local.pages_pruned);
-  c.row_groups_pruned->Inc(groups_pruned);
+  Publish(local, groups_pruned, stats);
   return cb_status;
 }
 
@@ -931,34 +920,56 @@ Status ColumnComponentReader::RangeScan(const ScanBounds& bounds,
       nullptr);
 }
 
+Status ColumnComponentReader::MultiGet(const std::vector<CompositeKey>& keys,
+                                       const Projection& proj,
+                                       const MultiGetCallback& cb) const {
+  ProjectedScanStats local;
+  const uint64_t avg_key_bytes = AvgKeyBytes();
+  const std::vector<char> needed = NeededColumns(proj);
+  std::vector<DecodedColumn> dec;
+  size_t decoded = NumGroups();  // the row group `dec` holds; none yet
+  Status cb_status;
+  // Keys ascend, so each spine search starts where the previous one ended
+  // and the rows of one row group come together: each touched group is
+  // decoded once, whatever the number of keys it serves.
+  auto from = keys_.begin();
+  for (size_t i = 0; i < keys.size() && cb_status.ok(); ++i) {
+    from = std::partition_point(from, keys_.end(), [&](const auto& kv) {
+      return CompareKeys(kv.first, keys[i]) < 0;
+    });
+    if (from == keys_.end()) break;
+    if (CompareKeys(from->first, keys[i]) != 0) continue;
+    local.bytes_read += avg_key_bytes;
+    if (from->second) {
+      cb_status = cb(i, true, adm::Value::Missing());
+      continue;
+    }
+    size_t row = static_cast<size_t>(from - keys_.begin());
+    size_t group = row / kRowsPerGroup;
+    if (group != decoded) {
+      ASTERIX_RETURN_NOT_OK(ReadGroup(group, needed, &dec, &local));
+      decoded = group;
+    }
+    cb_status = cb(i, false, AssembleRow(row, group, proj, needed, dec));
+  }
+  Publish(local, /*groups_pruned=*/0, /*stats=*/nullptr);
+  return cb_status;
+}
+
 Status ColumnComponentReader::PointLookup(const CompositeKey& key, bool* found,
                                           IndexEntry* out) {
   *found = false;
-  auto it = std::partition_point(
-      keys_.begin(), keys_.end(),
-      [&](const auto& kv) { return CompareKeys(kv.first, key) < 0; });
-  if (it == keys_.end() || CompareKeys(it->first, key) != 0) {
-    return Status::OK();
-  }
-  size_t row = it - keys_.begin();
-  *found = true;
-  out->key = key;
-  out->antimatter = it->second;
-  out->payload.clear();
-  if (out->antimatter) return Status::OK();
-  size_t group = row / kRowsPerGroup;
-  std::vector<char> needed(cols_.size(), 1);
-  std::vector<DecodedColumn> dec;
-  ProjectedScanStats local;
-  ASTERIX_RETURN_NOT_OK(ReadGroup(group, needed, &dec, &local));
-  Projection all = Projection::All();
-  adm::Value rec = AssembleRow(row, group, all, needed, dec);
-  BytesWriter w(&out->payload);
-  ASTERIX_RETURN_NOT_OK(adm::SerializeTyped(rec, type_, &w));
-  ColumnCounters& c = Counters();
-  c.pages_read->Inc(local.pages_read);
-  c.bytes_read->Inc(local.bytes_read);
-  return Status::OK();
+  return MultiGet(
+      {key}, Projection::All(),
+      [&](size_t, bool antimatter, const adm::Value& rec) {
+        *found = true;
+        out->key = key;
+        out->antimatter = antimatter;
+        out->payload.clear();
+        if (antimatter) return Status::OK();
+        BytesWriter w(&out->payload);
+        return adm::SerializeTyped(rec, type_, &w);
+      });
 }
 
 }  // namespace column

@@ -112,6 +112,11 @@ class ColumnComponentReader : public DiskComponentReader {
   Status ProjectedScan(const ScanBounds& bounds, const Projection& proj,
                        bool allow_pruning, const ProjectedEntryCallback& cb,
                        ProjectedScanStats* stats) const override;
+  /// Finds the keys in the key spine, then decodes each touched row group
+  /// once, and only its projected columns (PointLookup is the one-key,
+  /// whole-record call of this path).
+  Status MultiGet(const std::vector<CompositeKey>& keys, const Projection& proj,
+                  const MultiGetCallback& cb) const override;
   bool MayContain(const CompositeKey& key) const override {
     return bloom_.MayContain(HashKey(key));
   }
@@ -177,15 +182,24 @@ class ColumnComponentReader : public DiskComponentReader {
                      const std::vector<KeyInterval>* exclusions) const;
   Status DecodeGroup(size_t col_idx, size_t group, DecodedColumn* out) const;
   /// Reads the listed columns for `group` into `cols_out` (indexed like
-  /// cols_; untouched entries stay empty) and updates stats.
+  /// cols_; untouched entries stay empty) and updates stats: the pages read
+  /// and their bytes, and the group's other pages as bytes skipped.
   Status ReadGroup(size_t group, const std::vector<char>& needed,
                    std::vector<DecodedColumn>* cols_out,
                    ProjectedScanStats* stats) const;
+  /// Which columns (indexed like cols_) `proj` must decode: a field without
+  /// a dedicated column may live in the catch-all.
+  std::vector<char> NeededColumns(const Projection& proj) const;
+  /// Stored bytes of every column's page in `group`.
+  uint64_t GroupBytes(size_t group) const;
   adm::Value AssembleRow(size_t row, size_t group, const Projection& proj,
                          const std::vector<char>& needed,
                          const std::vector<DecodedColumn>& dec) const;
   size_t NumGroups() const {
     return (keys_.size() + kRowsPerGroup - 1) / kRowsPerGroup;
+  }
+  uint64_t AvgKeyBytes() const {
+    return keys_.empty() ? 0 : keys_bytes_ / keys_.size();
   }
 
   BufferCache* cache_ = nullptr;

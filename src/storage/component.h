@@ -8,6 +8,11 @@
 namespace asterix {
 namespace storage {
 
+/// One MultiGet hit: `i` indexes the probed key batch; an antimatter hit
+/// carries a Missing record.
+using MultiGetCallback =
+    std::function<Status(size_t i, bool antimatter, const adm::Value& record)>;
+
 /// The read interface every LSM disk component satisfies, whatever its
 /// physical layout. The LSM layer (LsmBTree) resolves across components
 /// through this interface only, so row-major B+-tree components and
@@ -38,6 +43,15 @@ class DiskComponentReader {
                                bool allow_pruning,
                                const column::ProjectedEntryCallback& cb,
                                column::ProjectedScanStats* stats) const = 0;
+
+  /// Batch lookup of `keys` (ascending; duplicates allowed). For each key
+  /// the component holds, `cb` gets its entry in ascending `i`, with only
+  /// the projection's fields materialized. Row components probe the
+  /// B+-tree per key; column components decode each touched row group
+  /// once, and only the projected columns.
+  virtual Status MultiGet(const std::vector<CompositeKey>& keys,
+                          const column::Projection& proj,
+                          const MultiGetCallback& cb) const = 0;
 
   /// Bloom-filter screen for point lookups.
   virtual bool MayContain(const CompositeKey& key) const = 0;

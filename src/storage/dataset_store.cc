@@ -325,18 +325,27 @@ Status DatasetPartition::LoadBulk(const std::vector<adm::Value>& records) {
 
 Status DatasetPartition::PointLookup(const CompositeKey& pk, bool* found,
                                      adm::Value* record) {
-  std::vector<uint8_t> bytes;
-  ASTERIX_RETURN_NOT_OK(primary_->PointLookup(pk, found, &bytes));
-  if (!*found) return Status::OK();
-  ASTERIX_ASSIGN_OR_RETURN(*record, DeserializeRecord(bytes));
-  return Status::OK();
+  *found = false;
+  return MultiGet(
+      /*txn=*/0, {pk}, column::Projection::All(),
+      [&](size_t, adm::Value rec) {
+        *found = true;
+        *record = std::move(rec);
+        return Status::OK();
+      });
 }
 
-Status DatasetPartition::LockedLookup(txn::TxnId txn, const CompositeKey& pk,
-                                      bool* found, adm::Value* record) {
-  ASTERIX_RETURN_NOT_OK(
-      txns_->locks().Acquire(txn, LockResource(pk), txn::LockMode::kShared));
-  return PointLookup(pk, found, record);
+Status DatasetPartition::MultiGet(
+    txn::TxnId txn, const std::vector<CompositeKey>& pks,
+    const column::Projection& projection,
+    const std::function<Status(size_t, adm::Value)>& cb) {
+  if (txn != 0) {
+    for (const CompositeKey& pk : pks) {
+      ASTERIX_RETURN_NOT_OK(txns_->locks().Acquire(txn, LockResource(pk),
+                                                   txn::LockMode::kShared));
+    }
+  }
+  return primary_->MultiGet(pks, projection, cb);
 }
 
 Status DatasetPartition::ScanAll(

@@ -85,11 +85,17 @@ class DatasetPartition {
   Status LoadBulk(const std::vector<adm::Value>& records);
 
   // -- Readers -----------------------------------------------------------------
+  /// Whole-record fetch of one key: a one-key MultiGet.
   Status PointLookup(const CompositeKey& pk, bool* found, adm::Value* record);
-  /// Point lookup under an S record lock (the paper's secondary-index
-  /// post-validation path: lock pk, fetch, let the caller re-check).
-  Status LockedLookup(txn::TxnId txn, const CompositeKey& pk, bool* found,
-                      adm::Value* record);
+  /// Batch primary fetch of `pks` (ascending; duplicates allowed) in one
+  /// LSM pass, materializing only the projection's fields: `cb(i, record)`
+  /// gets every live pks[i] in ascending `i`. With `txn` != 0 (the paper's
+  /// secondary-index post-validation path) the batch's S record locks come
+  /// first; they are held until the caller releases the transaction's
+  /// locks, and the caller re-checks its predicate on the fetched records.
+  Status MultiGet(txn::TxnId txn, const std::vector<CompositeKey>& pks,
+                  const column::Projection& projection,
+                  const std::function<Status(size_t, adm::Value)>& cb);
   Status ScanAll(const std::function<Status(const adm::Value&)>& cb);
   Status PrimaryRangeScan(const ScanBounds& bounds,
                           const std::function<Status(const adm::Value&)>& cb);

@@ -113,10 +113,22 @@ Status DecodeRowPayload(std::vector<uint8_t>* payload) {
   return Status::OK();
 }
 
+/// Deserializes a stored record image and keeps only the projection's
+/// fields: how the row layout and the memtables serve projected reads.
+Status DecodeProjected(const std::vector<uint8_t>& payload,
+                       const adm::DatatypePtr& type,
+                       const column::Projection& proj, adm::Value* out) {
+  BytesReader r(payload);
+  adm::Value rec;
+  ASTERIX_RETURN_NOT_OK(adm::DeserializeTyped(&r, type, &rec));
+  *out = column::ProjectRecord(rec, proj);
+  return Status::OK();
+}
+
 /// Adapts the row-major B+-tree component to the DiskComponentReader
-/// interface. ProjectedScan is a fallback: the row layout must read and
-/// deserialize every record regardless of the projection — the cost gap
-/// the column format exists to close.
+/// interface. ProjectedScan and MultiGet are fallbacks: the row layout must
+/// read and deserialize every record regardless of the projection — the
+/// cost gap the column format exists to close.
 class RowComponentReader : public DiskComponentReader {
  public:
   RowComponentReader(std::shared_ptr<BTreeReader> btree, adm::DatatypePtr type,
@@ -154,11 +166,30 @@ class RowComponentReader : public DiskComponentReader {
       if (e.antimatter) return cb(e.key, true, adm::Value::Missing());
       std::vector<uint8_t> payload = e.payload;
       if (compressed_) ASTERIX_RETURN_NOT_OK(DecodeRowPayload(&payload));
-      BytesReader r(payload);
       adm::Value rec;
-      ASTERIX_RETURN_NOT_OK(adm::DeserializeTyped(&r, type_, &rec));
-      return cb(e.key, false, column::ProjectRecord(rec, proj));
+      ASTERIX_RETURN_NOT_OK(DecodeProjected(payload, type_, proj, &rec));
+      return cb(e.key, false, rec);
     });
+  }
+
+  Status MultiGet(const std::vector<CompositeKey>& keys,
+                  const column::Projection& proj,
+                  const MultiGetCallback& cb) const override {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      bool found = false;
+      IndexEntry e;
+      ASTERIX_RETURN_NOT_OK(btree_->PointLookup(keys[i], &found, &e));
+      if (!found) continue;
+      if (e.antimatter) {
+        ASTERIX_RETURN_NOT_OK(cb(i, true, adm::Value::Missing()));
+        continue;
+      }
+      if (compressed_) ASTERIX_RETURN_NOT_OK(DecodeRowPayload(&e.payload));
+      adm::Value rec;
+      ASTERIX_RETURN_NOT_OK(DecodeProjected(e.payload, type_, proj, &rec));
+      ASTERIX_RETURN_NOT_OK(cb(i, false, rec));
+    }
+    return Status::OK();
   }
 
   bool MayContain(const CompositeKey& key) const override {
@@ -967,6 +998,80 @@ Status LsmBTree::PointLookup(const CompositeKey& key, bool* found,
   return Status::OK();
 }
 
+Status LsmBTree::MultiGet(
+    const std::vector<CompositeKey>& keys, const column::Projection& proj,
+    const std::function<Status(size_t, adm::Value)>& cb) const {
+  // Per key: open until the newest component holding it resolves it to a
+  // live record or to antimatter.
+  enum : uint8_t { kOpen, kLive, kDead };
+  std::vector<uint8_t> state(keys.size(), kOpen);
+  std::vector<adm::Value> records(keys.size());
+  size_t open = keys.size();
+  {
+    std::shared_lock lock(mu_);
+    for (const MemTable* t :
+         {&mem_, imm_ != nullptr ? &imm_->entries : nullptr}) {
+      if (t == nullptr || t->empty()) continue;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (state[i] != kOpen) continue;
+        auto it = t->find(keys[i]);
+        if (it == t->end()) continue;
+        --open;
+        if (it->second.antimatter) {
+          state[i] = kDead;
+          continue;
+        }
+        ASTERIX_RETURN_NOT_OK(DecodeProjected(
+            it->second.payload, options_.record_type, proj, &records[i]));
+        state[i] = kLive;
+      }
+    }
+    auto& reg = metrics::MetricsRegistry::Default();
+    static metrics::Counter* bloom_hits = reg.GetCounter("storage.bloom.hits");
+    static metrics::Counter* bloom_misses =
+        reg.GetCounter("storage.bloom.misses");
+    static metrics::Counter* bloom_fps =
+        reg.GetCounter("storage.bloom.false_positives");
+    // Newest disk component first, each probed with the still-open keys its
+    // bloom filter admits — the same per-(key, component) accounting a
+    // PointLookup of every key would do.
+    std::vector<CompositeKey> probe;
+    std::vector<size_t> origin;  // probe[j] is keys[origin[j]]
+    for (size_t d = disk_.size(); d > 0 && open > 0; --d) {
+      const DiskComponentReader& reader = *disk_[d - 1].reader;
+      probe.clear();
+      origin.clear();
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (state[i] != kOpen) continue;
+        if (!reader.MayContain(keys[i])) {
+          bloom_misses->Inc();
+          continue;
+        }
+        probe.push_back(keys[i]);
+        origin.push_back(i);
+      }
+      if (probe.empty()) continue;
+      bloom_hits->Inc(probe.size());
+      size_t hits = 0;
+      ASTERIX_RETURN_NOT_OK(reader.MultiGet(
+          probe, proj,
+          [&](size_t j, bool antimatter, const adm::Value& rec) {
+            size_t i = origin[j];
+            state[i] = antimatter ? kDead : kLive;
+            if (!antimatter) records[i] = rec;
+            ++hits;
+            return Status::OK();
+          }));
+      bloom_fps->Inc(probe.size() - hits);
+      open -= hits;
+    }
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (state[i] == kLive) ASTERIX_RETURN_NOT_OK(cb(i, std::move(records[i])));
+  }
+  return Status::OK();
+}
+
 Status LsmBTree::RangeScan(const ScanBounds& bounds,
                            const EntryCallback& cb) const {
   std::shared_lock lock(mu_);
@@ -1042,11 +1147,8 @@ Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
           row.antimatter = e.antimatter;
           if (stats != nullptr) stats->bytes_read += e.payload.size();
           if (!e.antimatter) {
-            BytesReader r(e.payload);
-            adm::Value rec;
-            ASTERIX_RETURN_NOT_OK(
-                adm::DeserializeTyped(&r, options_.record_type, &rec));
-            row.record = column::ProjectRecord(rec, proj);
+            ASTERIX_RETURN_NOT_OK(DecodeProjected(
+                e.payload, options_.record_type, proj, &row.record));
           }
           run->push_back(std::move(row));
           return Status::OK();

@@ -217,6 +217,16 @@ class LsmBTree : public Compactable {
   Status PointLookup(const CompositeKey& key, bool* found,
                      std::vector<uint8_t>* payload) const;
 
+  /// LSM-resolved batch lookup of `keys` (ascending; duplicates allowed)
+  /// under one shared lock, materializing only the projection's fields:
+  /// the memtables first, then each disk component newest-first with its
+  /// bloom-admitted subset of the still-unresolved keys. `cb(i, record)`
+  /// then gets every keys[i] that resolves to a live record, in ascending
+  /// `i`, after the lock is released. Requires `record_type`.
+  Status MultiGet(const std::vector<CompositeKey>& keys,
+                  const column::Projection& proj,
+                  const std::function<Status(size_t, adm::Value)>& cb) const;
+
   /// LSM-resolved ordered range scan across all components.
   Status RangeScan(const ScanBounds& bounds, const EntryCallback& cb) const;
 

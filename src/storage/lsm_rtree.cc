@@ -61,6 +61,11 @@ class RTreeComponent : public DiskComponentReader {
     return Status::NotImplemented("r-tree components hold no records");
   }
 
+  Status MultiGet(const std::vector<CompositeKey>&, const column::Projection&,
+                  const MultiGetCallback&) const override {
+    return Status::NotImplemented("r-tree components hold no records");
+  }
+
   bool MayContain(const CompositeKey&) const override { return true; }
 
  private:

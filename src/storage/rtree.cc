@@ -92,7 +92,9 @@ Status RTreeBuilder::Finish() {
     std::vector<uint8_t> page(kPageSize, 0);
     page[0] = kind;
     std::memcpy(page.data() + 1, &count, 2);
-    std::memcpy(page.data() + kHeaderSize, body.data(), body.size());
+    if (!body.empty()) {
+      std::memcpy(page.data() + kHeaderSize, body.data(), body.size());
+    }
     file_bytes.insert(file_bytes.end(), page.begin(), page.end());
     return page_no;
   };
@@ -195,9 +197,9 @@ Result<std::shared_ptr<RTreeReader>> RTreeReader::Open(BufferCache* cache,
   }
   std::vector<uint8_t> fbytes;
   ASTERIX_RETURN_NOT_OK(cache->ReadRange(file, size - 8 - flen, flen, &fbytes));
-  if (flen < 4 ||
-      Crc32(fbytes.data(), flen - 4) !=
-          *reinterpret_cast<const uint32_t*>(fbytes.data() + flen - 4)) {
+  uint32_t stored_crc = 0;
+  if (flen >= 4) std::memcpy(&stored_crc, fbytes.data() + flen - 4, 4);
+  if (flen < 4 || Crc32(fbytes.data(), flen - 4) != stored_crc) {
     return Status::Corruption("rtree footer checksum mismatch: " + path);
   }
   BytesReader fr(fbytes.data(), flen - 4);

@@ -126,6 +126,10 @@ TEST_F(CompilerPlansTest, IndexNlHintProbesSecondaryIndex) {
       "where $m.uid /*+ indexnl */ = $u.id return { \"n\": $u.name };");
   EXPECT_NE(job.find("btree-probe(uidIdx)"), std::string::npos) << job;
   EXPECT_EQ(job.find("hybrid-hash-join"), std::string::npos) << job;
+  // The fetch materializes only what the post-validation reads.
+  EXPECT_NE(job.find("btree-search(Msgs.primary) project=[uid]"),
+            std::string::npos)
+      << job;
 }
 
 TEST_F(CompilerPlansTest, IndexNlOnPrimaryKeyProbesPrimary) {
@@ -133,7 +137,9 @@ TEST_F(CompilerPlansTest, IndexNlOnPrimaryKeyProbesPrimary) {
   std::string job = JobFor(
       "for $m in dataset Msgs for $u in dataset Users "
       "where $u.id /*+ indexnl */ = $m.uid return { \"t\": $m.text };");
-  EXPECT_NE(job.find("btree-search(Users.primary)"), std::string::npos) << job;
+  EXPECT_NE(job.find("btree-search(Users.primary) project=[id]"),
+            std::string::npos)
+      << job;
   EXPECT_EQ(job.find("hybrid-hash-join"), std::string::npos) << job;
 }
 
@@ -154,6 +160,36 @@ TEST_F(CompilerPlansTest, GroupBySplitsLocalGlobal) {
   EXPECT_NE(local, std::string::npos) << job;
   EXPECT_NE(global, std::string::npos)
       << "expected a local+global group-by pair:\n" << job;
+}
+
+TEST_F(CompilerPlansTest, GroupedCountProjectsOnlyTheFieldsItReads) {
+  ASSERT_TRUE(db_->Execute(R"aql(
+use dataverse P;
+create type PostT as {
+  message-id: int64, author-id: int64, timestamp: datetime, message: string
+}
+create dataset Posts(PostT) primary key message-id;
+create index postTsIdx on Posts(timestamp);
+)aql").ok());
+  // count($m) needs no field of $m: the scan, and the primary fetch of the
+  // indexed plan, read only the grouping key and the filtered field.
+  for (const char* hint : {"/*+ skip-index */ ", ""}) {
+    std::string job = JobFor(
+        std::string("for $m in dataset Posts where ") + hint +
+        "$m.timestamp >= datetime(\"2014-01-01T00:00:00\") "
+        "group by $aid := $m.author-id with $m let $cnt := count($m) "
+        "order by $cnt desc limit 10 "
+        "return { \"author\": $aid, \"cnt\": $cnt };");
+    EXPECT_NE(job.find("project=[author-id,timestamp]"), std::string::npos)
+        << job;
+  }
+  EXPECT_NE(JobFor("for $m in dataset Posts where $m.timestamp >= "
+                   "datetime(\"2014-01-01T00:00:00\") group by $aid := "
+                   "$m.author-id with $m let $cnt := count($m) "
+                   "return { \"author\": $aid, \"cnt\": $cnt };")
+                .find("btree-search(Posts.primary) "
+                      "project=[author-id,timestamp]"),
+            std::string::npos);
 }
 
 TEST_F(CompilerPlansTest, OrderByGathersThroughMergingConnector) {
