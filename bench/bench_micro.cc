@@ -5,9 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -138,10 +141,14 @@ BENCHMARK_F(LsmFixture, ShortRangeScan100)(benchmark::State& state) {
 }
 
 // Row vs column disk formats scanning the same messages with a narrow
-// projection: the columnar layout should touch far fewer bytes.
+// projection: the columnar layout should touch far fewer bytes. The row
+// tree also serves whole-record scans and sorted batch lookups.
 class FormatFixture : public benchmark::Fixture {
  public:
-  void SetUp(const benchmark::State&) override {
+  void SetUp(const benchmark::State&) override { Build(); }
+  void TearDown(const benchmark::State&) override {}
+
+  static void Build() {
     if (row) return;
     dir = env::NewScratchDir("bench-format");
     cache = std::make_unique<storage::BufferCache>(1 << 14);
@@ -167,7 +174,6 @@ class FormatFixture : public benchmark::Fixture {
     (void)row->Flush();
     (void)col->Flush();
   }
-  void TearDown(const benchmark::State&) override {}
 
   static void RunProjectedScan(storage::LsmBTree* tree,
                                benchmark::State& state) {
@@ -194,6 +200,51 @@ class FormatFixture : public benchmark::Fixture {
     state.counters["pages_pruned"] = static_cast<double>(stats.pages_pruned);
   }
 
+  /// One whole-record scan of `tree`; returns the rows seen.
+  static size_t WholeRecordScan(storage::LsmBTree* tree) {
+    size_t n = 0;
+    (void)tree->ProjectedScan(
+        storage::ScanBounds{}, storage::column::Projection::All(),
+        [&](const storage::CompositeKey&, bool, const Value& rec) {
+          benchmark::DoNotOptimize(rec);
+          ++n;
+          return Status::OK();
+        },
+        nullptr);
+    return n;
+  }
+
+  /// 256 keys spread evenly over the 20,000 stored, ascending.
+  static const std::vector<storage::CompositeKey>& SortedKeys() {
+    static const std::vector<storage::CompositeKey> keys = [] {
+      std::vector<storage::CompositeKey> k;
+      for (int64_t i = 0; i < 256; ++i) k.push_back({Value::Int64(i * 78)});
+      return k;
+    }();
+    return keys;
+  }
+
+  /// Whole-record fetch of SortedKeys(): one sorted MultiGet when
+  /// `batched`, else one one-key MultiGet (a point lookup) per key.
+  /// Returns the records found.
+  static size_t FetchSortedKeys(storage::LsmBTree* tree, bool batched) {
+    size_t n = 0;
+    auto count = [&](size_t, Value rec) {
+      benchmark::DoNotOptimize(rec);
+      ++n;
+      return Status::OK();
+    };
+    const auto all = storage::column::Projection::All();
+    if (batched) {
+      (void)tree->MultiGet(SortedKeys(), all, count);
+      return n;
+    }
+    for (const storage::CompositeKey& key : SortedKeys()) {
+      (void)tree->MultiGet({key}, all, count);
+    }
+    return n;
+  }
+
   static std::string dir;
   static std::unique_ptr<storage::BufferCache> cache;
   static std::unique_ptr<storage::LsmBTree> row, col;
@@ -209,6 +260,27 @@ BENCHMARK_F(FormatFixture, ProjectedScanRowFormat)(benchmark::State& state) {
 
 BENCHMARK_F(FormatFixture, ProjectedScanColumnFormat)(benchmark::State& state) {
   RunProjectedScan(col.get(), state);
+}
+
+BENCHMARK_F(FormatFixture, WholeRecordScanRowFormat)(benchmark::State& state) {
+  for (auto _ : state) benchmark::DoNotOptimize(WholeRecordScan(row.get()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(WholeRecordScan(row.get())));
+}
+
+BENCHMARK_F(FormatFixture,
+            SortedMultiGet256RowFormat)(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FetchSortedKeys(row.get(), true));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
+}
+
+BENCHMARK_F(FormatFixture, PointLookups256RowFormat)(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FetchSortedKeys(row.get(), false));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
 }
 
 // Interpreted vs vectorized execution of the same selective
@@ -957,11 +1029,55 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Row-tree reads for the snapshot: a whole-record scan, and the same 256
+  // sorted keys fetched by one MultiGet against one point lookup each.
+  FormatFixture::Build();
+  auto best_sec = [](const std::function<size_t()>& pass, size_t* items) {
+    double best = 1e300;
+    for (int rep = 0; rep < 5; ++rep) {
+      auto t0 = std::chrono::steady_clock::now();
+      *items = pass();
+      best = std::min(best, std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
+    }
+    return best;
+  };
+  size_t scan_rows = 0, batch_hits = 0, single_hits = 0;
+  asterix::storage::LsmBTree* row_tree = FormatFixture::row.get();
+  double scan_sec = best_sec(
+      [&] { return FormatFixture::WholeRecordScan(row_tree); }, &scan_rows);
+  double batch_sec = best_sec(
+      [&] { return FormatFixture::FetchSortedKeys(row_tree, true); },
+      &batch_hits);
+  double single_sec = best_sec(
+      [&] { return FormatFixture::FetchSortedKeys(row_tree, false); },
+      &single_hits);
+  if (batch_hits != 256 || single_hits != 256) {
+    std::fprintf(stderr, "FATAL row fetch found %zu/%zu of 256 keys\n",
+                 batch_hits, single_hits);
+    return 1;
+  }
+  char row_json[320];
+  std::snprintf(row_json, sizeof(row_json),
+                "{ \"rows\": %zu, "
+                "\"whole_record_scan_rows_per_sec\": %.0f, "
+                "\"sorted_multiget_256_us\": %.1f, "
+                "\"point_lookups_256_us\": %.1f, "
+                "\"multiget_speedup\": %.2f }",
+                scan_rows, static_cast<double>(scan_rows) / scan_sec,
+                batch_sec * 1e6, single_sec * 1e6, single_sec / batch_sec);
+  std::printf("row reads: whole-record scan=%.0f rows/s, 256 keys: "
+              "multiget=%.1f us point-lookups=%.1f us (%.2fx)\n",
+              static_cast<double>(scan_rows) / scan_sec, batch_sec * 1e6,
+              single_sec * 1e6, single_sec / batch_sec);
+
   std::string out = "{ \"bench\": \"micro\", \"shuffle\": " +
                     std::string(shuffle_json) + ", \"hash_join\": " +
                     std::string(hash_json) + ", \"group_by\": " +
                     std::string(gb_json) + ", \"vector_exec\": " +
-                    std::string(vector_json) + ", \"metrics\": " +
+                    std::string(vector_json) + ", \"row_reads\": " +
+                    std::string(row_json) + ", \"metrics\": " +
                     asterix::api::AsterixInstance::MetricsJson() + " }";
   auto st = asterix::env::WriteFileAtomic("BENCH_micro.json", out.data(),
                                           out.size());

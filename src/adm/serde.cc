@@ -163,6 +163,9 @@ Status DeserializePrimitivePayload(BytesReader* r, TypeTag tag, Value* out) {
       if (tag == TypeTag::kPolygon) {
         uint64_t count;
         ASTERIX_RETURN_NOT_OK(r->GetVarint(&count));
+        if (count > r->remaining() / 16) {
+          return Status::Corruption("truncated polygon");
+        }
         n = count;
       }
       std::vector<GeoPoint> pts(n);
@@ -194,6 +197,86 @@ Status DeserializePrimitivePayload(BytesReader* r, TypeTag tag, Value* out) {
     default:
       return Status::Corruption("unexpected primitive tag in payload");
   }
+}
+
+Status SkipVarint(BytesReader* r) {
+  uint64_t unused;
+  return r->GetVarint(&unused);
+}
+
+// Steps over the untagged payload DeserializePrimitivePayload would read.
+Status SkipPrimitivePayload(BytesReader* r, TypeTag tag) {
+  switch (tag) {
+    case TypeTag::kMissing:
+    case TypeTag::kNull:
+      return Status::OK();
+    case TypeTag::kBoolean:
+      return r->Skip(1);
+    case TypeTag::kInt8:
+    case TypeTag::kInt16:
+    case TypeTag::kInt32:
+    case TypeTag::kInt64:
+    case TypeTag::kDate:
+    case TypeTag::kTime:
+    case TypeTag::kDatetime:
+    case TypeTag::kYearMonthDuration:
+    case TypeTag::kDayTimeDuration:
+      return SkipVarint(r);
+    case TypeTag::kFloat:
+      return r->Skip(4);
+    case TypeTag::kDouble:
+      return r->Skip(8);
+    case TypeTag::kString: {
+      std::string_view unused;
+      return r->GetStringView(&unused);
+    }
+    case TypeTag::kDuration:
+      ASTERIX_RETURN_NOT_OK(SkipVarint(r));
+      return SkipVarint(r);
+    case TypeTag::kInterval:
+      ASTERIX_RETURN_NOT_OK(r->Skip(1));
+      ASTERIX_RETURN_NOT_OK(SkipVarint(r));
+      return SkipVarint(r);
+    case TypeTag::kUuid:
+    case TypeTag::kPoint:
+      return r->Skip(16);
+    case TypeTag::kLine:
+    case TypeTag::kRectangle:
+      return r->Skip(32);
+    case TypeTag::kCircle:
+      return r->Skip(24);
+    case TypeTag::kPolygon: {
+      uint64_t count;
+      ASTERIX_RETURN_NOT_OK(r->GetVarint(&count));
+      if (count > r->remaining() / 16) {
+        return Status::Corruption("truncated polygon");
+      }
+      return r->Skip(static_cast<size_t>(count) * 16);
+    }
+    default:
+      return Status::Corruption("unexpected primitive tag in payload");
+  }
+}
+
+// Steps over declared fields [from, end) of a schema-aware record image.
+Status SkipDeclaredFields(BytesReader* r, const std::vector<FieldType>& fields,
+                          size_t from) {
+  for (size_t i = from; i < fields.size(); ++i) {
+    uint8_t presence;
+    ASTERIX_RETURN_NOT_OK(r->GetU8(&presence));
+    if (presence != kAbsent && presence != kNullByte) {
+      ASTERIX_RETURN_NOT_OK(SkipTyped(r, fields[i].type));
+    }
+  }
+  return Status::OK();
+}
+
+// Element count of a serialized list or record, checked against what is
+// left to read so a corrupt count cannot drive a huge reservation.
+Status GetCount(BytesReader* r, uint64_t* n) {
+  ASTERIX_RETURN_NOT_OK(r->GetVarint(n));
+  if (*n > r->remaining()) return Status::Corruption("truncated count");
+  return Status::OK();
 }
 
 }  // namespace
@@ -231,7 +314,7 @@ Status DeserializeValue(BytesReader* r, Value* out) {
     case TypeTag::kBag:
     case TypeTag::kOrderedList: {
       uint64_t n;
-      ASTERIX_RETURN_NOT_OK(r->GetVarint(&n));
+      ASTERIX_RETURN_NOT_OK(GetCount(r, &n));
       std::vector<Value> items;
       items.reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
@@ -245,7 +328,7 @@ Status DeserializeValue(BytesReader* r, Value* out) {
     }
     case TypeTag::kRecord: {
       uint64_t n;
-      ASTERIX_RETURN_NOT_OK(r->GetVarint(&n));
+      ASTERIX_RETURN_NOT_OK(GetCount(r, &n));
       std::vector<std::pair<std::string, Value>> fields;
       fields.reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
@@ -360,7 +443,9 @@ Status DeserializeTyped(BytesReader* r, const DatatypePtr& type, Value* out) {
       uint64_t n;
       ASTERIX_RETURN_NOT_OK(r->GetVarint(&n));
       std::vector<Value> items;
-      items.reserve(n);
+      // A typed item may take no bytes (a closed empty record), so the
+      // count is not bounded by what is left; only the reservation is.
+      items.reserve(std::min<uint64_t>(n, r->remaining()));
       for (uint64_t i = 0; i < n; ++i) {
         Value item;
         ASTERIX_RETURN_NOT_OK(DeserializeTyped(r, type->item_type(), &item));
@@ -388,7 +473,7 @@ Status DeserializeTyped(BytesReader* r, const DatatypePtr& type, Value* out) {
       }
       if (type->is_open()) {
         uint64_t n;
-        ASTERIX_RETURN_NOT_OK(r->GetVarint(&n));
+        ASTERIX_RETURN_NOT_OK(GetCount(r, &n));
         for (uint64_t i = 0; i < n; ++i) {
           std::string name;
           ASTERIX_RETURN_NOT_OK(r->GetString(&name));
@@ -402,6 +487,143 @@ Status DeserializeTyped(BytesReader* r, const DatatypePtr& type, Value* out) {
     }
   }
   return Status::Internal("unreachable");
+}
+
+Status SkipValue(BytesReader* r) {
+  uint8_t tag_byte;
+  ASTERIX_RETURN_NOT_OK(r->GetU8(&tag_byte));
+  TypeTag tag = static_cast<TypeTag>(tag_byte);
+  switch (tag) {
+    case TypeTag::kBag:
+    case TypeTag::kOrderedList: {
+      uint64_t n;
+      ASTERIX_RETURN_NOT_OK(GetCount(r, &n));
+      for (uint64_t i = 0; i < n; ++i) ASTERIX_RETURN_NOT_OK(SkipValue(r));
+      return Status::OK();
+    }
+    case TypeTag::kRecord: {
+      uint64_t n;
+      ASTERIX_RETURN_NOT_OK(GetCount(r, &n));
+      for (uint64_t i = 0; i < n; ++i) {
+        std::string_view name;
+        ASTERIX_RETURN_NOT_OK(r->GetStringView(&name));
+        ASTERIX_RETURN_NOT_OK(SkipValue(r));
+      }
+      return Status::OK();
+    }
+    default:
+      return SkipPrimitivePayload(r, tag);
+  }
+}
+
+Status SkipTyped(BytesReader* r, const DatatypePtr& type) {
+  if (!type || type->IsAny()) return SkipValue(r);
+  switch (type->kind()) {
+    case Datatype::Kind::kPrimitive:
+      return SkipPrimitivePayload(r, type->tag());
+    case Datatype::Kind::kOrderedList:
+    case Datatype::Kind::kBag: {
+      uint64_t n;
+      ASTERIX_RETURN_NOT_OK(r->GetVarint(&n));
+      for (uint64_t i = 0; i < n; ++i) {
+        ASTERIX_RETURN_NOT_OK(SkipTyped(r, type->item_type()));
+      }
+      return Status::OK();
+    }
+    case Datatype::Kind::kRecord: {
+      ASTERIX_RETURN_NOT_OK(SkipDeclaredFields(r, type->fields(), 0));
+      if (!type->is_open()) return Status::OK();
+      uint64_t n;
+      ASTERIX_RETURN_NOT_OK(GetCount(r, &n));
+      for (uint64_t i = 0; i < n; ++i) {
+        std::string_view name;
+        ASTERIX_RETURN_NOT_OK(r->GetStringView(&name));
+        ASTERIX_RETURN_NOT_OK(SkipValue(r));
+      }
+      return Status::OK();
+    }
+  }
+  return Status::Internal("unreachable");
+}
+
+ProjectedDecoder::ProjectedDecoder(DatatypePtr type, bool all_fields,
+                                   const std::vector<std::string>& fields)
+    : type_(std::move(type)), all_fields_(all_fields) {
+  if (all_fields_) return;
+  const bool record = type_ && type_->kind() == Datatype::Kind::kRecord;
+  if (record) declared_.assign(type_->fields().size(), 0);
+  for (const std::string& name : fields) {
+    int idx = record ? type_->FieldIndex(name) : -1;
+    if (idx >= 0) {
+      declared_[static_cast<size_t>(idx)] = 1;
+      declared_end_ = std::max(declared_end_, static_cast<size_t>(idx) + 1);
+    } else if (!record || type_->is_open()) {
+      open_.push_back(name);
+    }
+  }
+}
+
+bool ProjectedDecoder::WantsOpen(std::string_view name) const {
+  return std::find(open_.begin(), open_.end(), name) != open_.end();
+}
+
+Status ProjectedDecoder::Decode(BytesReader* r, Value* out) const {
+  if (all_fields_) return DeserializeTyped(r, type_, out);
+  if (!type_ || type_->IsAny()) return DecodeSchemaless(r, out);
+  if (type_->kind() != Datatype::Kind::kRecord) {
+    return DeserializeTyped(r, type_, out);
+  }
+  std::vector<std::pair<std::string, Value>> fields;
+  const std::vector<FieldType>& declared = type_->fields();
+  for (size_t i = 0; i < declared_end_; ++i) {
+    uint8_t presence;
+    ASTERIX_RETURN_NOT_OK(r->GetU8(&presence));
+    if (presence == kAbsent) continue;
+    if (!declared_[i]) {
+      if (presence != kNullByte) {
+        ASTERIX_RETURN_NOT_OK(SkipTyped(r, declared[i].type));
+      }
+      continue;
+    }
+    if (presence == kNullByte) {
+      fields.emplace_back(declared[i].name, Value::Null());
+      continue;
+    }
+    Value fv;
+    ASTERIX_RETURN_NOT_OK(DeserializeTyped(r, declared[i].type, &fv));
+    fields.emplace_back(declared[i].name, std::move(fv));
+  }
+  if (!open_.empty()) {
+    ASTERIX_RETURN_NOT_OK(SkipDeclaredFields(r, declared, declared_end_));
+    uint64_t n;
+    ASTERIX_RETURN_NOT_OK(GetCount(r, &n));
+    for (uint64_t i = 0; i < n; ++i) {
+      std::string_view name;
+      ASTERIX_RETURN_NOT_OK(r->GetStringView(&name));
+      if (!WantsOpen(name)) {
+        ASTERIX_RETURN_NOT_OK(SkipValue(r));
+        continue;
+      }
+      Value val;
+      ASTERIX_RETURN_NOT_OK(DeserializeValue(r, &val));
+      fields.emplace_back(std::string(name), std::move(val));
+    }
+  }
+  *out = Value::Record(std::move(fields));
+  return Status::OK();
+}
+
+// A self-describing value decodes whole; a record then keeps its wanted
+// fields.
+Status ProjectedDecoder::DecodeSchemaless(BytesReader* r, Value* out) const {
+  ASTERIX_RETURN_NOT_OK(DeserializeValue(r, out));
+  if (!out->IsRecord()) return Status::OK();
+  std::vector<std::pair<std::string, Value>> kept;
+  for (const auto& field : out->AsRecord().fields) {
+    if (WantsOpen(field.first)) kept.push_back(field);
+  }
+  *out = Value::Record(std::move(kept));
+  return Status::OK();
 }
 
 Result<size_t> TypedSerializedSize(const Value& v, const DatatypePtr& type) {

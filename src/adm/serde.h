@@ -1,6 +1,10 @@
 #ifndef ASTERIX_ADM_SERDE_H_
 #define ASTERIX_ADM_SERDE_H_
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "adm/type.h"
 #include "adm/value.h"
 #include "common/bytes.h"
@@ -24,6 +28,42 @@ Status DeserializeValue(BytesReader* r, Value* out);
 /// the paper reports in Table 2.
 Status SerializeTyped(const Value& v, const DatatypePtr& type, BytesWriter* w);
 Status DeserializeTyped(BytesReader* r, const DatatypePtr& type, Value* out);
+
+/// Step over one serialized value without building it: SkipValue over the
+/// self-describing encoding, SkipTyped over the schema-aware one. Truncated
+/// input returns Corruption.
+Status SkipValue(BytesReader* r);
+Status SkipTyped(BytesReader* r, const DatatypePtr& type);
+
+/// Schema-aware decoding of only some top-level fields of a record. The
+/// plan is built once per (type, field list): a flag per declared field and
+/// the wanted names no declared field carries, which are the only ones
+/// looked for among a record's open fields. Decode yields the wanted fields
+/// in record order (declared fields, then open fields as stored) and steps
+/// over the rest in place. When no open field is wanted it stops after the
+/// last wanted declared field, so an empty field list decodes nothing.
+/// The result equals deserializing the whole record and then keeping the
+/// wanted fields; a non-record value decodes whole, and so does a
+/// self-describing (untyped) image before its fields are filtered.
+class ProjectedDecoder {
+ public:
+  /// `all_fields` decodes whole values (DeserializeTyped); otherwise only
+  /// the top-level fields named in `fields`.
+  ProjectedDecoder(DatatypePtr type, bool all_fields,
+                   const std::vector<std::string>& fields);
+
+  Status Decode(BytesReader* r, Value* out) const;
+
+ private:
+  Status DecodeSchemaless(BytesReader* r, Value* out) const;
+  bool WantsOpen(std::string_view name) const;
+
+  DatatypePtr type_;
+  bool all_fields_;
+  std::vector<char> declared_;     // per declared field: is it wanted?
+  size_t declared_end_ = 0;        // one past the last wanted declared field
+  std::vector<std::string> open_;  // wanted names that are not declared
+};
 
 /// Serialized size helper (schema-aware).
 Result<size_t> TypedSerializedSize(const Value& v, const DatatypePtr& type);

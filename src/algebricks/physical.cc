@@ -190,10 +190,9 @@ storage::column::Projection FetchProjection(const LogicalOp& scan) {
 }
 
 /// FetchProjection plus the sargable ranges for columnar min/max page
-/// skipping — what a scan of `scan`'s dataset reads.
+/// skipping — what a scan of `scan`'s dataset reads, whole records included.
 storage::column::Projection ScanProjection(const LogicalOp& scan) {
   storage::column::Projection proj = FetchProjection(scan);
-  if (scan.scan_project_all) return proj;
   for (const auto& r : scan.scan_ranges) {
     storage::column::FieldRange fr;
     fr.field = r.field;

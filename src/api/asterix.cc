@@ -62,9 +62,15 @@ void AppendPhasesJson(std::string* out, const hyracks::PhaseSpans& ph) {
 }
 
 /// Version cell covering everything resolved through the metadata catalogs
-/// (functions, types, external/metadata datasets). Every DDL statement
-/// bumps it after commit.
+/// (types, external/metadata datasets). Every DDL statement bumps it after
+/// commit.
 constexpr char kCatalogEpoch[] = "__catalog__";
+
+/// Version cell of the function catalog, which every function call's
+/// resolution reads (a builtin too: a later UDF could shadow it). Only
+/// statements that change the function catalog bump it, so unrelated DDL
+/// keeps cached queries that call functions.
+constexpr char kFunctionsEpoch[] = "__functions__";
 
 /// Whitespace-normalized script text, cut at `max_chars`: uncapped it is
 /// the textual half of the cache / coalescing key ("the same statement
@@ -181,6 +187,7 @@ class AsterixInstance::ReadSetRecorder {
     deps_.emplace(qualified, server::CacheDep{qualified, cell, version});
   }
   void RecordCatalog() { RecordDataset(kCatalogEpoch); }
+  void RecordFunctions() { RecordDataset(kFunctionsEpoch); }
   /// External datasets read files the version clock cannot see: results
   /// depending on them must never be cached.
   void MarkUncacheable() { uncacheable_.store(true, std::memory_order_relaxed); }
@@ -457,13 +464,14 @@ aql::ParserContext AsterixInstance::SessionOf(const std::string& client) {
 Result<std::vector<aql::Statement>> AsterixInstance::Parse(
     const std::string& aql, Request* req) {
   auto parse_start = std::chrono::steady_clock::now();
-  // Resolving a UDF ties the request to the catalog epoch: dropping or
-  // redefining any function bumps it and invalidates dependent entries.
+  // Resolving a function call ties the request to the function catalog's
+  // epoch: creating or dropping any function bumps it and invalidates
+  // dependent entries.
   ReadSetRecorder* rs = req->read_set;
   req->session.find_function = [this, rs](const std::string& dv,
                                           const std::string& name,
                                           size_t arity) {
-    if (rs != nullptr) rs->RecordCatalog();
+    if (rs != nullptr) rs->RecordFunctions();
     return metadata_->FindFunction(dv, name, arity);
   };
   Result<std::vector<aql::Statement>> stmts_r = [&] {
@@ -960,6 +968,11 @@ void AsterixInstance::InvalidateServingAfterDdl(const aql::Statement& st) {
   // reader that validates against the new versions can only see new state.
   auto& clock = vclock::VersionClock::Default();
   clock.Bump(kCatalogEpoch);
+  using K = aql::Statement::Kind;
+  if (st.kind == K::kCreateFunction || st.kind == K::kDropFunction ||
+      st.kind == K::kDropDataverse) {
+    clock.Bump(kFunctionsEpoch);
+  }
   if (!st.dataset.empty()) {
     clock.Bump(st.dataset);
     if (result_cache_) result_cache_->InvalidateDataset(st.dataset);

@@ -43,16 +43,23 @@ Status BytesReader::GetVarintSigned(int64_t* v) {
 }
 
 Status BytesReader::GetString(std::string* s) {
+  std::string_view view;
+  ASTERIX_RETURN_NOT_OK(GetStringView(&view));
+  s->assign(view);
+  return Status::OK();
+}
+
+Status BytesReader::GetStringView(std::string_view* s) {
   uint64_t len;
   ASTERIX_RETURN_NOT_OK(GetVarint(&len));
-  if (pos_ + len > size_) return Status::Corruption("truncated string");
-  s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
+  if (len > size_ - pos_) return Status::Corruption("truncated string");
+  *s = std::string_view(reinterpret_cast<const char*>(data_ + pos_), len);
   pos_ += len;
   return Status::OK();
 }
 
 Status BytesReader::Skip(size_t n) {
-  if (pos_ + n > size_) return Status::Corruption("skip past end");
+  if (n > size_ - pos_) return Status::Corruption("skip past end");
   pos_ += n;
   return Status::OK();
 }

@@ -73,6 +73,9 @@ class BytesReader {
   Status GetVarint(uint64_t* v);
   Status GetVarintSigned(int64_t* v);
   Status GetString(std::string* s);
+  /// GetString without the copy: `s` views the reader's bytes, so it is
+  /// valid only while they are.
+  Status GetStringView(std::string_view* s);
   Status GetBytes(void* out, size_t n) { return GetRaw(out, n); }
 
   size_t remaining() const { return size_ - pos_; }
@@ -82,7 +85,7 @@ class BytesReader {
 
  private:
   Status GetRaw(void* out, size_t n) {
-    if (pos_ + n > size_) {
+    if (n > size_ - pos_) {
       return Status::Corruption("byte reader overrun");
     }
     std::memcpy(out, data_ + pos_, n);

@@ -260,126 +260,358 @@ BTreeReader::~BTreeReader() {
   if (cache_) cache_->CloseFile(file_);
 }
 
-Status BTreeReader::LoadEntry(BytesReader* r, IndexEntry* out) const {
-  ASTERIX_RETURN_NOT_OK(DeserializeKey(r, &out->key));
-  uint8_t flags;
-  ASTERIX_RETURN_NOT_OK(r->GetU8(&flags));
-  out->antimatter = (flags & kFlagAntimatter) != 0;
-  if (flags & kFlagOverflow) {
-    uint64_t off;
-    uint32_t len;
-    ASTERIX_RETURN_NOT_OK(r->GetU64(&off));
-    ASTERIX_RETURN_NOT_OK(r->GetU32(&len));
-    return cache_->ReadRange(file_, overflow_offset_ + off, len, &out->payload);
+/// The one place leaf entries are decoded: a cursor over the leaf chain.
+/// It pins its current leaf page, decodes an entry's key and flags, and
+/// hands out the payload as a view into that page; an overflow payload is
+/// read into one buffer the cursor reuses. It also keeps the interior nodes
+/// of its last descent pinned, each with the upper fence of its key range,
+/// so an ascending run of exact lookups descends once per leaf: a key
+/// inside the current leaf's range costs no page fetch, and a key beyond it
+/// descends only from the deepest pinned node whose range holds it.
+class BTreeReader::Cursor {
+ public:
+  explicit Cursor(const BTreeReader* tree) : tree_(tree) {}
+
+  bool Valid() const { return valid_; }
+  const CompositeKey& key() const { return key_; }
+
+  /// Positions at the first entry not below `lo` in bound order (the
+  /// tree's first entry when `lo` is null); invalid when there is none.
+  Status Seek(const CompositeKey* lo) {
+    path_.clear();
+    ASTERIX_RETURN_NOT_OK(Descend(lo, /*exact=*/false));
+    if (lo != nullptr) {
+      auto idx_r = LowerBound(0, *lo);
+      if (!idx_r.ok()) return idx_r.status();
+      idx_ = idx_r.value();
+    }
+    // Bound order is prefix order, so the first match may sit past the end
+    // of the leaf the descent chose (on a key equal to its upper fence).
+    return Settle();
   }
-  uint64_t len;
-  ASTERIX_RETURN_NOT_OK(r->GetVarint(&len));
-  out->payload.resize(len);
-  if (len > 0) {
-    ASTERIX_RETURN_NOT_OK(r->GetBytes(out->payload.data(), len));
+
+  /// Moves to the next entry, following the leaf chain.
+  Status Next() {
+    ++idx_;
+    return Settle();
+  }
+
+  /// Positions at the entry whose key equals `key`; `*found` false when the
+  /// tree has none. Fastest over keys in ascending order. `key` must stay
+  /// alive until the next Find.
+  Status Find(const CompositeKey& key, bool* found) {
+    *found = false;
+    valid_ = false;
+    const bool ascending = last_ != nullptr && CompareKeys(key, *last_) >= 0;
+    uint16_t from = 0;
+    if (ascending && fences_valid_ &&
+        (!leaf_bounded_ || CompareKeys(key, leaf_hi_) < 0)) {
+      from = idx_;  // the previous key's lower bound in this leaf
+    } else {
+      if (!ascending || !fences_valid_) path_.clear();
+      ASTERIX_RETURN_NOT_OK(Descend(&key, /*exact=*/true));
+    }
+    last_ = &key;
+    auto idx_r = LowerBound(from, key);
+    if (!idx_r.ok()) return idx_r.status();
+    idx_ = idx_r.value();
+    if (idx_ >= count_) return Status::OK();  // in the gap before the fence
+    ASTERIX_RETURN_NOT_OK(DecodeEntry());
+    *found = CompareKeys(key_, key) == 0;
+    return Status::OK();
+  }
+
+  /// Calls `cb` with the current entry as a view; valid until the cursor
+  /// moves.
+  template <typename F>
+  Status View(F&& cb) {
+    const uint8_t* data = inline_;
+    if (overflow_) {
+      ASTERIX_RETURN_NOT_OK(tree_->cache_->ReadRange(
+          tree_->file_, tree_->overflow_offset_ + overflow_off_, payload_len_,
+          &overflow_buf_));
+      data = overflow_buf_.data();
+    }
+    return cb(EntryView{key_, antimatter_, data, payload_len_});
+  }
+
+ private:
+  /// A pinned interior node of the last descent. Its keys are below `hi`
+  /// when `bounded`.
+  struct Level {
+    PagePtr page;
+    uint16_t count = 0;
+    bool bounded = false;
+    CompositeKey hi;
+  };
+
+  Result<PagePtr> Fetch(uint32_t page_no) const {
+    auto page_r = tree_->cache_->GetPage(tree_->file_, page_no);
+    if (!page_r.ok()) return page_r.status();
+    PagePtr page = page_r.take();
+    if (page->empty()) return Status::Corruption("empty page");
+    return page;
+  }
+
+  /// Descends to the leaf for `key` (the first leaf when null), starting
+  /// from the deepest pinned level whose range still holds it. An exact
+  /// descent follows key order, so it lands on the one leaf that can hold
+  /// `key`; otherwise it follows bound (prefix) order, landing on the
+  /// leftmost leaf that can hold keys not below `key`.
+  Status Descend(const CompositeKey* key, bool exact) {
+    while (key != nullptr && !path_.empty() && path_.back().bounded &&
+           CompareKeys(*key, path_.back().hi) >= 0) {
+      path_.pop_back();
+    }
+    if (path_.empty()) {
+      ASTERIX_ASSIGN_OR_RETURN(PagePtr root, Fetch(tree_->root_page_));
+      if ((*root)[0] == kLeafPage) {
+        return EnterLeaf(std::move(root), exact, false, {});
+      }
+      ASTERIX_RETURN_NOT_OK(PushInterior(std::move(root), false, {}));
+    }
+    while (path_.size() < 64) {
+      const Level& node = path_.back();
+      const uint8_t* base = node.page->data();
+      const uint8_t* table =
+          base + kInteriorHeaderSize + 4 * size_t{node.count};
+      const uint8_t* seps = table + 2 * (size_t{node.count} - 1);
+      const size_t seps_len =
+          node.page->size() - static_cast<size_t>(seps - base);
+      auto sep_at = [&](size_t j, CompositeKey* out) {
+        uint16_t off;
+        std::memcpy(&off, table + 2 * j, 2);
+        if (off >= seps_len) {
+          return Status::Corruption("separator out of range");
+        }
+        BytesReader sr(seps + off, seps_len - off);
+        return DeserializeKey(&sr, out);
+      };
+      // Child j holds keys below sep[j], the first key of child j+1. An
+      // exact descent wants the first child whose sep is above the key; a
+      // bound descent the first whose sep is not below it.
+      size_t lo_i = 0, hi_i = size_t{node.count} - 1;
+      while (key != nullptr && lo_i < hi_i) {
+        size_t mid = (lo_i + hi_i) / 2;
+        ASTERIX_RETURN_NOT_OK(sep_at(mid, &probe_));
+        bool left = exact ? CompareKeys(probe_, *key) > 0
+                          : BoundCompare(probe_, *key) >= 0;
+        if (left) {
+          hi_i = mid;
+        } else {
+          lo_i = mid + 1;
+        }
+      }
+      // Only exact lookups reuse the path, so only they need the fences.
+      bool bounded = false;
+      CompositeKey hi;
+      if (exact && lo_i + 1 < node.count) {
+        ASTERIX_RETURN_NOT_OK(sep_at(lo_i, &hi));
+        bounded = true;
+      } else if (exact && node.bounded) {
+        hi = node.hi;
+        bounded = true;
+      }
+      uint32_t child;
+      std::memcpy(&child, base + kInteriorHeaderSize + 4 * lo_i, 4);
+      ASTERIX_ASSIGN_OR_RETURN(PagePtr page, Fetch(child));
+      if ((*page)[0] == kLeafPage) {
+        return EnterLeaf(std::move(page), exact, bounded, std::move(hi));
+      }
+      ASTERIX_RETURN_NOT_OK(
+          PushInterior(std::move(page), bounded, std::move(hi)));
+    }
+    return Status::Corruption("btree too deep (cycle?)");
+  }
+
+  Status PushInterior(PagePtr page, bool bounded, CompositeKey hi) {
+    if ((*page)[0] != kInteriorPage || page->size() < kInteriorHeaderSize) {
+      return Status::Corruption("bad page kind");
+    }
+    uint16_t count;
+    std::memcpy(&count, page->data() + 1, 2);
+    // Child pointers, then count-1 separator offsets.
+    if (count == 0 ||
+        kInteriorHeaderSize + 6 * size_t{count} - 2 > page->size()) {
+      return Status::Corruption("interior page overruns its page");
+    }
+    path_.push_back(Level{std::move(page), count, bounded, std::move(hi)});
+    return Status::OK();
+  }
+
+  /// Makes `page` the current leaf, reached by a descent; an exact one
+  /// knows the leaf's upper fence.
+  Status EnterLeaf(PagePtr page, bool exact, bool bounded, CompositeKey hi) {
+    ASTERIX_RETURN_NOT_OK(LoadLeaf(std::move(page)));
+    fences_valid_ = exact;
+    leaf_bounded_ = bounded;
+    leaf_hi_ = std::move(hi);
+    return Status::OK();
+  }
+
+  Status LoadLeaf(PagePtr page) {
+    page_ = std::move(page);
+    const PageData& data = *page_;
+    if (data.size() < kLeafHeaderSize || data[0] != kLeafPage) {
+      return Status::Corruption("expected leaf page");
+    }
+    std::memcpy(&next_, data.data() + 1, 4);
+    std::memcpy(&count_, data.data() + 5, 2);
+    size_t table_bytes = 2 * size_t{count_};
+    if (kLeafHeaderSize + table_bytes > data.size()) {
+      return Status::Corruption("leaf offset table overruns its page");
+    }
+    table_ = data.data() + kLeafHeaderSize;
+    entries_ = table_ + table_bytes;
+    entries_len_ = data.size() - kLeafHeaderSize - table_bytes;
+    idx_ = 0;
+    return Status::OK();
+  }
+
+  /// Where entry `i`'s bytes start in the leaf, as a reader to its end.
+  Status EntryAt(uint16_t i, BytesReader* out) const {
+    uint16_t off;
+    std::memcpy(&off, table_ + 2 * size_t{i}, 2);
+    if (off >= entries_len_) {
+      return Status::Corruption("leaf entry offset out of range");
+    }
+    *out = BytesReader(entries_ + off, entries_len_ - off);
+    return Status::OK();
+  }
+
+  /// First entry index in [from, count_) whose key is not below `bound`
+  /// (BoundCompare is monotone along a leaf's key order); count_ if none.
+  /// The entry at `from` is tried first: sorted batches often land there.
+  Result<uint16_t> LowerBound(uint16_t from, const CompositeKey& bound) {
+    auto below = [&](uint16_t i) -> Result<bool> {
+      BytesReader r(nullptr, 0);
+      ASTERIX_RETURN_NOT_OK(EntryAt(i, &r));
+      ASTERIX_RETURN_NOT_OK(DeserializeKey(&r, &probe_));
+      return BoundCompare(probe_, bound) < 0;
+    };
+    if (from >= count_) return count_;
+    ASTERIX_ASSIGN_OR_RETURN(bool first_below, below(from));
+    if (!first_below) return from;
+    uint16_t lo = static_cast<uint16_t>(from + 1), hi = count_;
+    while (lo < hi) {
+      uint16_t mid = static_cast<uint16_t>((lo + hi) / 2);
+      ASTERIX_ASSIGN_OR_RETURN(bool mid_below, below(mid));
+      if (mid_below) {
+        lo = static_cast<uint16_t>(mid + 1);
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  /// Follows the leaf chain past an exhausted leaf, then decodes the entry
+  /// at idx_.
+  Status Settle() {
+    while (idx_ >= count_) {
+      if (next_ == kNoPage) {
+        valid_ = false;
+        return Status::OK();
+      }
+      ASTERIX_ASSIGN_OR_RETURN(PagePtr page, Fetch(next_));
+      ASTERIX_RETURN_NOT_OK(LoadLeaf(std::move(page)));
+      fences_valid_ = false;  // reached sideways: no fence known
+    }
+    return DecodeEntry();
+  }
+
+  Status DecodeEntry() {
+    valid_ = true;
+    BytesReader r(nullptr, 0);
+    ASTERIX_RETURN_NOT_OK(EntryAt(idx_, &r));
+    const uint8_t* start = entries_ + (entries_len_ - r.remaining());
+    ASTERIX_RETURN_NOT_OK(DeserializeKey(&r, &key_));
+    uint8_t flags;
+    ASTERIX_RETURN_NOT_OK(r.GetU8(&flags));
+    antimatter_ = (flags & kFlagAntimatter) != 0;
+    overflow_ = (flags & kFlagOverflow) != 0;
+    if (overflow_) {
+      uint32_t len;
+      ASTERIX_RETURN_NOT_OK(r.GetU64(&overflow_off_));
+      ASTERIX_RETURN_NOT_OK(r.GetU32(&len));
+      payload_len_ = len;
+      return Status::OK();
+    }
+    uint64_t len;
+    ASTERIX_RETURN_NOT_OK(r.GetVarint(&len));
+    if (len > r.remaining()) return Status::Corruption("truncated leaf entry");
+    inline_ = start + r.position();
+    payload_len_ = static_cast<size_t>(len);
+    return Status::OK();
+  }
+
+  const BTreeReader* tree_;
+  std::vector<Level> path_;  // interior nodes, root first
+  bool fences_valid_ = false;
+  bool leaf_bounded_ = false;
+  CompositeKey leaf_hi_;  // the current leaf's keys are below this
+  const CompositeKey* last_ = nullptr;  // the previous Find's key
+  PagePtr page_;  // pins the current leaf
+  uint32_t next_ = kNoPage;
+  uint16_t count_ = 0;
+  const uint8_t* table_ = nullptr;
+  const uint8_t* entries_ = nullptr;
+  size_t entries_len_ = 0;
+  uint16_t idx_ = 0;
+  bool valid_ = false;
+  // The entry at idx_.
+  CompositeKey key_;
+  bool antimatter_ = false;
+  bool overflow_ = false;
+  const uint8_t* inline_ = nullptr;
+  uint64_t overflow_off_ = 0;
+  size_t payload_len_ = 0;
+  std::vector<uint8_t> overflow_buf_;
+  CompositeKey probe_;  // scratch key for searches
+};
+
+Status BTreeReader::RangeScanView(const ScanBounds& bounds,
+                                  const EntryViewCallback& cb) const {
+  Cursor c(this);
+  ASTERIX_RETURN_NOT_OK(c.Seek(bounds.lo.has_value() ? &*bounds.lo : nullptr));
+  while (c.Valid()) {
+    int where = BoundsPosition(c.key(), bounds);
+    if (where > 0) break;
+    if (where == 0) ASTERIX_RETURN_NOT_OK(c.View(cb));
+    ASTERIX_RETURN_NOT_OK(c.Next());
   }
   return Status::OK();
 }
 
-Result<uint32_t> BTreeReader::DescendToLeaf(const ScanBounds& bounds) const {
-  uint32_t page_no = root_page_;
-  for (int depth = 0; depth < 64; ++depth) {
-    auto page_r = cache_->GetPage(file_, page_no);
-    if (!page_r.ok()) return page_r.status();
-    const PageData& page = *page_r.value();
-    if (page.empty()) return Status::Corruption("empty page");
-    if (page[0] == kLeafPage) return page_no;
-    if (page[0] != kInteriorPage) return Status::Corruption("bad page kind");
-    uint16_t count;
-    std::memcpy(&count, page.data() + 1, 2);
-    std::vector<uint32_t> children(count);
-    std::memcpy(children.data(), page.data() + kInteriorHeaderSize, 4 * count);
-    if (!bounds.lo.has_value() || count <= 1) {
-      page_no = children[0];
-      continue;
-    }
-    // Binary search the separators (count-1 of them) for the leftmost child
-    // that can contain keys >= lo: child j holds keys < sep[j], so we want
-    // the first j whose sep[j] >= lo (in bound-prefix order).
-    const uint8_t* table = page.data() + kInteriorHeaderSize +
-                           4 * static_cast<size_t>(count);
-    const uint8_t* seps =
-        table + 2 * (static_cast<size_t>(count) - 1);
-    size_t seps_len = page.size() - static_cast<size_t>(seps - page.data());
-    auto sep_at = [&](size_t j, CompositeKey* out) {
-      uint16_t off;
-      std::memcpy(&off, table + 2 * j, 2);
-      BytesReader sr(seps + off, seps_len - off);
-      return DeserializeKey(&sr, out);
-    };
-    size_t lo_i = 0, hi_i = static_cast<size_t>(count) - 1;
-    while (lo_i < hi_i) {
-      size_t mid = (lo_i + hi_i) / 2;
-      CompositeKey sep;
-      ASTERIX_RETURN_NOT_OK(sep_at(mid, &sep));
-      if (BoundCompare(sep, *bounds.lo) < 0) {
-        lo_i = mid + 1;
-      } else {
-        hi_i = mid;
-      }
-    }
-    page_no = children[lo_i];
-  }
-  return Status::Corruption("btree too deep (cycle?)");
-}
-
 Status BTreeReader::RangeScan(const ScanBounds& bounds,
                               const EntryCallback& cb) const {
-  auto leaf_r = DescendToLeaf(bounds);
-  if (!leaf_r.ok()) return leaf_r.status();
-  uint32_t page_no = leaf_r.value();
-  bool first_leaf = true;
-  while (page_no != kNoPage) {
-    auto page_r = cache_->GetPage(file_, page_no);
-    if (!page_r.ok()) return page_r.status();
-    const PageData& page = *page_r.value();
-    if (page.empty() || page[0] != kLeafPage) {
-      return Status::Corruption("expected leaf page");
+  IndexEntry e;
+  return RangeScanView(bounds, [&](const EntryView& v) {
+    e.key = v.key;
+    e.antimatter = v.antimatter;
+    e.payload.assign(v.payload, v.payload + v.payload_size);
+    return cb(e);
+  });
+}
+
+Status BTreeReader::MultiGet(
+    const std::vector<CompositeKey>& keys,
+    const std::function<Status(size_t i, const EntryView& e)>& cb) const {
+  if (num_entries_ == 0) return Status::OK();
+  Cursor c(this);
+  for (size_t i = 0; i < keys.size();) {
+    // Every duplicate of the key in the batch shares one resolution.
+    size_t end = i + 1;
+    while (end < keys.size() && CompareKeys(keys[end], keys[i]) == 0) ++end;
+    bool found = false;
+    ASTERIX_RETURN_NOT_OK(c.Find(keys[i], &found));
+    if (found) {
+      ASTERIX_RETURN_NOT_OK(c.View([&](const EntryView& v) {
+        for (size_t j = i; j < end; ++j) ASTERIX_RETURN_NOT_OK(cb(j, v));
+        return Status::OK();
+      }));
     }
-    uint32_t next;
-    uint16_t count;
-    std::memcpy(&next, page.data() + 1, 4);
-    std::memcpy(&count, page.data() + 5, 2);
-    const uint8_t* table = page.data() + kLeafHeaderSize;
-    const uint8_t* entries = table + 2 * static_cast<size_t>(count);
-    size_t entries_len = page.size() - kLeafHeaderSize - 2 * static_cast<size_t>(count);
-    auto entry_at = [&](uint16_t i, IndexEntry* out) {
-      uint16_t off;
-      std::memcpy(&off, table + 2 * static_cast<size_t>(i), 2);
-      BytesReader er(entries + off, entries_len - off);
-      return LoadEntry(&er, out);
-    };
-    uint16_t start = 0;
-    if (first_leaf && bounds.lo.has_value() && count > 0) {
-      // Binary search the first entry meeting the lower bound
-      // (BoundCompare is monotone along the leaf's key order).
-      uint16_t lo_i = 0, hi_i = count;
-      while (lo_i < hi_i) {
-        uint16_t mid = static_cast<uint16_t>((lo_i + hi_i) / 2);
-        IndexEntry probe;
-        ASTERIX_RETURN_NOT_OK(entry_at(mid, &probe));
-        if (BoundCompare(probe.key, *bounds.lo) < 0) {
-          lo_i = static_cast<uint16_t>(mid + 1);
-        } else {
-          hi_i = mid;
-        }
-      }
-      start = lo_i;
-    }
-    first_leaf = false;
-    for (uint16_t i = start; i < count; ++i) {
-      IndexEntry e;
-      ASTERIX_RETURN_NOT_OK(entry_at(i, &e));
-      int where = BoundsPosition(e.key, bounds);
-      if (where > 0) return Status::OK();
-      if (where == 0) ASTERIX_RETURN_NOT_OK(cb(e));
-    }
-    page_no = next;
+    i = end;
   }
   return Status::OK();
 }
@@ -389,17 +621,15 @@ Status BTreeReader::PointLookup(const CompositeKey& key, bool* found,
   *found = false;
   if (num_entries_ == 0) return Status::OK();
   if (!MayContain(key)) return Status::OK();
-  ScanBounds bounds;
-  bounds.lo = key;
-  bounds.hi = key;
-  Status cb_status = RangeScan(bounds, [&](const IndexEntry& e) {
-    if (CompareKeys(e.key, key) == 0) {
-      *found = true;
-      *out = e;
-    }
+  Cursor c(this);
+  ASTERIX_RETURN_NOT_OK(c.Find(key, found));
+  if (!*found) return Status::OK();
+  return c.View([&](const EntryView& v) {
+    out->key = v.key;
+    out->antimatter = v.antimatter;
+    out->payload.assign(v.payload, v.payload + v.payload_size);
     return Status::OK();
   });
-  return cb_status;
 }
 
 }  // namespace storage

@@ -32,6 +32,17 @@ int BoundsPosition(const CompositeKey& key, const ScanBounds& bounds);
 
 using EntryCallback = std::function<Status(const IndexEntry&)>;
 
+/// A leaf entry read in place: its key, and its payload as a view into the
+/// pinned leaf page (or into the reading cursor's overflow buffer). Valid
+/// only inside the callback that receives it.
+struct EntryView {
+  const CompositeKey& key;
+  bool antimatter;
+  const uint8_t* payload;
+  size_t payload_size;
+};
+using EntryViewCallback = std::function<Status(const EntryView&)>;
+
 /// Writes an immutable, paged B+-tree file from entries that MUST be sorted
 /// by key and unique. This is the bulk loader used for every LSM flush and
 /// merge (LSM disk components are never updated in place).
@@ -82,6 +93,19 @@ class BTreeReader {
 
   /// In-order scan of all entries within bounds.
   Status RangeScan(const ScanBounds& bounds, const EntryCallback& cb) const;
+  /// RangeScan without copying payloads out of the page.
+  Status RangeScanView(const ScanBounds& bounds,
+                       const EntryViewCallback& cb) const;
+
+  /// Sorted batch lookup of full keys (ascending; duplicates allowed): `cb`
+  /// gets (i, entry) for every keys[i] the tree holds, tombstones included,
+  /// in ascending i. One descent serves every key of a leaf, and the next
+  /// leaf's descent starts from the deepest interior node whose key range
+  /// holds its key. The bloom filter is not consulted — callers screen keys
+  /// with MayContain first, as the LSM layer does to account per key.
+  Status MultiGet(const std::vector<CompositeKey>& keys,
+                  const std::function<Status(size_t i, const EntryView& e)>& cb)
+      const;
 
   uint64_t num_entries() const { return num_entries_; }
   const CompositeKey& min_key() const { return min_key_; }
@@ -92,10 +116,9 @@ class BTreeReader {
   }
 
  private:
-  BTreeReader() = default;
+  class Cursor;
 
-  Status LoadEntry(BytesReader* r, IndexEntry* out) const;
-  Result<uint32_t> DescendToLeaf(const ScanBounds& bounds) const;
+  BTreeReader() = default;
 
   BufferCache* cache_ = nullptr;
   FileId file_ = 0;

@@ -69,7 +69,8 @@ struct ProjectedScanStats {
 using ProjectedEntryCallback = std::function<Status(
     const CompositeKey& key, bool antimatter, const adm::Value& record)>;
 
-/// Row-format fallback: keep only the projected fields of a full record.
+/// Keeps only the projected fields of a full record: the answer a projected
+/// decode (adm::ProjectedDecoder) of the record's image must give.
 adm::Value ProjectRecord(const adm::Value& record, const Projection& p);
 
 /// True when values spanning [min, max] may satisfy the range — i.e. the

@@ -33,11 +33,12 @@ class DiskComponentReader {
                            const EntryCallback& cb) const = 0;
 
   /// Column-aware scan: materializes only the projection's fields as record
-  /// values. Row components fall back to deserialize-then-project (and so
-  /// read every byte); column components touch only the needed column
-  /// pages. When `allow_pruning`, page groups proven empty by min/max
-  /// stats may be skipped wholesale — only sound when the caller does not
-  /// need this component's rows for cross-component LSM resolution.
+  /// values. Row components read every payload byte but decode only the
+  /// projected fields, in place in the leaf page; column components touch
+  /// only the needed column pages. When `allow_pruning`, page groups proven
+  /// empty by min/max stats may be skipped wholesale — only sound when the
+  /// caller does not need this component's rows for cross-component LSM
+  /// resolution.
   virtual Status ProjectedScan(const ScanBounds& bounds,
                                const column::Projection& proj,
                                bool allow_pruning,
@@ -46,9 +47,10 @@ class DiskComponentReader {
 
   /// Batch lookup of `keys` (ascending; duplicates allowed). For each key
   /// the component holds, `cb` gets its entry in ascending `i`, with only
-  /// the projection's fields materialized. Row components probe the
-  /// B+-tree per key; column components decode each touched row group
-  /// once, and only the projected columns.
+  /// the projection's fields materialized. Row components resolve the
+  /// batch with one sorted B+-tree MultiGet (one descent per leaf); column
+  /// components decode each touched row group once, and only the projected
+  /// columns.
   virtual Status MultiGet(const std::vector<CompositeKey>& keys,
                           const column::Projection& proj,
                           const MultiGetCallback& cb) const = 0;

@@ -28,6 +28,7 @@ void SerializeKey(const CompositeKey& k, BytesWriter* w) {
 Status DeserializeKey(BytesReader* r, CompositeKey* out) {
   uint64_t n;
   ASTERIX_RETURN_NOT_OK(r->GetVarint(&n));
+  if (n > r->remaining()) return Status::Corruption("truncated key");
   out->clear();
   out->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

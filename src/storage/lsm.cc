@@ -99,36 +99,46 @@ std::vector<uint8_t> EncodeRowPayload(const std::vector<uint8_t>& payload) {
   return out;
 }
 
-Status DecodeRowPayload(std::vector<uint8_t>* payload) {
-  if (payload->empty()) return Status::Corruption("empty framed payload");
-  uint8_t codec = (*payload)[0];
-  if (codec == 0) {
-    payload->erase(payload->begin());
+/// The logical payload of a stored row image, read in place: `*data` points
+/// into `stored` for a raw frame, or into `scratch` for an inflated one.
+Status UnframeRowPayload(const uint8_t* stored, size_t size,
+                         std::vector<uint8_t>* scratch, const uint8_t** data,
+                         size_t* len) {
+  if (size == 0) return Status::Corruption("empty framed payload");
+  if (stored[0] == 0) {
+    *data = stored + 1;
+    *len = size - 1;
     return Status::OK();
   }
-  if (codec != 1) return Status::Corruption("unknown payload codec");
-  std::vector<uint8_t> out;
-  ASTERIX_RETURN_NOT_OK(LzDecompress(payload->data() + 1, payload->size() - 1, &out));
-  *payload = std::move(out);
+  if (stored[0] != 1) return Status::Corruption("unknown payload codec");
+  ASTERIX_RETURN_NOT_OK(LzDecompress(stored + 1, size - 1, scratch));
+  *data = scratch->data();
+  *len = scratch->size();
   return Status::OK();
 }
 
-/// Deserializes a stored record image and keeps only the projection's
-/// fields: how the row layout and the memtables serve projected reads.
-Status DecodeProjected(const std::vector<uint8_t>& payload,
-                       const adm::DatatypePtr& type,
-                       const column::Projection& proj, adm::Value* out) {
-  BytesReader r(payload);
-  adm::Value rec;
-  ASTERIX_RETURN_NOT_OK(adm::DeserializeTyped(&r, type, &rec));
-  *out = column::ProjectRecord(rec, proj);
+Status DecodeRowPayload(std::vector<uint8_t>* payload) {
+  std::vector<uint8_t> plain;
+  const uint8_t* data = nullptr;
+  size_t len = 0;
+  ASTERIX_RETURN_NOT_OK(
+      UnframeRowPayload(payload->data(), payload->size(), &plain, &data, &len));
+  if (data != plain.data()) plain.assign(data, data + len);
+  *payload = std::move(plain);
   return Status::OK();
+}
+
+/// A memtable's record image, decoded through `dec`.
+Status DecodeMemRecord(const std::vector<uint8_t>& payload,
+                       const adm::ProjectedDecoder& dec, adm::Value* out) {
+  BytesReader r(payload);
+  return dec.Decode(&r, out);
 }
 
 /// Adapts the row-major B+-tree component to the DiskComponentReader
-/// interface. ProjectedScan and MultiGet are fallbacks: the row layout must
-/// read and deserialize every record regardless of the projection — the
-/// cost gap the column format exists to close.
+/// interface. Projected reads decode each record straight from the leaf
+/// page, materializing only the projection's fields; the row layout still
+/// reads every payload byte — the cost gap the column format closes.
 class RowComponentReader : public DiskComponentReader {
  public:
   RowComponentReader(std::shared_ptr<BTreeReader> btree, adm::DatatypePtr type,
@@ -148,10 +158,20 @@ class RowComponentReader : public DiskComponentReader {
   Status RangeScan(const ScanBounds& bounds,
                    const EntryCallback& cb) const override {
     if (!compressed_) return btree_->RangeScan(bounds, cb);
-    return btree_->RangeScan(bounds, [&](const IndexEntry& e) {
-      if (e.antimatter) return cb(e);
-      IndexEntry plain = e;
-      ASTERIX_RETURN_NOT_OK(DecodeRowPayload(&plain.payload));
+    IndexEntry plain;
+    std::vector<uint8_t> scratch;
+    return btree_->RangeScanView(bounds, [&](const EntryView& e) {
+      plain.key = e.key;
+      plain.antimatter = e.antimatter;
+      if (e.antimatter) {
+        plain.payload.assign(e.payload, e.payload + e.payload_size);
+        return cb(plain);
+      }
+      const uint8_t* data = nullptr;
+      size_t len = 0;
+      ASTERIX_RETURN_NOT_OK(
+          UnframeRowPayload(e.payload, e.payload_size, &scratch, &data, &len));
+      plain.payload.assign(data, data + len);
       return cb(plain);
     });
   }
@@ -161,35 +181,24 @@ class RowComponentReader : public DiskComponentReader {
                        const column::ProjectedEntryCallback& cb,
                        column::ProjectedScanStats* stats) const override {
     (void)allow_pruning;  // no page stats in the row layout
-    return btree_->RangeScan(bounds, [&](const IndexEntry& e) {
-      if (stats != nullptr) stats->bytes_read += e.payload.size();
+    Decoder dec(*this, proj);
+    return btree_->RangeScanView(bounds, [&](const EntryView& e) {
+      if (stats != nullptr) stats->bytes_read += e.payload_size;
       if (e.antimatter) return cb(e.key, true, adm::Value::Missing());
-      std::vector<uint8_t> payload = e.payload;
-      if (compressed_) ASTERIX_RETURN_NOT_OK(DecodeRowPayload(&payload));
-      adm::Value rec;
-      ASTERIX_RETURN_NOT_OK(DecodeProjected(payload, type_, proj, &rec));
-      return cb(e.key, false, rec);
+      ASTERIX_RETURN_NOT_OK(dec.Decode(e));
+      return cb(e.key, false, dec.record);
     });
   }
 
   Status MultiGet(const std::vector<CompositeKey>& keys,
                   const column::Projection& proj,
                   const MultiGetCallback& cb) const override {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      bool found = false;
-      IndexEntry e;
-      ASTERIX_RETURN_NOT_OK(btree_->PointLookup(keys[i], &found, &e));
-      if (!found) continue;
-      if (e.antimatter) {
-        ASTERIX_RETURN_NOT_OK(cb(i, true, adm::Value::Missing()));
-        continue;
-      }
-      if (compressed_) ASTERIX_RETURN_NOT_OK(DecodeRowPayload(&e.payload));
-      adm::Value rec;
-      ASTERIX_RETURN_NOT_OK(DecodeProjected(e.payload, type_, proj, &rec));
-      ASTERIX_RETURN_NOT_OK(cb(i, false, rec));
-    }
-    return Status::OK();
+    Decoder dec(*this, proj);
+    return btree_->MultiGet(keys, [&](size_t i, const EntryView& e) {
+      if (e.antimatter) return cb(i, true, adm::Value::Missing());
+      ASTERIX_RETURN_NOT_OK(dec.Decode(e));
+      return cb(i, false, dec.record);
+    });
   }
 
   bool MayContain(const CompositeKey& key) const override {
@@ -197,6 +206,30 @@ class RowComponentReader : public DiskComponentReader {
   }
 
  private:
+  /// One read's decoding state: the projection's plan, the buffer a
+  /// compressed payload inflates into, and the last record decoded.
+  struct Decoder {
+    Decoder(const RowComponentReader& reader, const column::Projection& proj)
+        : compressed(reader.compressed_),
+          plan(reader.type_, proj.all_fields, proj.fields) {}
+
+    Status Decode(const EntryView& e) {
+      const uint8_t* data = e.payload;
+      size_t len = e.payload_size;
+      if (compressed) {
+        ASTERIX_RETURN_NOT_OK(UnframeRowPayload(e.payload, e.payload_size,
+                                                &scratch, &data, &len));
+      }
+      BytesReader r(data, len);
+      return plan.Decode(&r, &record);
+    }
+
+    bool compressed;
+    adm::ProjectedDecoder plan;
+    std::vector<uint8_t> scratch;
+    adm::Value record;
+  };
+
   std::shared_ptr<BTreeReader> btree_;
   adm::DatatypePtr type_;
   bool compressed_;
@@ -1007,6 +1040,8 @@ Status LsmBTree::MultiGet(
   std::vector<uint8_t> state(keys.size(), kOpen);
   std::vector<adm::Value> records(keys.size());
   size_t open = keys.size();
+  const adm::ProjectedDecoder dec(options_.record_type, proj.all_fields,
+                                  proj.fields);
   {
     std::shared_lock lock(mu_);
     for (const MemTable* t :
@@ -1021,8 +1056,8 @@ Status LsmBTree::MultiGet(
           state[i] = kDead;
           continue;
         }
-        ASTERIX_RETURN_NOT_OK(DecodeProjected(
-            it->second.payload, options_.record_type, proj, &records[i]));
+        ASTERIX_RETURN_NOT_OK(
+            DecodeMemRecord(it->second.payload, dec, &records[i]));
         state[i] = kLive;
       }
     }
@@ -1139,6 +1174,8 @@ Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
     adm::Value record;
   };
   std::vector<std::vector<ProjRow>> runs(2 + disk_.size());  // newest first
+  const adm::ProjectedDecoder dec(options_.record_type, proj.all_fields,
+                                  proj.fields);
   auto collect_mem = [&](const MemTable& table, std::vector<ProjRow>* run) {
     return ForEachInBounds(
         table, bounds, [&](const CompositeKey& key, const MemEntry& e) {
@@ -1147,8 +1184,7 @@ Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
           row.antimatter = e.antimatter;
           if (stats != nullptr) stats->bytes_read += e.payload.size();
           if (!e.antimatter) {
-            ASTERIX_RETURN_NOT_OK(DecodeProjected(
-                e.payload, options_.record_type, proj, &row.record));
+            ASTERIX_RETURN_NOT_OK(DecodeMemRecord(e.payload, dec, &row.record));
           }
           run->push_back(std::move(row));
           return Status::OK();

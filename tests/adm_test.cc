@@ -7,6 +7,7 @@
 #include "adm/temporal.h"
 #include "adm/type.h"
 #include "adm/value.h"
+#include "storage/column/projection.h"
 
 namespace asterix {
 namespace adm {
@@ -376,6 +377,210 @@ TEST(SerdeTest, MissingRequiredFieldFailsTypedSerialization) {
   Value v = Value::Record({});
   BytesWriter w;
   EXPECT_FALSE(SerializeTyped(v, type, &w).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Projected decoding: equals deserialize-then-project, and never reads past
+// the end of a truncated payload
+// ---------------------------------------------------------------------------
+
+DatatypePtr ProjectedTestType(bool open) {
+  auto inner = Datatype::MakeRecord(
+      "Inner",
+      {{"x", Datatype::Primitive(TypeTag::kInt32), false},
+       {"tags",
+        Datatype::MakeOrderedList(Datatype::Primitive(TypeTag::kString)),
+        true}},
+      /*open=*/true);
+  return Datatype::MakeRecord(
+      open ? "OpenP" : "ClosedP",
+      {{"id", Datatype::Primitive(TypeTag::kInt64), false},
+       {"name", Datatype::Primitive(TypeTag::kString), true},
+       {"score", Datatype::Primitive(TypeTag::kDouble), true},
+       {"since", Datatype::Primitive(TypeTag::kDatetime), true},
+       {"loc", Datatype::Primitive(TypeTag::kPoint), true},
+       {"area", Datatype::Primitive(TypeTag::kPolygon), true},
+       {"flag", Datatype::Primitive(TypeTag::kBoolean), true},
+       {"nested", inner, true},
+       {"nums", Datatype::MakeBag(Datatype::Primitive(TypeTag::kInt64)), true},
+       {"anything", Datatype::Any(), true}},
+      open);
+}
+
+const std::vector<std::string>& ProjectedTestNames() {
+  static const std::vector<std::string> names = {
+      "id",   "name",   "score", "since",    "loc", "area", "flag", "nested",
+      "nums", "anything", "o0",  "o1",       "o2",  "o3",   "nope"};
+  return names;
+}
+
+// A record of ProjectedTestType: optional fields absent, null or present;
+// open fields (open type only) with random self-describing values.
+Value RandomProjectedRecord(std::mt19937* rng, bool open) {
+  RecordBuilder b;
+  b.Add("id", Value::Int64(static_cast<int64_t>((*rng)() % 100000)));
+  auto optional = [&](const std::string& name, const std::function<Value()>& make) {
+    switch ((*rng)() % 4) {
+      case 0: return;
+      case 1: b.Add(name, Value::Null()); return;
+      default: b.Add(name, make()); return;
+    }
+  };
+  optional("name", [&] { return Value::String(std::string((*rng)() % 30, 'n')); });
+  optional("score", [&] { return Value::Double(((*rng)() % 1000) / 8.0); });
+  optional("since", [&] { return Value::Datetime(static_cast<int64_t>((*rng)()) * 1000); });
+  optional("loc", [&] { return Value::Point((*rng)() % 90, (*rng)() % 90); });
+  optional("area", [&] {
+    std::vector<GeoPoint> pts;
+    for (size_t i = 0, n = 3 + (*rng)() % 3; i < n; ++i) {
+      pts.push_back({((*rng)() % 100) * 1.0, ((*rng)() % 100) * 1.0});
+    }
+    return Value::Polygon(std::move(pts));
+  });
+  optional("flag", [&] { return Value::Boolean((*rng)() % 2 == 0); });
+  optional("nested", [&] {
+    RecordBuilder inner;
+    inner.Add("x", Value::Int32(static_cast<int32_t>((*rng)() % 500)));
+    if ((*rng)() % 2 == 0) {
+      std::vector<Value> tags;
+      for (size_t i = 0, n = (*rng)() % 4; i < n; ++i) {
+        tags.push_back(Value::String("t" + std::to_string((*rng)() % 50)));
+      }
+      inner.Add("tags", Value::OrderedList(std::move(tags)));
+    }
+    if ((*rng)() % 3 == 0) inner.Add("y", RandomValue(rng, 1));
+    return inner.Build();
+  });
+  optional("nums", [&] {
+    std::vector<Value> nums;
+    for (size_t i = 0, n = (*rng)() % 5; i < n; ++i) {
+      nums.push_back(Value::Int64(static_cast<int64_t>((*rng)() % 1000) - 500));
+    }
+    return Value::Bag(std::move(nums));
+  });
+  optional("anything", [&] {
+    Value v = RandomValue(rng, 1);
+    return v.IsNull() ? Value::String("not-null") : v;
+  });
+  if (open) {
+    for (int i = 0; i < 4; ++i) {
+      if ((*rng)() % 2 == 0) b.Add("o" + std::to_string(i), RandomValue(rng, 1));
+    }
+  }
+  return b.Build();
+}
+
+std::vector<storage::column::Projection> ProjectionsUnderTest(std::mt19937* rng) {
+  using storage::column::Projection;
+  const auto& names = ProjectedTestNames();
+  std::vector<Projection> out = {Projection::All(), Projection::Of({}),
+                                 Projection::Of(names)};
+  for (int i = 0; i < 4; ++i) {
+    std::vector<std::string> pick;
+    for (size_t j = 0, n = 1 + (*rng)() % 3; j < n; ++j) {
+      pick.push_back(names[(*rng)() % names.size()]);
+    }
+    out.push_back(Projection::Of(std::move(pick)));
+  }
+  return out;
+}
+
+ProjectedDecoder DecoderFor(const DatatypePtr& type,
+                            const storage::column::Projection& proj) {
+  return ProjectedDecoder(type, proj.all_fields, proj.fields);
+}
+
+TEST(ProjectedDecodeTest, EqualsDeserializeThenProject) {
+  std::mt19937 rng(2024);
+  for (bool open : {true, false}) {
+    DatatypePtr type = ProjectedTestType(open);
+    for (int i = 0; i < 300; ++i) {
+      Value rec = RandomProjectedRecord(&rng, open);
+      BytesWriter w;
+      ASSERT_TRUE(SerializeTyped(rec, type, &w).ok()) << rec.ToString();
+      BytesReader full_r(w.data());
+      Value full;
+      ASSERT_TRUE(DeserializeTyped(&full_r, type, &full).ok());
+      ASSERT_EQ(full_r.remaining(), 0u);
+      BytesReader skip_r(w.data());
+      ASSERT_TRUE(SkipTyped(&skip_r, type).ok());
+      EXPECT_EQ(skip_r.remaining(), 0u);
+
+      for (const auto& proj : ProjectionsUnderTest(&rng)) {
+        BytesReader r(w.data());
+        Value got;
+        ASSERT_TRUE(DecoderFor(type, proj).Decode(&r, &got).ok());
+        Value want = storage::column::ProjectRecord(full, proj);
+        EXPECT_EQ(got.ToString(), want.ToString()) << proj.ToString();
+        EXPECT_TRUE(got.Equals(want));
+      }
+    }
+  }
+}
+
+TEST(ProjectedDecodeTest, SchemalessRecordsProjectByName) {
+  std::mt19937 rng(99);
+  for (int i = 0; i < 200; ++i) {
+    Value rec = RandomProjectedRecord(&rng, /*open=*/true);
+    Value v = i % 5 == 0 ? RandomValue(&rng, 0) : rec;
+    BytesWriter w;
+    SerializeValue(v, &w);
+    for (const auto& proj : ProjectionsUnderTest(&rng)) {
+      BytesReader r(w.data());
+      Value got;
+      ASSERT_TRUE(DecoderFor(Datatype::Any(), proj).Decode(&r, &got).ok());
+      EXPECT_EQ(got.ToString(),
+                storage::column::ProjectRecord(v, proj).ToString());
+    }
+    BytesReader skip_r(w.data());
+    ASSERT_TRUE(SkipValue(&skip_r).ok());
+    EXPECT_EQ(skip_r.remaining(), 0u);
+  }
+}
+
+TEST(ProjectedDecodeTest, EveryTruncationIsCorruption) {
+  std::mt19937 rng(7);
+  for (bool open : {true, false}) {
+    DatatypePtr type = ProjectedTestType(open);
+    for (int i = 0; i < 40; ++i) {
+      Value rec = RandomProjectedRecord(&rng, open);
+      BytesWriter w;
+      ASSERT_TRUE(SerializeTyped(rec, type, &w).ok());
+      const std::vector<uint8_t>& bytes = w.data();
+      std::vector<storage::column::Projection> projs = ProjectionsUnderTest(&rng);
+      std::vector<Value> whole(projs.size());
+      for (size_t p = 0; p < projs.size(); ++p) {
+        BytesReader r(bytes);
+        ASSERT_TRUE(DecoderFor(type, projs[p]).Decode(&r, &whole[p]).ok());
+      }
+      for (size_t len = 0; len < bytes.size(); ++len) {
+        // An exact-size heap copy, so a read past its end is a sanitizer
+        // report rather than a silent read of the rest of the payload.
+        std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
+        const uint8_t* data = prefix.empty() ? nullptr : prefix.data();
+        Value v;
+        BytesReader d(data, len);
+        EXPECT_EQ(DeserializeTyped(&d, type, &v).code(), StatusCode::kCorruption)
+            << "len " << len;
+        BytesReader s(data, len);
+        EXPECT_EQ(SkipTyped(&s, type).code(), StatusCode::kCorruption)
+            << "len " << len;
+        for (size_t p = 0; p < projs.size(); ++p) {
+          BytesReader r(data, len);
+          Status st = DecoderFor(type, projs[p]).Decode(&r, &v);
+          if (projs[p].all_fields || projs[p].fields.size() > 10) {
+            // Reads every byte, so any truncation shows.
+            EXPECT_EQ(st.code(), StatusCode::kCorruption) << "len " << len;
+          } else if (st.ok()) {
+            // Stopped before the cut: the answer of the whole payload.
+            EXPECT_EQ(v.ToString(), whole[p].ToString()) << "len " << len;
+          } else {
+            EXPECT_EQ(st.code(), StatusCode::kCorruption) << "len " << len;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -213,6 +213,24 @@ TEST_F(CompilerPlansTest, SkipIndexHintForcesScan) {
   EXPECT_EQ(job.find("btree-search(sinceIdx)"), std::string::npos) << job;
 }
 
+TEST_F(CompilerPlansTest, WholeRecordScanCarriesItsRanges) {
+  ASSERT_TRUE(db_->Execute(R"aql(
+create dataverse Q; use dataverse Q;
+create type MemberT as { id: int64, user-since: datetime }
+create dataset Users(MemberT) primary key id;)aql").ok());
+  auto r = db_->Explain(
+      "use dataverse Q;\nfor $u in dataset Users where $u.user-since >= "
+      "datetime(\"2012-01-01T00:00:00\") return $u;");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::string& job = r.value().job_plan;
+  // The scan reads whole records (no project=[...]) and still carries the
+  // sargable range for min/max pruning; the select above stays exact.
+  EXPECT_NE(job.find("scan(Users) range=[user-since>="), std::string::npos)
+      << job;
+  EXPECT_EQ(job.find("project="), std::string::npos) << job;
+  EXPECT_NE(job.find("select"), std::string::npos) << job;
+}
+
 TEST_F(CompilerPlansTest, AggregationSplitCanBeDisabled) {
   // Rebuild an instance with the split turned off (the ablation switch).
   api::InstanceConfig config;

@@ -407,6 +407,25 @@ create dataset D(T) primary key id;
   EXPECT_EQ(fresh.value().values[0].AsInt(), 0);
 }
 
+TEST_F(ServingTest, UnrelatedDdlKeepsCachedFunctionCalls) {
+  // count(...) resolves a function name, which ties the entry to the
+  // function catalog; DDL that leaves that catalog alone must not evict it.
+  ASSERT_TRUE(db_->Serve(kCountQuery).ok());
+  ASSERT_TRUE(db_->Serve(kCountQuery).value().from_cache);
+  ASSERT_TRUE(db_->Execute("create dataverse Z;").ok());
+  auto kept = db_->Serve(kCountQuery);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_TRUE(kept.value().from_cache);
+  EXPECT_EQ(kept.value().values[0].AsInt(), 200);
+
+  ASSERT_TRUE(
+      db_->Execute("use dataverse S; create function inc($x) { $x + 1 };").ok());
+  auto evicted = db_->Serve(kCountQuery);
+  ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
+  EXPECT_FALSE(evicted.value().from_cache);
+  EXPECT_EQ(evicted.value().values[0].AsInt(), 200);
+}
+
 TEST_F(ServingTest, MutatingScriptsBypassTheCache) {
   auto ins = db_->Serve(
       R"aql(insert into dataset S.D ([{ "id": 900, "v": 0 }]);)aql");

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 
+#include "adm/serde.h"
 #include "common/env.h"
+#include "storage/lsm.h"
 
 namespace asterix {
 namespace storage {
@@ -228,6 +231,303 @@ TEST_F(BTreeTest, BoundCompareSemantics) {
   EXPECT_LT(BoundCompare(ab, b), 0);
   EXPECT_GT(BoundCompare(b, a), 0);
 }
+
+// ---------------------------------------------------------------------------
+// Cursor-based reads (RangeScan, PointLookup, sorted MultiGet) against a
+// reference map
+// ---------------------------------------------------------------------------
+
+struct RefEntry {
+  bool antimatter = false;
+  std::string payload;
+};
+
+std::string RandomText(std::mt19937_64* rng, size_t len) {
+  static const char kChars[] =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+  std::string s(len, ' ');
+  for (char& c : s) c = kChars[(*rng)() % (sizeof(kChars) - 1)];
+  return s;
+}
+
+TEST_F(BTreeTest, CursorReadsMatchReference) {
+  // Even keys 0..3998 are stored: some as antimatter, some with payloads
+  // past the overflow threshold (a quarter page). Small payloads keep the
+  // leaves short, so the probes below cross many leaf boundaries; probing
+  // every stored key covers every leaf's first key, which is also its
+  // separator in the parent.
+  std::mt19937_64 rng(20);
+  std::map<int64_t, RefEntry> ref;
+  BTreeBuilder builder(Path("cursor.btr"));
+  for (int64_t k = 0; k < 4000; k += 2) {
+    RefEntry e;
+    e.antimatter = rng() % 9 == 0;
+    if (!e.antimatter) {
+      size_t len = rng() % 11 == 0 ? 1100 + rng() % 3000 : rng() % 160;
+      e.payload = RandomText(&rng, len);
+    }
+    ASSERT_TRUE(builder.Add(MakeEntry(k, e.payload, e.antimatter)).ok());
+    ref[k] = e;
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  auto reader = BTreeReader::Open(cache_.get(), Path("cursor.btr")).take();
+
+  // Absent keys before, between and after the stored ones.
+  std::vector<int64_t> probes;
+  for (int64_t k = -5; k < 4010; ++k) probes.push_back(k);
+
+  for (int64_t k : probes) {
+    bool found = false;
+    IndexEntry e;
+    ASSERT_TRUE(reader->PointLookup({Value::Int64(k)}, &found, &e).ok());
+    auto it = ref.find(k);
+    ASSERT_EQ(found, it != ref.end()) << k;
+    if (!found) continue;
+    EXPECT_EQ(e.key[0].AsInt(), k);
+    EXPECT_EQ(e.antimatter, it->second.antimatter) << k;
+    EXPECT_EQ(std::string(e.payload.begin(), e.payload.end()),
+              it->second.payload)
+        << k;
+  }
+
+  auto check_batch = [&](std::vector<int64_t> batch) {
+    std::sort(batch.begin(), batch.end());
+    std::vector<CompositeKey> keys;
+    for (int64_t k : batch) keys.push_back({Value::Int64(k)});
+    std::vector<int> hits(keys.size(), 0);
+    size_t last = 0;
+    bool any = false;
+    Status st = reader->MultiGet(keys, [&](size_t i, const EntryView& v) {
+      EXPECT_TRUE(!any || i > last) << "hits must arrive in ascending i";
+      any = true;
+      last = i;
+      ++hits[i];
+      auto it = ref.find(batch[i]);
+      EXPECT_TRUE(it != ref.end()) << batch[i];
+      if (it == ref.end()) return Status::OK();
+      EXPECT_EQ(CompareKeys(v.key, keys[i]), 0);
+      EXPECT_EQ(v.antimatter, it->second.antimatter) << batch[i];
+      EXPECT_EQ(std::string(v.payload, v.payload + v.payload_size),
+                it->second.payload)
+          << batch[i];
+      return Status::OK();
+    });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      // Every duplicate of a stored key gets the hit.
+      EXPECT_EQ(hits[i], ref.count(batch[i]) ? 1 : 0) << batch[i];
+    }
+  };
+  check_batch(probes);
+  for (int round = 0; round < 60; ++round) {
+    std::vector<int64_t> batch;
+    size_t n = 1 + rng() % 300;
+    for (size_t j = 0; j < n; ++j) {
+      int64_t k = -5 + static_cast<int64_t>(rng() % 4015);
+      batch.push_back(k);
+      if (rng() % 4 == 0) batch.push_back(k);
+    }
+    check_batch(batch);
+  }
+
+  for (int round = 0; round < 60; ++round) {
+    ScanBounds b;
+    int64_t lo = -5 + static_cast<int64_t>(rng() % 4015);
+    int64_t hi = lo + static_cast<int64_t>(rng() % 600);
+    if (rng() % 5 != 0) {
+      b.lo = CompositeKey{Value::Int64(lo)};
+      b.lo_inclusive = rng() % 2 == 0;
+    }
+    if (rng() % 5 != 0) {
+      b.hi = CompositeKey{Value::Int64(hi)};
+      b.hi_inclusive = rng() % 2 == 0;
+    }
+    std::vector<std::pair<int64_t, RefEntry>> want;
+    for (const auto& [k, e] : ref) {
+      if (BoundsPosition({Value::Int64(k)}, b) == 0) want.emplace_back(k, e);
+    }
+    std::vector<std::pair<int64_t, RefEntry>> got;
+    ASSERT_TRUE(reader->RangeScan(b, [&](const IndexEntry& e) {
+      got.emplace_back(e.key[0].AsInt(),
+                       RefEntry{e.antimatter, std::string(e.payload.begin(),
+                                                          e.payload.end())});
+      return Status::OK();
+    }).ok());
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].first, want[i].first);
+      EXPECT_EQ(got[i].second.antimatter, want[i].second.antimatter);
+      EXPECT_EQ(got[i].second.payload, want[i].second.payload);
+    }
+  }
+}
+
+TEST_F(BTreeTest, SortedMultiGetDescendsOncePerLeaf) {
+  BTreeBuilder builder(Path("descend.btr"));
+  std::vector<CompositeKey> keys;
+  for (int64_t k = 0; k < 20000; ++k) {
+    ASSERT_TRUE(builder.Add(MakeEntry(k, std::string(60, 'p'))).ok());
+    if (k % 3 == 0) keys.push_back({Value::Int64(k)});
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  auto reader = BTreeReader::Open(cache_.get(), Path("descend.btr")).take();
+  auto page_gets = [&] { return cache_->hits() + cache_->misses(); };
+
+  uint64_t before = page_gets();
+  size_t hits = 0;
+  ASSERT_TRUE(reader->MultiGet(keys, [&](size_t, const EntryView&) {
+    ++hits;
+    return Status::OK();
+  }).ok());
+  uint64_t batch_gets = page_gets() - before;
+  EXPECT_EQ(hits, keys.size());
+
+  before = page_gets();
+  for (const CompositeKey& k : keys) {
+    bool found = false;
+    IndexEntry e;
+    ASSERT_TRUE(reader->PointLookup(k, &found, &e).ok());
+    ASSERT_TRUE(found);
+  }
+  uint64_t single_gets = page_gets() - before;
+  // One descent, then one page per leaf: never more pages than the file
+  // has, against at least two (root + leaf) per key one at a time.
+  EXPECT_LE(batch_gets, reader->file_size_bytes() / kPageSize + 2);
+  EXPECT_GE(single_gets, 2 * keys.size());
+  EXPECT_LT(batch_gets * 10, single_gets)
+      << "batch=" << batch_gets << " single=" << single_gets;
+}
+
+// Plain and LZ-compressed row trees through the LSM layer: MultiGet,
+// ProjectedScan and PointLookup decode straight from leaf pages and must
+// agree with a reference, across a disk component of records (some with
+// overflow payloads), a newer one of overwrites and antimatter, and
+// unflushed memtable entries.
+class RowTreeReadTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    dir_ = env::NewScratchDir("row-tree-read");
+    cache_ = std::make_unique<BufferCache>(256);
+  }
+  void TearDown() override { env::RemoveAll(dir_); }
+
+  std::string dir_;
+  std::unique_ptr<BufferCache> cache_;
+};
+
+TEST_P(RowTreeReadTest, ProjectedReadsMatchReference) {
+  using adm::Datatype;
+  using adm::TypeTag;
+  adm::DatatypePtr type = Datatype::MakeRecord(
+      "RowT",
+      {{"id", Datatype::Primitive(TypeTag::kInt64), false},
+       {"name", Datatype::Primitive(TypeTag::kString), false},
+       {"blob", Datatype::Primitive(TypeTag::kString), true}},
+      /*open=*/true);
+  LsmOptions options;
+  options.mem_budget_bytes = 64u << 20;
+  options.merge_policy = MergePolicy::None();
+  options.compress = GetParam();
+  options.record_type = type;
+  LsmBTree tree(cache_.get(), dir_, "rows", options);
+  ASSERT_TRUE(tree.Open().ok());
+
+  std::mt19937_64 rng(GetParam() ? 5 : 6);
+  std::map<int64_t, Value> ref;
+  uint64_t lsn = 0;
+  auto put = [&](int64_t k) {
+    adm::RecordBuilder b;
+    b.Add("id", Value::Int64(k)).Add("name", Value::String("n" + std::to_string(k)));
+    // Random text does not compress, so long blobs overflow either way.
+    if (rng() % 3 != 0) {
+      size_t len = rng() % 8 == 0 ? 1500 + rng() % 2000 : rng() % 100;
+      b.Add("blob", Value::String(RandomText(&rng, len)));
+    }
+    if (rng() % 2 == 0) b.Add("extra", Value::Int64(static_cast<int64_t>(rng() % 1000)));
+    Value rec = b.Build();
+    BytesWriter w;
+    ASSERT_TRUE(adm::SerializeTyped(rec, type, &w).ok());
+    ASSERT_TRUE(tree.Upsert({Value::Int64(k)}, w.data(), ++lsn).ok());
+    ref[k] = rec;
+  };
+  auto del = [&](int64_t k) {
+    ASSERT_TRUE(tree.Delete({Value::Int64(k)}, ++lsn).ok());
+    ref.erase(k);
+  };
+  for (int64_t k = 0; k < 1200; k += 2) put(k);
+  ASSERT_TRUE(tree.Flush().ok());
+  for (int64_t k = 0; k < 1200; k += 14) del(k);
+  for (int64_t k = 4; k < 1200; k += 22) put(k);
+  ASSERT_TRUE(tree.Flush().ok());
+  for (int64_t k = 6; k < 1200; k += 50) put(k);
+  for (int64_t k = 8; k < 1200; k += 70) del(k);
+  ASSERT_EQ(tree.num_disk_components(), 2u);
+
+  std::vector<column::Projection> projections = {
+      column::Projection::All(), column::Projection::Of({}),
+      column::Projection::Of({"name"}),
+      column::Projection::Of({"extra", "blob", "missing"})};
+  for (const column::Projection& proj : projections) {
+    SCOPED_TRACE(proj.all_fields ? "all" : proj.ToString());
+    // MultiGet of a sorted batch with duplicates and absent keys.
+    std::vector<int64_t> batch;
+    for (int64_t k = -3; k < 1205; ++k) {
+      batch.push_back(k);
+      if (k % 5 == 0) batch.push_back(k);
+    }
+    std::vector<CompositeKey> keys;
+    for (int64_t k : batch) keys.push_back({Value::Int64(k)});
+    std::vector<int> hits(keys.size(), 0);
+    ASSERT_TRUE(tree.MultiGet(keys, proj, [&](size_t i, Value rec) {
+      ++hits[i];
+      auto it = ref.find(batch[i]);
+      EXPECT_TRUE(it != ref.end()) << batch[i];
+      if (it != ref.end()) {
+        EXPECT_EQ(rec.ToString(),
+                  column::ProjectRecord(it->second, proj).ToString());
+      }
+      return Status::OK();
+    }).ok());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(hits[i], ref.count(batch[i]) ? 1 : 0) << batch[i];
+    }
+
+    std::vector<std::pair<int64_t, std::string>> scanned;
+    column::ProjectedScanStats stats;
+    ASSERT_TRUE(tree.ProjectedScan(
+        ScanBounds{}, proj,
+        [&](const CompositeKey& key, bool antimatter, const Value& rec) {
+          EXPECT_FALSE(antimatter);
+          scanned.emplace_back(key[0].AsInt(), rec.ToString());
+          return Status::OK();
+        },
+        &stats).ok());
+    ASSERT_EQ(scanned.size(), ref.size());
+    size_t n = 0;
+    for (const auto& [k, rec] : ref) {
+      EXPECT_EQ(scanned[n].first, k);
+      EXPECT_EQ(scanned[n].second, column::ProjectRecord(rec, proj).ToString());
+      ++n;
+    }
+    EXPECT_GT(stats.bytes_read, 0u);
+  }
+
+  for (int64_t k = -3; k < 1205; ++k) {
+    bool found = false;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(tree.PointLookup({Value::Int64(k)}, &found, &payload).ok());
+    auto it = ref.find(k);
+    ASSERT_EQ(found, it != ref.end()) << k;
+    if (!found) continue;
+    BytesReader r(payload);
+    Value rec;
+    ASSERT_TRUE(adm::DeserializeTyped(&r, type, &rec).ok());
+    EXPECT_EQ(rec.ToString(), it->second.ToString());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PlainAndCompressed, RowTreeReadTest,
+                         ::testing::Bool());
 
 }  // namespace
 }  // namespace storage
