@@ -5,12 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -984,12 +982,12 @@ int main(int argc, char** argv) {
   // Interpreted vs vectorized head-to-head on the same columnar data: both
   // paths must agree on the answer (identical accumulation order makes the
   // double sums bit-comparable), and the vectorized one must be faster.
-  auto timed_best_of = [](double (*pass)(size_t*), size_t* rows,
-                          double* result) {
+  // Best wall time, in seconds, of `reps` runs of `pass`.
+  auto timed_best_of = [](int reps, const auto& pass) {
     double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < reps; ++rep) {
       auto t0 = std::chrono::steady_clock::now();
-      *result = pass(rows);
+      pass();
       double sec = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
@@ -999,9 +997,10 @@ int main(int argc, char** argv) {
   };
   size_t vec_rows = 0;
   double interp_sum = 0, vec_sum = 0;
-  double interp_sec =
-      timed_best_of(InterpretedFilterAggPass, &vec_rows, &interp_sum);
-  double vec_sec = timed_best_of(VectorizedFilterAggPass, &vec_rows, &vec_sum);
+  double interp_sec = timed_best_of(
+      3, [&] { interp_sum = InterpretedFilterAggPass(&vec_rows); });
+  double vec_sec = timed_best_of(
+      3, [&] { vec_sum = VectorizedFilterAggPass(&vec_rows); });
   if (interp_sum != vec_sum) {
     std::fprintf(stderr, "FATAL vector exec mismatch: interp=%f vec=%f\n",
                  interp_sum, vec_sum);
@@ -1030,29 +1029,26 @@ int main(int argc, char** argv) {
   }
 
   // Row-tree reads for the snapshot: a whole-record scan, and the same 256
-  // sorted keys fetched by one MultiGet against one point lookup each.
+  // sorted keys fetched by one MultiGet against one point lookup each, as
+  // best-of-5 wall times and the buffer-cache pages each fetch reads. Keys
+  // 78 apart sit in different leaves, so the batch descends once per key
+  // here, like the one-key fetches.
   FormatFixture::Build();
-  auto best_sec = [](const std::function<size_t()>& pass, size_t* items) {
-    double best = 1e300;
-    for (int rep = 0; rep < 5; ++rep) {
-      auto t0 = std::chrono::steady_clock::now();
-      *items = pass();
-      best = std::min(best, std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count());
-    }
-    return best;
-  };
   size_t scan_rows = 0, batch_hits = 0, single_hits = 0;
   asterix::storage::LsmBTree* row_tree = FormatFixture::row.get();
-  double scan_sec = best_sec(
-      [&] { return FormatFixture::WholeRecordScan(row_tree); }, &scan_rows);
-  double batch_sec = best_sec(
-      [&] { return FormatFixture::FetchSortedKeys(row_tree, true); },
-      &batch_hits);
-  double single_sec = best_sec(
-      [&] { return FormatFixture::FetchSortedKeys(row_tree, false); },
-      &single_hits);
+  asterix::storage::BufferCache* row_cache = FormatFixture::cache.get();
+  auto page_gets = [&] { return row_cache->hits() + row_cache->misses(); };
+  double scan_sec = timed_best_of(
+      5, [&] { scan_rows = FormatFixture::WholeRecordScan(row_tree); });
+  uint64_t gets0 = page_gets();
+  double batch_sec = timed_best_of(
+      5, [&] { batch_hits = FormatFixture::FetchSortedKeys(row_tree, true); });
+  uint64_t gets1 = page_gets();
+  double single_sec = timed_best_of(5, [&] {
+    single_hits = FormatFixture::FetchSortedKeys(row_tree, false);
+  });
+  uint64_t batch_gets = (gets1 - gets0) / 5;
+  uint64_t single_gets = (page_gets() - gets1) / 5;
   if (batch_hits != 256 || single_hits != 256) {
     std::fprintf(stderr, "FATAL row fetch found %zu/%zu of 256 keys\n",
                  batch_hits, single_hits);
@@ -1063,14 +1059,18 @@ int main(int argc, char** argv) {
                 "{ \"rows\": %zu, "
                 "\"whole_record_scan_rows_per_sec\": %.0f, "
                 "\"sorted_multiget_256_us\": %.1f, "
+                "\"sorted_multiget_256_page_gets\": %llu, "
                 "\"point_lookups_256_us\": %.1f, "
-                "\"multiget_speedup\": %.2f }",
+                "\"point_lookups_256_page_gets\": %llu }",
                 scan_rows, static_cast<double>(scan_rows) / scan_sec,
-                batch_sec * 1e6, single_sec * 1e6, single_sec / batch_sec);
+                batch_sec * 1e6, static_cast<unsigned long long>(batch_gets),
+                single_sec * 1e6, static_cast<unsigned long long>(single_gets));
   std::printf("row reads: whole-record scan=%.0f rows/s, 256 keys: "
-              "multiget=%.1f us point-lookups=%.1f us (%.2fx)\n",
+              "multiget=%.1f us (%llu pages) point-lookups=%.1f us "
+              "(%llu pages)\n",
               static_cast<double>(scan_rows) / scan_sec, batch_sec * 1e6,
-              single_sec * 1e6, single_sec / batch_sec);
+              static_cast<unsigned long long>(batch_gets), single_sec * 1e6,
+              static_cast<unsigned long long>(single_gets));
 
   std::string out = "{ \"bench\": \"micro\", \"shuffle\": " +
                     std::string(shuffle_json) + ", \"hash_join\": " +

@@ -614,15 +614,10 @@ Status ProjectedDecoder::Decode(BytesReader* r, Value* out) const {
 }
 
 // A self-describing value decodes whole; a record then keeps its wanted
-// fields.
+// fields, which are all in open_ when there is no declared type.
 Status ProjectedDecoder::DecodeSchemaless(BytesReader* r, Value* out) const {
   ASTERIX_RETURN_NOT_OK(DeserializeValue(r, out));
-  if (!out->IsRecord()) return Status::OK();
-  std::vector<std::pair<std::string, Value>> kept;
-  for (const auto& field : out->AsRecord().fields) {
-    if (WantsOpen(field.first)) kept.push_back(field);
-  }
-  *out = Value::Record(std::move(kept));
+  *out = KeepFields(*out, /*all_fields=*/false, open_);
   return Status::OK();
 }
 

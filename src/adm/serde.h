@@ -43,8 +43,8 @@ Status SkipTyped(BytesReader* r, const DatatypePtr& type);
 /// over the rest in place. When no open field is wanted it stops after the
 /// last wanted declared field, so an empty field list decodes nothing.
 /// The result equals deserializing the whole record and then keeping the
-/// wanted fields; a non-record value decodes whole, and so does a
-/// self-describing (untyped) image before its fields are filtered.
+/// wanted fields (KeepFields); a non-record value decodes whole, and so
+/// does a self-describing (untyped) image before its fields are filtered.
 class ProjectedDecoder {
  public:
   /// `all_fields` decodes whole values (DeserializeTyped); otherwise only

@@ -555,5 +555,17 @@ std::string Value::ToString() const {
   return out;
 }
 
+Value KeepFields(const Value& record, bool all_fields,
+                 const std::vector<std::string>& fields) {
+  if (all_fields || !record.IsRecord()) return record;
+  std::vector<std::pair<std::string, Value>> kept;
+  for (const auto& field : record.AsRecord().fields) {
+    if (std::find(fields.begin(), fields.end(), field.first) != fields.end()) {
+      kept.push_back(field);
+    }
+  }
+  return Value::Record(std::move(kept));
+}
+
 }  // namespace adm
 }  // namespace asterix

@@ -245,6 +245,11 @@ class RecordBuilder {
   std::vector<std::pair<std::string, Value>> fields_;
 };
 
+/// What projecting a record means: the named top-level fields, in record
+/// order. A non-record value, or `all_fields`, is kept whole.
+Value KeepFields(const Value& record, bool all_fields,
+                 const std::vector<std::string>& fields);
+
 }  // namespace adm
 }  // namespace asterix
 

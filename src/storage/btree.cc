@@ -263,11 +263,7 @@ BTreeReader::~BTreeReader() {
 /// The one place leaf entries are decoded: a cursor over the leaf chain.
 /// It pins its current leaf page, decodes an entry's key and flags, and
 /// hands out the payload as a view into that page; an overflow payload is
-/// read into one buffer the cursor reuses. It also keeps the interior nodes
-/// of its last descent pinned, each with the upper fence of its key range,
-/// so an ascending run of exact lookups descends once per leaf: a key
-/// inside the current leaf's range costs no page fetch, and a key beyond it
-/// descends only from the deepest pinned node whose range holds it.
+/// read into one buffer the cursor reuses.
 class BTreeReader::Cursor {
  public:
   explicit Cursor(const BTreeReader* tree) : tree_(tree) {}
@@ -278,15 +274,13 @@ class BTreeReader::Cursor {
   /// Positions at the first entry not below `lo` in bound order (the
   /// tree's first entry when `lo` is null); invalid when there is none.
   Status Seek(const CompositeKey* lo) {
-    path_.clear();
-    ASTERIX_RETURN_NOT_OK(Descend(lo, /*exact=*/false));
+    ASTERIX_RETURN_NOT_OK(Descend(lo));
     if (lo != nullptr) {
-      auto idx_r = LowerBound(0, *lo);
-      if (!idx_r.ok()) return idx_r.status();
-      idx_ = idx_r.value();
+      ASTERIX_ASSIGN_OR_RETURN(idx_, LowerBound(0, *lo));
     }
-    // Bound order is prefix order, so the first match may sit past the end
-    // of the leaf the descent chose (on a key equal to its upper fence).
+    // The descent chose the leftmost leaf that can hold a match, so the
+    // first match may sit past its end (on a key equal to the next leaf's
+    // first key).
     return Settle();
   }
 
@@ -296,28 +290,25 @@ class BTreeReader::Cursor {
     return Settle();
   }
 
-  /// Positions at the entry whose key equals `key`; `*found` false when the
-  /// tree has none. Fastest over keys in ascending order. `key` must stay
-  /// alive until the next Find.
+  /// Positions at the first entry not below `key`, which must not be below
+  /// the previous Find's key; `*found` tells whether that entry's key
+  /// equals `key`. While `key` is not above the current leaf's last key,
+  /// only that leaf is searched, from the current entry on; otherwise the
+  /// cursor seeks from the root. So an ascending run of keys costs one
+  /// descent per leaf it touches.
   Status Find(const CompositeKey& key, bool* found) {
-    *found = false;
-    valid_ = false;
-    const bool ascending = last_ != nullptr && CompareKeys(key, *last_) >= 0;
-    uint16_t from = 0;
-    if (ascending && fences_valid_ &&
-        (!leaf_bounded_ || CompareKeys(key, leaf_hi_) < 0)) {
-      from = idx_;  // the previous key's lower bound in this leaf
-    } else {
-      if (!ascending || !fences_valid_) path_.clear();
-      ASTERIX_RETURN_NOT_OK(Descend(&key, /*exact=*/true));
+    bool in_leaf = false;
+    if (valid_) {
+      ASTERIX_RETURN_NOT_OK(LoadLastKey());
+      in_leaf = CompareKeys(key, last_key_) <= 0;
     }
-    last_ = &key;
-    auto idx_r = LowerBound(from, key);
-    if (!idx_r.ok()) return idx_r.status();
-    idx_ = idx_r.value();
-    if (idx_ >= count_) return Status::OK();  // in the gap before the fence
-    ASTERIX_RETURN_NOT_OK(DecodeEntry());
-    *found = CompareKeys(key_, key) == 0;
+    if (in_leaf) {
+      ASTERIX_ASSIGN_OR_RETURN(idx_, LowerBound(idx_, key));
+      ASTERIX_RETURN_NOT_OK(DecodeEntry());
+    } else {
+      ASTERIX_RETURN_NOT_OK(Seek(&key));
+    }
+    *found = valid_ && CompareKeys(key_, key) == 0;
     return Status::OK();
   }
 
@@ -336,15 +327,6 @@ class BTreeReader::Cursor {
   }
 
  private:
-  /// A pinned interior node of the last descent. Its keys are below `hi`
-  /// when `bounded`.
-  struct Level {
-    PagePtr page;
-    uint16_t count = 0;
-    bool bounded = false;
-    CompositeKey hi;
-  };
-
   Result<PagePtr> Fetch(uint32_t page_no) const {
     auto page_r = tree_->cache_->GetPage(tree_->file_, page_no);
     if (!page_r.ok()) return page_r.status();
@@ -353,100 +335,55 @@ class BTreeReader::Cursor {
     return page;
   }
 
-  /// Descends to the leaf for `key` (the first leaf when null), starting
-  /// from the deepest pinned level whose range still holds it. An exact
-  /// descent follows key order, so it lands on the one leaf that can hold
-  /// `key`; otherwise it follows bound (prefix) order, landing on the
-  /// leftmost leaf that can hold keys not below `key`.
-  Status Descend(const CompositeKey* key, bool exact) {
-    while (key != nullptr && !path_.empty() && path_.back().bounded &&
-           CompareKeys(*key, path_.back().hi) >= 0) {
-      path_.pop_back();
-    }
-    if (path_.empty()) {
-      ASTERIX_ASSIGN_OR_RETURN(PagePtr root, Fetch(tree_->root_page_));
-      if ((*root)[0] == kLeafPage) {
-        return EnterLeaf(std::move(root), exact, false, {});
-      }
-      ASTERIX_RETURN_NOT_OK(PushInterior(std::move(root), false, {}));
-    }
-    while (path_.size() < 64) {
-      const Level& node = path_.back();
-      const uint8_t* base = node.page->data();
-      const uint8_t* table =
-          base + kInteriorHeaderSize + 4 * size_t{node.count};
-      const uint8_t* seps = table + 2 * (size_t{node.count} - 1);
-      const size_t seps_len =
-          node.page->size() - static_cast<size_t>(seps - base);
-      auto sep_at = [&](size_t j, CompositeKey* out) {
-        uint16_t off;
-        std::memcpy(&off, table + 2 * j, 2);
-        if (off >= seps_len) {
-          return Status::Corruption("separator out of range");
-        }
-        BytesReader sr(seps + off, seps_len - off);
-        return DeserializeKey(&sr, out);
-      };
-      // Child j holds keys below sep[j], the first key of child j+1. An
-      // exact descent wants the first child whose sep is above the key; a
-      // bound descent the first whose sep is not below it.
-      size_t lo_i = 0, hi_i = size_t{node.count} - 1;
-      while (key != nullptr && lo_i < hi_i) {
-        size_t mid = (lo_i + hi_i) / 2;
-        ASTERIX_RETURN_NOT_OK(sep_at(mid, &probe_));
-        bool left = exact ? CompareKeys(probe_, *key) > 0
-                          : BoundCompare(probe_, *key) >= 0;
-        if (left) {
-          hi_i = mid;
-        } else {
-          lo_i = mid + 1;
-        }
-      }
-      // Only exact lookups reuse the path, so only they need the fences.
-      bool bounded = false;
-      CompositeKey hi;
-      if (exact && lo_i + 1 < node.count) {
-        ASTERIX_RETURN_NOT_OK(sep_at(lo_i, &hi));
-        bounded = true;
-      } else if (exact && node.bounded) {
-        hi = node.hi;
-        bounded = true;
-      }
-      uint32_t child;
-      std::memcpy(&child, base + kInteriorHeaderSize + 4 * lo_i, 4);
-      ASTERIX_ASSIGN_OR_RETURN(PagePtr page, Fetch(child));
-      if ((*page)[0] == kLeafPage) {
-        return EnterLeaf(std::move(page), exact, bounded, std::move(hi));
-      }
-      ASTERIX_RETURN_NOT_OK(
-          PushInterior(std::move(page), bounded, std::move(hi)));
+  /// Descends from the root to the leftmost leaf that can hold keys not
+  /// below `key` in bound (prefix) order; the first leaf when null.
+  Status Descend(const CompositeKey* key) {
+    uint32_t page_no = tree_->root_page_;
+    for (int depth = 0; depth < 64; ++depth) {
+      ASTERIX_ASSIGN_OR_RETURN(PagePtr page, Fetch(page_no));
+      if ((*page)[0] == kLeafPage) return LoadLeaf(std::move(page));
+      ASTERIX_ASSIGN_OR_RETURN(page_no, ChildFor(*page, key));
     }
     return Status::Corruption("btree too deep (cycle?)");
   }
 
-  Status PushInterior(PagePtr page, bool bounded, CompositeKey hi) {
-    if ((*page)[0] != kInteriorPage || page->size() < kInteriorHeaderSize) {
+  /// The child of an interior page to descend into for `key`. Child j
+  /// holds keys below sep[j], the first key of child j+1, so the leftmost
+  /// child that can hold keys not below `key` is the first whose sep is not
+  /// below it.
+  Result<uint32_t> ChildFor(const PageData& page, const CompositeKey* key) {
+    if (page[0] != kInteriorPage || page.size() < kInteriorHeaderSize) {
       return Status::Corruption("bad page kind");
     }
     uint16_t count;
-    std::memcpy(&count, page->data() + 1, 2);
+    std::memcpy(&count, page.data() + 1, 2);
     // Child pointers, then count-1 separator offsets.
     if (count == 0 ||
-        kInteriorHeaderSize + 6 * size_t{count} - 2 > page->size()) {
+        kInteriorHeaderSize + 6 * size_t{count} - 2 > page.size()) {
       return Status::Corruption("interior page overruns its page");
     }
-    path_.push_back(Level{std::move(page), count, bounded, std::move(hi)});
-    return Status::OK();
-  }
-
-  /// Makes `page` the current leaf, reached by a descent; an exact one
-  /// knows the leaf's upper fence.
-  Status EnterLeaf(PagePtr page, bool exact, bool bounded, CompositeKey hi) {
-    ASTERIX_RETURN_NOT_OK(LoadLeaf(std::move(page)));
-    fences_valid_ = exact;
-    leaf_bounded_ = bounded;
-    leaf_hi_ = std::move(hi);
-    return Status::OK();
+    const uint8_t* table =
+        page.data() + kInteriorHeaderSize + 4 * size_t{count};
+    const uint8_t* seps = table + 2 * (size_t{count} - 1);
+    const size_t seps_len =
+        page.size() - static_cast<size_t>(seps - page.data());
+    size_t lo = 0, hi = size_t{count} - 1;
+    while (key != nullptr && lo < hi) {
+      size_t mid = (lo + hi) / 2;
+      uint16_t off;
+      std::memcpy(&off, table + 2 * mid, 2);
+      if (off >= seps_len) return Status::Corruption("separator out of range");
+      BytesReader sr(seps + off, seps_len - off);
+      ASTERIX_RETURN_NOT_OK(DeserializeKey(&sr, &probe_));
+      if (BoundCompare(probe_, *key) >= 0) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    uint32_t child;
+    std::memcpy(&child, page.data() + kInteriorHeaderSize + 4 * lo, 4);
+    return child;
   }
 
   Status LoadLeaf(PagePtr page) {
@@ -465,6 +402,7 @@ class BTreeReader::Cursor {
     entries_ = table_ + table_bytes;
     entries_len_ = data.size() - kLeafHeaderSize - table_bytes;
     idx_ = 0;
+    last_key_loaded_ = false;
     return Status::OK();
   }
 
@@ -476,6 +414,16 @@ class BTreeReader::Cursor {
       return Status::Corruption("leaf entry offset out of range");
     }
     *out = BytesReader(entries_ + off, entries_len_ - off);
+    return Status::OK();
+  }
+
+  /// Decodes the current leaf's last key into last_key_, once per leaf.
+  Status LoadLastKey() {
+    if (last_key_loaded_) return Status::OK();
+    BytesReader r(nullptr, 0);
+    ASTERIX_RETURN_NOT_OK(EntryAt(static_cast<uint16_t>(count_ - 1), &r));
+    ASTERIX_RETURN_NOT_OK(DeserializeKey(&r, &last_key_));
+    last_key_loaded_ = true;
     return Status::OK();
   }
 
@@ -515,7 +463,6 @@ class BTreeReader::Cursor {
       }
       ASTERIX_ASSIGN_OR_RETURN(PagePtr page, Fetch(next_));
       ASTERIX_RETURN_NOT_OK(LoadLeaf(std::move(page)));
-      fences_valid_ = false;  // reached sideways: no fence known
     }
     return DecodeEntry();
   }
@@ -546,17 +493,14 @@ class BTreeReader::Cursor {
   }
 
   const BTreeReader* tree_;
-  std::vector<Level> path_;  // interior nodes, root first
-  bool fences_valid_ = false;
-  bool leaf_bounded_ = false;
-  CompositeKey leaf_hi_;  // the current leaf's keys are below this
-  const CompositeKey* last_ = nullptr;  // the previous Find's key
   PagePtr page_;  // pins the current leaf
   uint32_t next_ = kNoPage;
   uint16_t count_ = 0;
   const uint8_t* table_ = nullptr;
   const uint8_t* entries_ = nullptr;
   size_t entries_len_ = 0;
+  bool last_key_loaded_ = false;
+  CompositeKey last_key_;  // the current leaf's last key, once loaded
   uint16_t idx_ = 0;
   bool valid_ = false;
   // The entry at idx_.
@@ -602,7 +546,11 @@ Status BTreeReader::MultiGet(
   for (size_t i = 0; i < keys.size();) {
     // Every duplicate of the key in the batch shares one resolution.
     size_t end = i + 1;
-    while (end < keys.size() && CompareKeys(keys[end], keys[i]) == 0) ++end;
+    for (; end < keys.size(); ++end) {
+      int order = CompareKeys(keys[end], keys[i]);
+      if (order < 0) return Status::InvalidArgument("MultiGet keys not sorted");
+      if (order > 0) break;
+    }
     bool found = false;
     ASTERIX_RETURN_NOT_OK(c.Find(keys[i], &found));
     if (found) {

@@ -97,12 +97,13 @@ class BTreeReader {
   Status RangeScanView(const ScanBounds& bounds,
                        const EntryViewCallback& cb) const;
 
-  /// Sorted batch lookup of full keys (ascending; duplicates allowed): `cb`
-  /// gets (i, entry) for every keys[i] the tree holds, tombstones included,
-  /// in ascending i. One descent serves every key of a leaf, and the next
-  /// leaf's descent starts from the deepest interior node whose key range
-  /// holds its key. The bloom filter is not consulted — callers screen keys
-  /// with MayContain first, as the LSM layer does to account per key.
+  /// Sorted batch lookup of full keys (ascending, else InvalidArgument;
+  /// duplicates allowed): `cb` gets (i, entry) for every keys[i] the tree
+  /// holds, tombstones included, in ascending i. A key not above the
+  /// current leaf's last key is found in that leaf; any other key seeks
+  /// from the root, so the batch costs one descent per leaf it touches. The
+  /// bloom filter is not consulted — callers screen keys with MayContain
+  /// first, as the LSM layer does to account per key.
   Status MultiGet(const std::vector<CompositeKey>& keys,
                   const std::function<Status(size_t i, const EntryView& e)>& cb)
       const;

@@ -46,15 +46,6 @@ std::string Projection::ToString() const {
   return out;
 }
 
-adm::Value ProjectRecord(const adm::Value& record, const Projection& p) {
-  if (p.all_fields || !record.IsRecord()) return record;
-  std::vector<std::pair<std::string, adm::Value>> kept;
-  for (const auto& f : record.AsRecord().fields) {
-    if (p.Wants(f.first)) kept.push_back(f);
-  }
-  return adm::Value::Record(std::move(kept));
-}
-
 bool RangeMayMatch(const FieldRange& r, const adm::Value& min,
                    const adm::Value& max) {
   if (r.lo.has_value()) {

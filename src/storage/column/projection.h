@@ -69,10 +69,6 @@ struct ProjectedScanStats {
 using ProjectedEntryCallback = std::function<Status(
     const CompositeKey& key, bool antimatter, const adm::Value& record)>;
 
-/// Keeps only the projected fields of a full record: the answer a projected
-/// decode (adm::ProjectedDecoder) of the record's image must give.
-adm::Value ProjectRecord(const adm::Value& record, const Projection& p);
-
 /// True when values spanning [min, max] may satisfy the range — i.e. the
 /// page cannot be skipped. min/max compare via the ADM total order, so the
 /// caller must first establish the range constants and the column share a

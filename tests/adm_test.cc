@@ -7,7 +7,6 @@
 #include "adm/temporal.h"
 #include "adm/type.h"
 #include "adm/value.h"
-#include "storage/column/projection.h"
 
 namespace asterix {
 namespace adm {
@@ -470,23 +469,39 @@ Value RandomProjectedRecord(std::mt19937* rng, bool open) {
   return b.Build();
 }
 
-std::vector<storage::column::Projection> ProjectionsUnderTest(std::mt19937* rng) {
-  using storage::column::Projection;
+// A projection under test: whole records, or the named top-level fields.
+struct TestProjection {
+  bool all_fields = false;
+  std::vector<std::string> fields;
+
+  std::string ToString() const {
+    if (all_fields) return "all";
+    std::string out = "project=[";
+    for (size_t i = 0; i < fields.size(); ++i) {
+      out += (i ? "," : "") + fields[i];
+    }
+    return out + "]";
+  }
+  Value Apply(const Value& v) const {
+    return KeepFields(v, all_fields, fields);
+  }
+};
+
+std::vector<TestProjection> ProjectionsUnderTest(std::mt19937* rng) {
   const auto& names = ProjectedTestNames();
-  std::vector<Projection> out = {Projection::All(), Projection::Of({}),
-                                 Projection::Of(names)};
+  std::vector<TestProjection> out = {{true, {}}, {false, {}}, {false, names}};
   for (int i = 0; i < 4; ++i) {
     std::vector<std::string> pick;
     for (size_t j = 0, n = 1 + (*rng)() % 3; j < n; ++j) {
       pick.push_back(names[(*rng)() % names.size()]);
     }
-    out.push_back(Projection::Of(std::move(pick)));
+    out.push_back({false, std::move(pick)});
   }
   return out;
 }
 
 ProjectedDecoder DecoderFor(const DatatypePtr& type,
-                            const storage::column::Projection& proj) {
+                            const TestProjection& proj) {
   return ProjectedDecoder(type, proj.all_fields, proj.fields);
 }
 
@@ -510,7 +525,7 @@ TEST(ProjectedDecodeTest, EqualsDeserializeThenProject) {
         BytesReader r(w.data());
         Value got;
         ASSERT_TRUE(DecoderFor(type, proj).Decode(&r, &got).ok());
-        Value want = storage::column::ProjectRecord(full, proj);
+        Value want = proj.Apply(full);
         EXPECT_EQ(got.ToString(), want.ToString()) << proj.ToString();
         EXPECT_TRUE(got.Equals(want));
       }
@@ -529,8 +544,7 @@ TEST(ProjectedDecodeTest, SchemalessRecordsProjectByName) {
       BytesReader r(w.data());
       Value got;
       ASSERT_TRUE(DecoderFor(Datatype::Any(), proj).Decode(&r, &got).ok());
-      EXPECT_EQ(got.ToString(),
-                storage::column::ProjectRecord(v, proj).ToString());
+      EXPECT_EQ(got.ToString(), proj.Apply(v).ToString());
     }
     BytesReader skip_r(w.data());
     ASSERT_TRUE(SkipValue(&skip_r).ok());
@@ -547,7 +561,7 @@ TEST(ProjectedDecodeTest, EveryTruncationIsCorruption) {
       BytesWriter w;
       ASSERT_TRUE(SerializeTyped(rec, type, &w).ok());
       const std::vector<uint8_t>& bytes = w.data();
-      std::vector<storage::column::Projection> projs = ProjectionsUnderTest(&rng);
+      std::vector<TestProjection> projs = ProjectionsUnderTest(&rng);
       std::vector<Value> whole(projs.size());
       for (size_t p = 0; p < projs.size(); ++p) {
         BytesReader r(bytes);

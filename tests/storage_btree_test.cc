@@ -390,12 +390,43 @@ TEST_F(BTreeTest, SortedMultiGetDescendsOncePerLeaf) {
     ASSERT_TRUE(found);
   }
   uint64_t single_gets = page_gets() - before;
-  // One descent, then one page per leaf: never more pages than the file
-  // has, against at least two (root + leaf) per key one at a time.
-  EXPECT_LE(batch_gets, reader->file_size_bytes() / kPageSize + 2);
-  EXPECT_GE(single_gets, 2 * keys.size());
+
+  // The tree's depth: the pages a lookup of its first key reads. A scan of
+  // everything reads the interior pages above the first leaf once, then
+  // every leaf.
+  before = page_gets();
+  bool found = false;
+  IndexEntry e;
+  ASSERT_TRUE(reader->PointLookup(keys[0], &found, &e).ok());
+  uint64_t depth = page_gets() - before;
+  before = page_gets();
+  ASSERT_TRUE(
+      reader->RangeScan({}, [](const IndexEntry&) { return Status::OK(); })
+          .ok());
+  uint64_t leaves = page_gets() - before - (depth - 1);
+  ASSERT_GE(depth, 2u);
+  ASSERT_GT(leaves, 100u);
+
+  // One descent per leaf, plus a step to the right sibling when a key
+  // equals the first key of the leaf after the one the descent chose;
+  // one descent per key one at a time.
+  EXPECT_LE(batch_gets, leaves * (depth + 1));
+  EXPECT_GE(single_gets, depth * keys.size());
   EXPECT_LT(batch_gets * 10, single_gets)
       << "batch=" << batch_gets << " single=" << single_gets;
+}
+
+TEST_F(BTreeTest, MultiGetRejectsUnsortedKeys) {
+  BTreeBuilder builder(Path("unsorted.btr"));
+  for (int64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(builder.Add(MakeEntry(k, "v")).ok());
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  auto reader = BTreeReader::Open(cache_.get(), Path("unsorted.btr")).take();
+  Status st = reader->MultiGet(
+      {{Value::Int64(50)}, {Value::Int64(10)}},
+      [](size_t, const EntryView&) { return Status::OK(); });
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
 // Plain and LZ-compressed row trees through the LSM layer: MultiGet,
@@ -484,7 +515,8 @@ TEST_P(RowTreeReadTest, ProjectedReadsMatchReference) {
       EXPECT_TRUE(it != ref.end()) << batch[i];
       if (it != ref.end()) {
         EXPECT_EQ(rec.ToString(),
-                  column::ProjectRecord(it->second, proj).ToString());
+                  adm::KeepFields(it->second, proj.all_fields, proj.fields)
+                      .ToString());
       }
       return Status::OK();
     }).ok());
@@ -506,7 +538,8 @@ TEST_P(RowTreeReadTest, ProjectedReadsMatchReference) {
     size_t n = 0;
     for (const auto& [k, rec] : ref) {
       EXPECT_EQ(scanned[n].first, k);
-      EXPECT_EQ(scanned[n].second, column::ProjectRecord(rec, proj).ToString());
+      EXPECT_EQ(scanned[n].second,
+                adm::KeepFields(rec, proj.all_fields, proj.fields).ToString());
       ++n;
     }
     EXPECT_GT(stats.bytes_read, 0u);
