@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <iterator>
 #include <mutex>
 #include <vector>
 
@@ -36,24 +35,15 @@ inline metrics::Histogram* QueueDepthHistogram() {
 
 /// Consumer-side endpoint of a connector: one per (destination instance,
 /// input port). N producer instances push frames tagged with their index;
-/// the destination pulls until end-of-stream.
-///
-/// The pull side is frame-at-a-time: NextFrame() hands the consumer a whole
-/// frame under one channel-lock acquisition. Next() is a tuple-at-a-time
-/// shim layered on top (a cursor over the last pulled frame) so operators
-/// can be converted incrementally; the two may be mixed freely on the same
-/// endpoint — NextFrame() first drains any tuples the shim still holds.
-///
-/// Endpoints are consumed by exactly one operator-instance thread, so the
-/// shim cursor needs no synchronization (only PullFrame touches shared
-/// producer state).
+/// the destination pulls whole frames, one channel-lock acquisition each,
+/// until end-of-stream. Connectors fused into a pipeline have no channel.
 class InChannel {
  public:
   virtual ~InChannel() = default;
   virtual void Push(int producer, Frame frame) = 0;
   virtual void ProducerDone(int producer) = 0;
   virtual void Fail(Status status) = 0;
-  /// The consumer abandoned the stream (its operator failed). Queued and
+  /// The consumer abandoned the stream (its pipeline failed). Queued and
   /// future frames are dropped and producers blocked on a full channel are
   /// released, so job teardown can never deadlock on backpressure.
   virtual void CancelConsumer() = 0;
@@ -63,40 +53,7 @@ class InChannel {
   Result<bool> NextFrame(Frame* out) {
     out->tuples.clear();
     out->batch.reset();
-    if (pos_ < pending_.tuples.size()) {
-      out->tuples.insert(out->tuples.end(),
-                         std::make_move_iterator(pending_.tuples.begin() +
-                                                 static_cast<std::ptrdiff_t>(pos_)),
-                         std::make_move_iterator(pending_.tuples.end()));
-      pending_.tuples.clear();
-      pos_ = 0;
-      return true;
-    }
     return PullFrame(out);
-  }
-
-  /// Blocking tuple-at-a-time pull (shim over NextFrame). A columnar batch
-  /// frame is materialized into single-column record tuples here, so a
-  /// row-oriented consumer downstream of a vectorized producer still sees
-  /// every selected row.
-  Result<bool> Next(Tuple* out) {
-    if (pos_ >= pending_.tuples.size()) {
-      pending_.tuples.clear();
-      pending_.batch.reset();
-      pos_ = 0;
-      auto r = PullFrame(&pending_);
-      if (!r.ok() || !r.value()) return r;
-      if (pending_.batch != nullptr) {
-        pending_.tuples.reserve(pending_.batch->sel.size());
-        for (uint32_t row : pending_.batch->sel.rows) {
-          pending_.tuples.push_back({pending_.batch->MaterializeRow(row)});
-        }
-        pending_.batch.reset();
-        if (pending_.tuples.empty()) return Next(out);
-      }
-    }
-    *out = std::move(pending_.tuples[pos_++]);
-    return true;
   }
 
  protected:
@@ -104,10 +61,6 @@ class InChannel {
   /// hold their lock for the whole pull — one acquisition per frame, not per
   /// tuple.
   virtual Result<bool> PullFrame(Frame* out) = 0;
-
- private:
-  Frame pending_;  // shim cursor for Next()
-  size_t pos_ = 0;
 };
 
 /// FIFO channel: frames interleave in arrival order (all connectors except

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -41,8 +42,8 @@ struct ConnCounters {
   std::atomic<uint64_t> network_tuples{0};
 };
 
-/// CPU time consumed by the calling thread, in microseconds. Two syscalls
-/// per operator instance (task start/end) — nowhere near any per-tuple path.
+/// CPU time consumed by the calling thread, in microseconds. Read at every
+/// hand-off between a pipeline's stages (per frame, never per tuple).
 uint64_t ThreadCpuUs() {
   struct timespec ts;
   if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
@@ -50,29 +51,108 @@ uint64_t ThreadCpuUs() {
          static_cast<uint64_t>(ts.tv_nsec) / 1000ull;
 }
 
+/// The channel-fed path of a push operator: consumes `in` frame by frame,
+/// stopping at the first failure (its own or a fused stage's behind `out`),
+/// then closes it.
+Status DrainChannel(InChannel* in, PushOperator* op, Emitter* out) {
+  Frame frame;
+  while (true) {
+    ASTERIX_ASSIGN_OR_RETURN(bool more, in->NextFrame(&frame));
+    if (!more) break;
+    ASTERIX_RETURN_NOT_OK(op->Consume(frame, out));
+    ASTERIX_RETURN_NOT_OK(out->status());
+  }
+  return op->Close(out);
+}
+
+class RoutingEmitter;
+
+/// One operator instance of a pipeline: its head, or a one-input operator
+/// fused behind a 1:1 connector and run on the head's thread.
+struct Stage {
+  const OperatorDescriptor* op = nullptr;
+  OperatorSpan* span = nullptr;
+  std::unique_ptr<RoutingEmitter> emitter;
+  std::unique_ptr<OperatorInstance> pull;  // a source or two-input head
+  std::unique_ptr<PushOperator> push;      // fused, or a channel-fed head
+  std::vector<Stage*> fused;  // consumers of its fused routes, route order
+  bool ended = false;         // its channel routes have seen ProducerDone
+};
+
+/// The runtime of one pipeline instance, run start to end by one pool task:
+/// 1:1 hand-offs inside it are plain calls on that task's thread, and every
+/// microsecond of the thread's CPU is charged to the span of the stage
+/// running at the time.
+class Pipeline {
+ public:
+  explicit Pipeline(std::chrono::steady_clock::time_point job_start)
+      : job_start_(job_start) {}
+  Pipeline(const Pipeline&) = delete;
+  Pipeline& operator=(const Pipeline&) = delete;
+
+  /// Stages in pre-order: the head first, each stage before its consumers.
+  std::vector<std::unique_ptr<Stage>> stages;
+  /// The head's input channels by port (counting wrappers).
+  std::vector<InChannel*> inputs;
+
+  /// Runs the head to its end, then closes the fused stages in order. On
+  /// failure, fails every outgoing channel of the pipeline and cancels the
+  /// head's inputs, so no producer or consumer stays blocked.
+  Status Run();
+
+  /// Hands a frame across a fused route to `s`, on this thread.
+  void Deliver(Stage* s, Frame frame);
+
+  /// The first failure of any stage (OK while none failed).
+  const Status& failure() const { return failure_; }
+
+ private:
+  double SinceStartMs() const {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - job_start_)
+        .count();
+  }
+  /// Charges the CPU used since the last switch to the current span and
+  /// makes `next` current; returns the previous span.
+  OperatorSpan* SwitchTo(OperatorSpan* next);
+  void Fail(Stage* s, Status status);
+  /// `s`'s input has ended and its operator has produced everything: ends
+  /// its routes, then closes and ends its fused consumers.
+  void End(Stage* s);
+
+  std::chrono::steady_clock::time_point job_start_;
+  OperatorSpan* charged_ = nullptr;
+  uint64_t mark_us_ = 0;
+  Status failure_;
+};
+
 /// Routes one operator instance's pushes through all of its outgoing
-/// connectors to the right destination channels, counting hops into the
-/// connector counters and the instance's span.
+/// connectors — to the right destination channels, or straight into the
+/// fused consumer of a 1:1 route — counting hops into the connector
+/// counters and the instance's span.
 class RoutingEmitter : public Emitter {
  public:
   struct Route {
     const ConnectorDescriptor* conn;
-    // One channel per destination instance.
+    // One channel per destination instance; empty on a fused route.
     std::vector<InChannel*> dst_channels;
     // Node of each destination instance (network accounting).
     std::vector<int> dst_nodes;
     ConnCounters* counters = nullptr;
+    // The consumer running in this pipeline, when the route is fused.
+    Stage* fused = nullptr;
   };
 
   RoutingEmitter(int src_instance, int src_node, std::vector<Route> routes,
-                 OperatorSpan* span, MemoryBudget* budget)
+                 OperatorSpan* span, MemoryBudget* budget, Pipeline* pipeline)
       : src_instance_(src_instance),
         src_node_(src_node),
         routes_(std::move(routes)),
         span_(span),
-        budget_(budget) {
+        budget_(budget),
+        pipeline_(pipeline) {
     for (auto& r : routes_) {
-      buffers_.emplace_back(r.dst_channels.size());
+      buffers_.emplace_back(r.fused != nullptr ? 1 : r.dst_channels.size());
     }
     pending_.resize(routes_.size());
   }
@@ -101,9 +181,11 @@ class RoutingEmitter : public Emitter {
 
   void AddKernelTime(uint64_t us) override { span_->kernel_us += us; }
 
-  /// The vectorized path: a 1:1-only route forwards the batch itself as a
-  /// frame; any other topology needs per-tuple routing, so fall back to the
-  /// base materializer (which calls Push per selected row).
+  Status status() const override { return pipeline_->failure(); }
+
+  /// The vectorized path: a 1:1-only route, fused or not, forwards the batch
+  /// itself as a frame; any other topology needs per-tuple routing, so fall
+  /// back to the base materializer (which calls Push per selected row).
   void PushBatch(
       std::shared_ptr<storage::column::ColumnBatch> batch) override {
     if (batch == nullptr || batch->sel.rows.empty()) return;
@@ -116,24 +198,18 @@ class RoutingEmitter : public Emitter {
       Emitter::PushBatch(std::move(batch));
       return;
     }
-    Route& r = routes_[0];
-    int n = static_cast<int>(r.dst_channels.size());
-    size_t dst = static_cast<size_t>(src_instance_ % n);
+    size_t dst = static_cast<size_t>(src_instance_) % buffers_[0].size();
     span_->tuples_out += batch->sel.size();
     PendingCounts& pc = pending_[0];
     pc.tuples += batch->sel.size();
-    if (r.dst_nodes[dst] != src_node_) pc.network_tuples += batch->sel.size();
+    if (routes_[0].dst_nodes[dst] != src_node_) {
+      pc.network_tuples += batch->sel.size();
+    }
     // Preserve ordering against any row tuples already buffered for dst.
     FlushBuffer(0, dst);
     Frame frame;
     frame.batch = std::move(batch);
-    auto t0 = std::chrono::steady_clock::now();
-    r.dst_channels[dst]->Push(src_instance_, std::move(frame));
-    span_->output_wait_us += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    ++span_->frames_flushed;
+    Send(0, dst, std::move(frame));
     FlushCounts(0);
   }
 
@@ -143,7 +219,7 @@ class RoutingEmitter : public Emitter {
     size_t last_route = routes_.size() - 1;
     for (size_t ri = 0; ri < routes_.size(); ++ri) {
       Route& r = routes_[ri];
-      int n = static_cast<int>(r.dst_channels.size());
+      int n = static_cast<int>(buffers_[ri].size());
       bool last = ri == last_route;
       switch (r.conn->type) {
         case ConnectorType::kOneToOne: {
@@ -175,6 +251,7 @@ class RoutingEmitter : public Emitter {
     }
   }
 
+  /// Sends every buffered frame on (into fused consumers, too).
   void Flush() override {
     for (size_t ri = 0; ri < routes_.size(); ++ri) {
       for (size_t d = 0; d < buffers_[ri].size(); ++d) {
@@ -184,9 +261,9 @@ class RoutingEmitter : public Emitter {
     }
   }
 
-  /// End-of-stream to every destination.
-  void Done() {
-    Flush();
+  /// End-of-stream to every destination channel. Fused consumers are
+  /// closed by the pipeline instead.
+  void EndChannels() {
     for (auto& r : routes_) {
       for (auto* ch : r.dst_channels) ch->ProducerDone(src_instance_);
     }
@@ -232,16 +309,26 @@ class RoutingEmitter : public Emitter {
   void FlushBuffer(size_t route, size_t dst) {
     Frame& buf = buffers_[route][dst];
     if (buf.tuples.empty()) return;
+    Frame frame = std::move(buf);
+    buf = Frame{};
+    Send(route, dst, std::move(frame));
+  }
+
+  void Send(size_t route, size_t dst, Frame frame) {
+    ++span_->frames_flushed;
+    Route& r = routes_[route];
+    if (r.fused != nullptr) {
+      pipeline_->Deliver(r.fused, std::move(frame));
+      return;
+    }
     // Push may block on a full channel (backpressure); the wall time of the
     // whole call is this instance's blocked-on-output time.
     auto t0 = std::chrono::steady_clock::now();
-    routes_[route].dst_channels[dst]->Push(src_instance_, std::move(buf));
+    r.dst_channels[dst]->Push(src_instance_, std::move(frame));
     span_->output_wait_us += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
-    buf = Frame{};
-    ++span_->frames_flushed;
   }
 
   void FlushCounts(size_t route) {
@@ -262,7 +349,97 @@ class RoutingEmitter : public Emitter {
   std::vector<PendingCounts> pending_;       // [route], flushed per frame
   OperatorSpan* span_;
   MemoryBudget* budget_;  // may be null (operator is not memory-intensive)
+  Pipeline* pipeline_;
 };
+
+OperatorSpan* Pipeline::SwitchTo(OperatorSpan* next) {
+  uint64_t now = ThreadCpuUs();
+  if (charged_ != nullptr) charged_->cpu_us += now - mark_us_;
+  mark_us_ = now;
+  OperatorSpan* prev = charged_;
+  charged_ = next;
+  return prev;
+}
+
+void Pipeline::Fail(Stage* s, Status status) {
+  // A head stopping on a fused stage's failure returns that failure; only
+  // the stage that failed first is marked.
+  if (!failure_.ok()) return;
+  s->span->ok = false;
+  failure_ = std::move(status);
+}
+
+void Pipeline::Deliver(Stage* s, Frame frame) {
+  if (!failure_.ok()) return;  // the pipeline failed: drop
+  s->span->tuples_in += frame.tuples.size();
+  if (frame.batch != nullptr) s->span->tuples_in += frame.batch->sel.size();
+  OperatorSpan* prev = SwitchTo(s->span);
+  Status st = s->push->Consume(frame, s->emitter.get());
+  SwitchTo(prev);
+  if (!st.ok()) Fail(s, std::move(st));
+}
+
+void Pipeline::End(Stage* s) {
+  s->emitter->Flush();
+  if (!failure_.ok()) return;
+  s->emitter->EndChannels();
+  s->ended = true;
+  s->span->end_ms = SinceStartMs();
+  for (Stage* c : s->fused) {
+    OperatorSpan* prev = SwitchTo(c->span);
+    Status st = c->push->Close(c->emitter.get());
+    if (!st.ok()) {
+      Fail(c, std::move(st));
+    } else {
+      End(c);
+    }
+    SwitchTo(prev);
+    if (!failure_.ok()) return;
+  }
+}
+
+Status Pipeline::Run() {
+  Stage* head = stages.front().get();
+  double start_ms = SinceStartMs();
+  for (auto& s : stages) s->span->start_ms = start_ms;
+  mark_us_ = ThreadCpuUs();
+  charged_ = head->span;
+  // Instances are built and torn down on this thread, charged to the head.
+  for (auto& s : stages) {
+    if (s->op->push) {
+      s->push = s->op->push(s->span->instance);
+    } else {
+      s->pull = s->op->factory(s->span->instance);
+    }
+  }
+  Status st;
+  if (!head->op->push) {
+    st = head->pull->Run(inputs, head->emitter.get());
+  } else if (inputs.empty() || inputs[0] == nullptr) {
+    st = Status::InvalidArgument(head->op->name + " has no input connector");
+  } else {
+    st = DrainChannel(inputs[0], head->push.get(), head->emitter.get());
+  }
+  if (!st.ok()) Fail(head, std::move(st));
+  if (failure_.ok()) End(head);
+  if (!failure_.ok()) {
+    for (auto& s : stages) {
+      if (s->ended) continue;
+      s->emitter->FailAll(failure_);
+      s->emitter->EndChannels();
+      s->span->end_ms = SinceStartMs();
+    }
+    for (InChannel* in : inputs) {
+      if (in) in->CancelConsumer();
+    }
+  }
+  for (auto& s : stages) {
+    s->push.reset();
+    s->pull.reset();
+  }
+  SwitchTo(nullptr);
+  return failure_;
+}
 
 }  // namespace
 
@@ -348,17 +525,42 @@ Result<JobStats> Cluster::ExecuteJob(const JobSpec& job) {
 
   std::vector<ConnCounters> conn_counters(job.connectors.size());
 
-  // Channels: one per (connector, destination instance). Owned here. All
-  // are bounded by channel_capacity_frames, so a fast producer blocks
-  // instead of queueing without limit.
-  std::vector<std::unique_ptr<InChannel>> channel_storage;
-  // (connector id) -> channels per destination instance.
-  std::map<int, std::vector<InChannel*>> conn_channels;
+  // A 1:1 connector fuses when its consumer is a one-input push operator
+  // that nothing else feeds, at the producer's parallelism: the consumer
+  // then runs inside its producer's pipeline, on the producer's thread.
+  // Every other connector is an exchange and gets channels.
+  std::map<int, const OperatorDescriptor*> ops;
+  for (const auto& op : job.operators) ops[op.id] = &op;
+  std::map<int, int> incoming;  // op id -> incoming connectors
   for (const auto& c : job.connectors) {
-    const OperatorDescriptor* src = job.FindOperator(c.src_op);
-    const OperatorDescriptor* dst = job.FindOperator(c.dst_op);
-    if (!src || !dst) return Status::InvalidArgument("dangling connector");
-    std::vector<InChannel*> per_dst;
+    if (!ops.count(c.src_op) || !ops.count(c.dst_op)) {
+      return Status::InvalidArgument("dangling connector");
+    }
+    ++incoming[c.dst_op];
+  }
+  std::vector<bool> fused(job.connectors.size(), false);
+  std::map<int, bool> fused_dst;  // op id -> fed by a fused connector
+  for (size_t i = 0; i < job.connectors.size(); ++i) {
+    const ConnectorDescriptor& c = job.connectors[i];
+    const OperatorDescriptor* src = ops[c.src_op];
+    const OperatorDescriptor* dst = ops[c.dst_op];
+    fused[i] = c.type == ConnectorType::kOneToOne && dst->push &&
+               dst->num_inputs == 1 && incoming[c.dst_op] == 1 &&
+               src->parallelism == dst->parallelism;
+    if (fused[i]) fused_dst[c.dst_op] = true;
+  }
+
+  // Channels: one per (exchange connector, destination instance). Owned
+  // here. All are bounded by channel_capacity_frames, so a fast producer
+  // blocks instead of queueing without limit.
+  std::vector<std::unique_ptr<InChannel>> channel_storage;
+  // (connector index) -> channels per destination instance.
+  std::vector<std::vector<InChannel*>> conn_channels(job.connectors.size());
+  for (size_t i = 0; i < job.connectors.size(); ++i) {
+    if (fused[i]) continue;
+    const ConnectorDescriptor& c = job.connectors[i];
+    const OperatorDescriptor* src = ops[c.src_op];
+    const OperatorDescriptor* dst = ops[c.dst_op];
     for (int d = 0; d < dst->parallelism; ++d) {
       if (c.type == ConnectorType::kMToNPartitioningMerging && c.merge_compare) {
         channel_storage.push_back(std::make_unique<MergeChannel>(
@@ -367,9 +569,8 @@ Result<JobStats> Cluster::ExecuteJob(const JobSpec& job) {
         channel_storage.push_back(std::make_unique<FifoChannel>(
             src->parallelism, config_.channel_capacity_frames));
       }
-      per_dst.push_back(channel_storage.back().get());
+      conn_channels[i].push_back(channel_storage.back().get());
     }
-    conn_channels[c.id] = std::move(per_dst);
   }
 
   // Instance node mapping: storage-parallel operators put instance p on the
@@ -381,7 +582,9 @@ Result<JobStats> Cluster::ExecuteJob(const JobSpec& job) {
 
   // Lay out every instance's span up front so worker threads each write
   // only their own element (no resizing, no sharing).
+  std::map<int, size_t> first_span;  // op id -> span of its instance 0
   for (const auto& op : job.operators) {
+    first_span[op.id] = profile->spans.size();
     for (int inst = 0; inst < op.parallelism; ++inst) {
       OperatorSpan span;
       span.op_id = op.id;
@@ -425,81 +628,88 @@ Result<JobStats> Cluster::ExecuteJob(const JobSpec& job) {
     active_jobs_[job_id] = std::move(active);
   }
 
-  // Build one task per operator instance and hand the set to the persistent
-  // executor pool (which grows to admit the whole job, then reuses its
-  // threads across jobs). RunAll blocks until every instance finishes, so
-  // stack captures below stay valid.
-  std::vector<std::function<void()>> tasks;
-  std::mutex status_mu;
-  Status first_failure;
-
-  size_t span_index = 0;
-  for (const auto& op : job.operators) {
-    for (int inst = 0; inst < op.parallelism; ++inst) {
-      OperatorSpan* span = &profile->spans[span_index++];
-      // Gather input channels by port, wrapped to count consumed tuples and
-      // input-wait time into the instance's span (consumed single-threaded
-      // by the instance's own worker).
-      std::vector<InChannel*> inputs(static_cast<size_t>(op.num_inputs), nullptr);
-      for (const auto& c : job.connectors) {
-        if (c.dst_op != op.id) continue;
-        channel_storage.push_back(std::make_unique<CountingChannel>(
-            conn_channels[c.id][inst], &span->tuples_in, &span->input_wait_us));
-        inputs[static_cast<size_t>(c.dst_port)] = channel_storage.back().get();
-      }
-      // Gather output routes.
-      std::vector<RoutingEmitter::Route> routes;
-      for (const auto& c : job.connectors) {
-        if (c.src_op != op.id) continue;
-        const OperatorDescriptor* dst = job.FindOperator(c.dst_op);
-        RoutingEmitter::Route r;
-        r.conn = &c;
-        r.dst_channels = conn_channels[c.id];
-        r.counters = &conn_counters[static_cast<size_t>(c.id)];
+  // One pipeline per (head operator, instance): a head is any operator not
+  // fed by a fused connector; its pipeline holds it plus every stage its
+  // fused routes reach.
+  std::vector<std::unique_ptr<Pipeline>> pipelines;
+  std::function<Stage*(Pipeline*, const OperatorDescriptor&, int, int)>
+      add_stage = [&](Pipeline* p, const OperatorDescriptor& op, int inst,
+                      int head_op) -> Stage* {
+    auto owned = std::make_unique<Stage>();
+    Stage* stage = owned.get();
+    p->stages.push_back(std::move(owned));
+    stage->op = &op;
+    stage->span = &profile->spans[first_span[op.id] + static_cast<size_t>(inst)];
+    stage->span->pipeline = head_op;
+    std::vector<RoutingEmitter::Route> routes;
+    for (size_t i = 0; i < job.connectors.size(); ++i) {
+      const ConnectorDescriptor& c = job.connectors[i];
+      if (c.src_op != op.id) continue;
+      const OperatorDescriptor* dst = ops[c.dst_op];
+      RoutingEmitter::Route r;
+      r.conn = &c;
+      r.counters = &conn_counters[i];
+      if (fused[i]) {
+        r.fused = add_stage(p, *dst, inst, head_op);
+        r.dst_nodes.push_back(node_of_instance(*dst, inst));
+        stage->fused.push_back(r.fused);
+      } else {
+        r.dst_channels = conn_channels[i];
         for (int d = 0; d < dst->parallelism; ++d) {
           r.dst_nodes.push_back(node_of_instance(*dst, d));
         }
-        routes.push_back(std::move(r));
       }
-
-      MemoryBudget* budget = nullptr;
-      if (op.memory_intensive && per_instance_budget > 0) {
-        budget_storage.emplace_back(per_instance_budget, budget_used.get());
-        budget = &budget_storage.back();
-      }
-
-      tasks.emplace_back([&, inputs, routes = std::move(routes), span, budget,
-                          query_id, factory = op.factory]() mutable {
-        // Tag the worker thread with the originating query so every journal
-        // event posted below this frame (LSM flush/merge, lock waits, spills,
-        // backpressure) carries the right query id.
-        journal::ScopedQueryId task_query_scope(query_id);
-        span->start_ms = since_start_ms();
-        uint64_t cpu_start_us = ThreadCpuUs();
-        RoutingEmitter emitter(span->instance, span->node, std::move(routes),
-                               span, budget);
-        std::unique_ptr<OperatorInstance> instance = factory(span->instance);
-        Status st = instance->Run(inputs, &emitter);
-        if (st.ok()) {
-          emitter.Done();
-        } else {
-          span->ok = false;
-          emitter.FailAll(st);
-          emitter.Done();
-          // Abandon this instance's inputs so producers blocked on a full
-          // channel wake up and drain — no teardown deadlock.
-          for (InChannel* in : inputs) {
-            if (in) in->CancelConsumer();
-          }
-          std::lock_guard<std::mutex> lock(status_mu);
-          if (first_failure.ok()) first_failure = st;
-        }
-        // Same thread that ran the instance, so the thread-CPU delta is
-        // exactly this instance's compute (waits don't accrue CPU).
-        span->cpu_us = ThreadCpuUs() - cpu_start_us;
-        span->end_ms = since_start_ms();
-      });
+      routes.push_back(std::move(r));
     }
+    MemoryBudget* budget = nullptr;
+    if (op.memory_intensive && per_instance_budget > 0) {
+      budget_storage.emplace_back(per_instance_budget, budget_used.get());
+      budget = &budget_storage.back();
+    }
+    stage->emitter = std::make_unique<RoutingEmitter>(
+        inst, stage->span->node, std::move(routes), stage->span, budget, p);
+    return stage;
+  };
+  for (const auto& op : job.operators) {
+    if (fused_dst.count(op.id)) continue;
+    for (int inst = 0; inst < op.parallelism; ++inst) {
+      auto p = std::make_unique<Pipeline>(start);
+      Stage* head = add_stage(p.get(), op, inst, op.id);
+      // The head's input channels by port, wrapped to count consumed tuples
+      // and input-wait time into its span (pulled only by its own task).
+      p->inputs.assign(static_cast<size_t>(op.num_inputs), nullptr);
+      for (size_t i = 0; i < job.connectors.size(); ++i) {
+        const ConnectorDescriptor& c = job.connectors[i];
+        if (c.dst_op != op.id) continue;
+        channel_storage.push_back(std::make_unique<CountingChannel>(
+            conn_channels[i][static_cast<size_t>(inst)],
+            &head->span->tuples_in, &head->span->input_wait_us));
+        p->inputs[static_cast<size_t>(c.dst_port)] =
+            channel_storage.back().get();
+      }
+      pipelines.push_back(std::move(p));
+    }
+  }
+
+  // One task per pipeline, handed to the persistent executor pool (which
+  // grows to admit the whole job, then reuses its threads across jobs).
+  // RunAll blocks until every pipeline finishes, so stack captures below
+  // stay valid.
+  std::vector<std::function<void()>> tasks;
+  std::mutex status_mu;
+  Status first_failure;
+  for (auto& p : pipelines) {
+    tasks.emplace_back([&, pipeline = p.get(), query_id] {
+      // Tag the worker thread with the originating query so every journal
+      // event posted below this frame (LSM flush/merge, lock waits, spills,
+      // backpressure) carries the right query id.
+      journal::ScopedQueryId task_query_scope(query_id);
+      Status st = pipeline->Run();
+      if (!st.ok()) {
+        std::lock_guard<std::mutex> lock(status_mu);
+        if (first_failure.ok()) first_failure = st;
+      }
+    });
   }
   // Everything up to here — modeled startup, channel wiring, task building —
   // is the job's admission wait; worker wall time is its execute span.
@@ -519,8 +729,9 @@ Result<JobStats> Cluster::ExecuteJob(const JobSpec& job) {
   profile->elapsed_ms = stats.elapsed_ms;
   journal::Journal::Default().Post(journal::EventKind::kJobFinish, job_id,
                                    since_start_us());
-  for (const auto& c : job.connectors) {
-    const ConnCounters& counters = conn_counters[static_cast<size_t>(c.id)];
+  for (size_t i = 0; i < job.connectors.size(); ++i) {
+    const ConnectorDescriptor& c = job.connectors[i];
+    const ConnCounters& counters = conn_counters[i];
     ConnectorHops hops;
     hops.conn_id = c.id;
     hops.type = ConnectorTypeName(c.type);

@@ -12,16 +12,18 @@
 namespace asterix {
 namespace hyracks {
 
-/// Persistent worker-thread pool for operator instances. Created at cluster
-/// boot and reused across jobs, so the short low-latency queries of Table 3
-/// stop paying a thread spawn per operator instance per job.
+/// Persistent worker-thread pool for a job's tasks. Created at cluster boot
+/// and reused across jobs, so the short low-latency queries of Table 3 stop
+/// paying a thread spawn per task per job. A task is one pipeline instance:
+/// a head operator instance plus the one-input stages fused behind it.
 ///
-/// Sizing rule: pipelined operators block on channel I/O served by their
-/// peers, so a job makes progress only when EVERY one of its instances has
-/// a live thread. RunAll() therefore reserves one thread per task — summed
-/// across concurrently admitted jobs — and grows the pool to the reserved
-/// total before enqueuing. The pool never admits a job it cannot fully
-/// thread, and never shrinks (growth is a one-time cost, amortized forever).
+/// Sizing rule: pipelines block on channel I/O at the exchanges between
+/// them, served by their peers, so a job makes progress only when EVERY one
+/// of its pipelines has a live thread. RunAll() therefore reserves one
+/// thread per task — summed across concurrently admitted jobs — and grows
+/// the pool to the reserved total before enqueuing. The pool never admits a
+/// job it cannot fully thread, and never shrinks (growth is a one-time
+/// cost, amortized forever).
 class ExecutorPool {
  public:
   explicit ExecutorPool(size_t boot_threads);

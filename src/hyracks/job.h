@@ -46,10 +46,15 @@ class Emitter {
                              uint64_t /*rows_total*/) {}
   /// Microseconds spent inside vectorized kernels (filter/aggregate loops).
   virtual void AddKernelTime(uint64_t /*us*/) {}
+  /// The first failure of a stage fused downstream of this operator (OK
+  /// while none failed). Once set, pushes are dropped; a producing loop
+  /// returns it to stop early instead of feeding a failed pipeline.
+  virtual Status status() const { return Status::OK(); }
 };
 
-/// A per-partition runtime instance of an operator. `inputs[p]` is the
-/// channel for input port p; emit everything through `out`.
+/// A per-partition runtime instance of a source or two-input operator: it
+/// pulls its own inputs (`inputs[p]` is the channel for input port p) and
+/// emits everything through `out`. Such an instance heads a pipeline.
 class OperatorInstance {
  public:
   virtual ~OperatorInstance() = default;
@@ -58,6 +63,26 @@ class OperatorInstance {
 
 using OperatorFactory =
     std::function<std::unique_ptr<OperatorInstance>(int partition)>;
+
+/// A per-partition runtime instance of a one-input operator, in push form:
+/// whoever drives its pipeline hands it input frames, then ends the input.
+/// Fused behind a 1:1 connector, Consume() runs on the producer's thread;
+/// behind a channel, the executor's one channel-draining adapter drives it.
+class PushOperator {
+ public:
+  PushOperator() = default;
+  PushOperator(const PushOperator&) = delete;
+  PushOperator& operator=(const PushOperator&) = delete;
+  virtual ~PushOperator() = default;
+  /// Consumes one input frame. A frame may carry a columnar batch instead
+  /// of tuples (see Frame); row-oriented operators materialize its rows.
+  virtual Status Consume(Frame& frame, Emitter* out) = 0;
+  /// End of input: blocking operators produce their output here.
+  virtual Status Close(Emitter* out) = 0;
+};
+
+using PushFactory =
+    std::function<std::unique_ptr<PushOperator>(int partition)>;
 
 /// Declarative operator description in a Hyracks job DAG. `blocking_ports`
 /// exposes the operator's activity structure to the scheduler: those ports
@@ -70,11 +95,16 @@ struct OperatorDescriptor {
   int parallelism = 1;
   int num_inputs = 0;
   std::vector<int> blocking_ports;
+  /// Sources and two-input operators: a pull-style instance.
   OperatorFactory factory;
   /// True for operators that build unbounded in-memory state (hash join,
   /// hash group-by, distinct, sort); the executor divides the job's memory
   /// budget across the instances of exactly these operators.
   bool memory_intensive = false;
+  /// One-input operators: a push-form instance, set instead of `factory`.
+  /// The executor fuses it into its producer's pipeline across a 1:1
+  /// connector, and drives it from a channel everywhere else.
+  PushFactory push;
 };
 
 /// The six connector types the paper lists for Hyracks.

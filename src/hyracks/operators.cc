@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "adm/serde.h"
@@ -45,33 +47,71 @@ OperatorFactory Lambda(std::function<Status(int, const std::vector<InChannel*>&,
   };
 }
 
-/// Drains one input channel frame-at-a-time, invoking `fn` per frame. A
-/// columnar batch that reached a row-oriented operator arrives as its
-/// selected rows, so every operator is a safe vectorization boundary.
-Status ForEachFrame(InChannel* in, const std::function<Status(Frame&)>& fn) {
+/// Replaces a columnar batch frame by its selected rows as [record] tuples,
+/// so a row-oriented operator is a safe vectorization boundary.
+void MaterializeRows(Frame* frame) {
+  if (frame->batch == nullptr) return;
+  frame->tuples.reserve(frame->tuples.size() + frame->batch->sel.size());
+  for (uint32_t row : frame->batch->sel.rows) {
+    frame->tuples.push_back({frame->batch->MaterializeRow(row)});
+  }
+  frame->batch.reset();
+}
+
+/// Drains one input channel frame-at-a-time, invoking `fn` per tuple; the
+/// input loop of the pull-style heads (union, joins). One channel
+/// synchronization buys a whole frame of work. Stops at the first failure
+/// of a stage fused behind `out`.
+Status ForEachInput(InChannel* in, const Emitter* out,
+                    const std::function<Status(Tuple&)>& fn) {
   Frame frame;
   while (true) {
-    auto r = in->NextFrame(&frame);
-    if (!r.ok()) return r.status();
-    if (!r.value()) return Status::OK();
-    if (frame.batch != nullptr) {
-      for (uint32_t row : frame.batch->sel.rows) {
-        frame.tuples.push_back({frame.batch->MaterializeRow(row)});
-      }
-      frame.batch.reset();
-    }
-    ASTERIX_RETURN_NOT_OK(fn(frame));
+    ASTERIX_ASSIGN_OR_RETURN(bool more, in->NextFrame(&frame));
+    if (!more) return Status::OK();
+    MaterializeRows(&frame);
+    for (Tuple& t : frame.tuples) ASTERIX_RETURN_NOT_OK(fn(t));
+    ASTERIX_RETURN_NOT_OK(out->status());
   }
 }
 
-/// ForEachFrame, invoking `fn` per tuple. One channel synchronization buys
-/// a whole frame of work, so every operator built on this helper consumes
-/// input at frame granularity.
-Status ForEachInput(InChannel* in, const std::function<Status(Tuple&)>& fn) {
-  return ForEachFrame(in, [&](Frame& frame) {
-    for (Tuple& t : frame.tuples) ASTERIX_RETURN_NOT_OK(fn(t));
+/// Base of the row-oriented push operators: a batch frame arrives as its
+/// selected rows, one ConsumeTuple() call each.
+class RowOperator : public PushOperator {
+ public:
+  Status Consume(Frame& frame, Emitter* out) final {
+    MaterializeRows(&frame);
+    for (Tuple& t : frame.tuples) ASTERIX_RETURN_NOT_OK(ConsumeTuple(t, out));
     return Status::OK();
-  });
+  }
+  Status Close(Emitter*) override { return Status::OK(); }
+
+ protected:
+  virtual Status ConsumeTuple(Tuple& t, Emitter* out) = 0;
+};
+
+/// A streaming row operator given as a function of (tuple, emitter).
+template <typename Fn>
+class TupleOperator final : public RowOperator {
+ public:
+  explicit TupleOperator(Fn fn) : fn_(std::move(fn)) {}
+
+ protected:
+  Status ConsumeTuple(Tuple& t, Emitter* out) override { return fn_(t, out); }
+
+ private:
+  Fn fn_;
+};
+
+template <typename Fn>
+std::unique_ptr<PushOperator> TupleOp(Fn fn) {
+  return std::make_unique<TupleOperator<Fn>>(std::move(fn));
+}
+
+/// Push factory for a stateless streaming operator: every instance runs a
+/// copy of `fn`.
+template <typename Fn>
+PushFactory PerTuple(Fn fn) {
+  return [fn](int) { return TupleOp(fn); };
 }
 
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
@@ -162,8 +202,8 @@ GroupState NewGroup(const std::vector<AggSpec>& specs) {
 using TupleSink = std::function<Status(Tuple&)>;
 using TupleSource = std::function<Status(const TupleSink&)>;
 
-TupleSource ChannelSource(InChannel* in) {
-  return [in](const TupleSink& fn) { return ForEachInput(in, fn); };
+TupleSource ChannelSource(InChannel* in, const Emitter* out) {
+  return [in, out](const TupleSink& fn) { return ForEachInput(in, out, fn); };
 }
 
 TupleSource RunSource(const SpillRun* run) {
@@ -425,7 +465,7 @@ OperatorDescriptor MakeValueScan(std::vector<Tuple> tuples) {
     if (partition == 0) {
       for (const auto& t : *shared) out->Push(t);
     }
-    return Status::OK();
+    return out->status();
   });
   return op;
 }
@@ -438,7 +478,7 @@ OperatorDescriptor MakeUnion(int parallelism, int num_inputs) {
   op.factory = Lambda([num_inputs](int, const std::vector<InChannel*>& in,
                                    Emitter* out) {
     for (int port = 0; port < num_inputs; ++port) {
-      ASTERIX_RETURN_NOT_OK(ForEachInput(in[static_cast<size_t>(port)],
+      ASTERIX_RETURN_NOT_OK(ForEachInput(in[static_cast<size_t>(port)], out,
                                          [&](Tuple& t) {
                                            out->Push(std::move(t));
                                            return Status::OK();
@@ -468,7 +508,7 @@ OperatorDescriptor MakeDatasetScan(storage::PartitionedDataset* dataset,
                     ->ProjectedScan(storage::ScanBounds{}, *proj,
                                     [&](const Value& rec) {
                                       out->Push({rec});
-                                      return Status::OK();
+                                      return out->status();
                                     },
                                     &stats);
     out->AddBytesRead(stats.bytes_read);
@@ -496,7 +536,7 @@ OperatorDescriptor MakePrimaryRangeScan(storage::PartitionedDataset* dataset,
                     ->ProjectedScan(*shared, *proj,
                                     [&](const Value& rec) {
                                       out->Push({rec});
-                                      return Status::OK();
+                                      return out->status();
                                     },
                                     &stats);
     out->AddBytesRead(stats.bytes_read);
@@ -563,6 +603,49 @@ Status FetchFrame(storage::PartitionedDataset* dataset, txn::TxnId txn,
   return Status::OK();
 }
 
+/// The primary fetch: one batched MultiGet per input frame. A locked fetch
+/// runs one implicit read transaction per instance, whose S locks release
+/// when the input ends (or the instance is torn down on failure).
+class PrimaryFetch final : public PushOperator {
+ public:
+  PrimaryFetch(storage::PartitionedDataset* dataset, txn::TxnManager* txns,
+               std::vector<int> key_columns, bool locked,
+               std::shared_ptr<const storage::column::Projection> proj)
+      : dataset_(dataset),
+        txns_(txns),
+        key_columns_(std::move(key_columns)),
+        proj_(std::move(proj)),
+        locked_(locked),
+        txn_(locked ? txns->Begin() : 0) {}
+  ~PrimaryFetch() override { ReleaseLocks(); }
+
+  Status Consume(Frame& frame, Emitter* out) override {
+    MaterializeRows(&frame);
+    return FetchFrame(dataset_, txn_, key_columns_, *proj_, &frame, out);
+  }
+
+  Status Close(Emitter*) override {
+    ReleaseLocks();
+    return Status::OK();
+  }
+
+ private:
+  // Read-only transaction: releasing the S locks is its commit; no WAL
+  // record is needed.
+  void ReleaseLocks() {
+    if (!locked_) return;
+    txns_->locks().ReleaseAll(txn_);
+    locked_ = false;
+  }
+
+  storage::PartitionedDataset* dataset_;
+  txn::TxnManager* txns_;
+  std::vector<int> key_columns_;
+  std::shared_ptr<const storage::column::Projection> proj_;
+  bool locked_;
+  txn::TxnId txn_;
+};
+
 }  // namespace
 
 OperatorDescriptor MakePrimarySearch(storage::PartitionedDataset* dataset,
@@ -575,20 +658,12 @@ OperatorDescriptor MakePrimarySearch(storage::PartitionedDataset* dataset,
   if (!ptag.empty()) op.name += " " + ptag;
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 1;
-  auto proj =
-      std::make_shared<storage::column::Projection>(std::move(projection));
-  op.factory = Lambda([dataset, txns, key_columns, locked, proj](
-                          int, const std::vector<InChannel*>& in,
-                          Emitter* out) {
-    // One implicit read transaction per task; S locks release at commit.
-    txn::TxnId t = locked ? txns->Begin() : 0;
-    Status st = ForEachFrame(in[0], [&](Frame& frame) {
-      return FetchFrame(dataset, t, key_columns, *proj, &frame, out);
-    });
-    // Read-only transaction: release the S locks; no WAL record needed.
-    if (locked) txns->locks().ReleaseAll(t);
-    return st;
-  });
+  auto proj = std::make_shared<const storage::column::Projection>(
+      std::move(projection));
+  op.push = [dataset, txns, key_columns, locked, proj](int) {
+    return std::make_unique<PrimaryFetch>(dataset, txns, key_columns, locked,
+                                          proj);
+  };
   return op;
 }
 
@@ -608,7 +683,7 @@ OperatorDescriptor MakeSecondarySearch(storage::PartitionedDataset* dataset,
                              [&](const storage::IndexEntry& e) {
                                Tuple t(e.key.end() - pk_arity, e.key.end());
                                out->Push(std::move(t));
-                               return Status::OK();
+                               return out->status();
                              });
   });
   return op;
@@ -621,25 +696,25 @@ OperatorDescriptor MakeSecondaryProbe(storage::PartitionedDataset* dataset,
   op.name = "btree-probe(" + index_name + ")";
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 1;
-  op.factory = Lambda([dataset, index_name, key_eval, pk_arity](
-                          int p, const std::vector<InChannel*>& in,
-                          Emitter* out) {
-    return ForEachInput(in[0], [&](Tuple& tuple) {
+  op.push = [dataset, index_name, key_eval, pk_arity](int p) {
+    auto* part = dataset->partition(static_cast<uint32_t>(p));
+    return TupleOp([part, index_name, key_eval, pk_arity](
+                       Tuple& tuple, Emitter* out) -> Status {
       auto key_r = key_eval(tuple);
       if (!key_r.ok()) return key_r.status();
       if (key_r.value().IsUnknown()) return Status::OK();
       storage::ScanBounds b;
       b.lo = storage::CompositeKey{key_r.value()};
       b.hi = b.lo;
-      return dataset->partition(static_cast<uint32_t>(p))
-          ->SecondaryRangeScan(index_name, b, [&](const storage::IndexEntry& e) {
+      return part->SecondaryRangeScan(
+          index_name, b, [&](const storage::IndexEntry& e) {
             Tuple o = tuple;
             o.insert(o.end(), e.key.end() - pk_arity, e.key.end());
             out->Push(std::move(o));
             return Status::OK();
           });
     });
-  });
+  };
   return op;
 }
 
@@ -656,7 +731,7 @@ OperatorDescriptor MakeRTreeSearch(storage::PartitionedDataset* dataset,
     return dataset->partition(static_cast<uint32_t>(p))
         ->RTreeSearch(index_name, query, [&](const storage::CompositeKey& pk) {
           out->Push(Tuple(pk.begin(), pk.end()));
-          return Status::OK();
+          return out->status();
         });
   });
   return op;
@@ -680,7 +755,7 @@ OperatorDescriptor MakeInvertedSearch(storage::PartitionedDataset* dataset,
     return ix->SearchTokensCount(
         *shared, [&](const storage::CompositeKey& pk, size_t count) {
           if (count >= min_matches) out->Push(Tuple(pk.begin(), pk.end()));
-          return Status::OK();
+          return out->status();
         });
   });
   return op;
@@ -691,16 +766,13 @@ OperatorDescriptor MakeSelect(int parallelism, TupleEval predicate) {
   op.name = "select";
   op.parallelism = parallelism;
   op.num_inputs = 1;
-  op.factory = Lambda([predicate](int, const std::vector<InChannel*>& in,
-                                  Emitter* out) {
-    return ForEachInput(in[0], [&](Tuple& t) {
-      auto v = predicate(t);
-      if (!v.ok()) return v.status();
-      if (functions::ValueToTri(v.value()) == functions::Tri::kTrue) {
-        out->Push(std::move(t));
-      }
-      return Status::OK();
-    });
+  op.push = PerTuple([predicate](Tuple& t, Emitter* out) -> Status {
+    auto v = predicate(t);
+    if (!v.ok()) return v.status();
+    if (functions::ValueToTri(v.value()) == functions::Tri::kTrue) {
+      out->Push(std::move(t));
+    }
+    return Status::OK();
   });
   return op;
 }
@@ -710,17 +782,14 @@ OperatorDescriptor MakeAssign(int parallelism, std::vector<TupleEval> exprs) {
   op.name = "assign";
   op.parallelism = parallelism;
   op.num_inputs = 1;
-  op.factory = Lambda([exprs](int, const std::vector<InChannel*>& in,
-                              Emitter* out) {
-    return ForEachInput(in[0], [&](Tuple& t) {
-      for (const auto& e : exprs) {
-        auto v = e(t);
-        if (!v.ok()) return v.status();
-        t.push_back(v.take());
-      }
-      out->Push(std::move(t));
-      return Status::OK();
-    });
+  op.push = PerTuple([exprs](Tuple& t, Emitter* out) -> Status {
+    for (const auto& e : exprs) {
+      auto v = e(t);
+      if (!v.ok()) return v.status();
+      t.push_back(v.take());
+    }
+    out->Push(std::move(t));
+    return Status::OK();
   });
   return op;
 }
@@ -730,18 +799,141 @@ OperatorDescriptor MakeProject(int parallelism, std::vector<int> columns) {
   op.name = "project";
   op.parallelism = parallelism;
   op.num_inputs = 1;
-  op.factory = Lambda([columns](int, const std::vector<InChannel*>& in,
-                                Emitter* out) {
-    return ForEachInput(in[0], [&](Tuple& t) {
-      Tuple o;
-      o.reserve(columns.size());
-      for (int c : columns) o.push_back(t[static_cast<size_t>(c)]);
-      out->Push(std::move(o));
-      return Status::OK();
-    });
+  op.push = PerTuple([columns](Tuple& t, Emitter* out) -> Status {
+    Tuple o;
+    o.reserve(columns.size());
+    for (int c : columns) o.push_back(t[static_cast<size_t>(c)]);
+    out->Push(std::move(o));
+    return Status::OK();
   });
   return op;
 }
+
+namespace {
+
+/// External merge sort: sorted runs spill to disk once the in-memory budget
+/// — tuple-count cap or the instance's byte budget, whichever trips first —
+/// is hit; a final heap-driven k-way merge streams the global order.
+class ExternalSort final : public RowOperator {
+ public:
+  ExternalSort(TupleCompare compare, std::optional<size_t> limit,
+               size_t spill_budget_tuples)
+      : compare_(std::move(compare)),
+        limit_(limit),
+        spill_budget_tuples_(spill_budget_tuples),
+        // Floor per run so a degenerate byte budget cannot degrade into one
+        // run per tuple (each run costs a file and a merge stream).
+        min_run_tuples_(std::min<size_t>(64, spill_budget_tuples)),
+        scratch_("sort-spill") {}
+
+  ~ExternalSort() override {
+    if (budget_ != nullptr) budget_->Release(charged_);
+  }
+
+  Status Close(Emitter* out) override;
+
+ protected:
+  Status ConsumeTuple(Tuple& t, Emitter* out) override {
+    budget_ = out->memory_budget();
+    if (budget_ != nullptr) {
+      size_t d = EstimateTupleBytes(t);
+      charged_ += d;
+      budget_->Charge(d);
+    }
+    buffer_.push_back(std::move(t));
+    if (buffer_.size() >= spill_budget_tuples_ ||
+        (budget_ != nullptr && budget_->over_budget() &&
+         buffer_.size() >= min_run_tuples_)) {
+      return Spill();
+    }
+    return Status::OK();
+  }
+
+ private:
+  void SortBuffer() {
+    std::stable_sort(buffer_.begin(), buffer_.end(),
+                     [&](const Tuple& a, const Tuple& b) {
+                       return compare_(a, b) < 0;
+                     });
+  }
+
+  Status Spill() {
+    SortBuffer();
+    auto run = std::make_unique<SpillRun>(scratch_.dir() + "/run" +
+                                          std::to_string(runs_.size()));
+    for (const auto& t : buffer_) ASTERIX_RETURN_NOT_OK(run->AppendTuple(t));
+    ASTERIX_RETURN_NOT_OK(run->Finish());
+    runs_.push_back(std::move(run));
+    buffer_.clear();
+    if (budget_ != nullptr) budget_->Release(charged_);
+    charged_ = 0;
+    return Status::OK();
+  }
+
+  TupleCompare compare_;
+  std::optional<size_t> limit_;
+  size_t spill_budget_tuples_;
+  size_t min_run_tuples_;
+  MemoryBudget* budget_ = nullptr;  // bound by the first input tuple
+  std::vector<Tuple> buffer_;
+  size_t charged_ = 0;
+  std::vector<std::unique_ptr<SpillRun>> runs_;
+  ScratchDirGuard scratch_;
+};
+
+Status ExternalSort::Close(Emitter* out) {
+  if (runs_.empty()) {
+    // Everything fit in memory.
+    SortBuffer();
+    size_t n = limit_.has_value() ? std::min(*limit_, buffer_.size())
+                                  : buffer_.size();
+    for (size_t i = 0; i < n; ++i) out->Push(std::move(buffer_[i]));
+    return Status::OK();
+  }
+  if (!buffer_.empty()) ASTERIX_RETURN_NOT_OK(Spill());
+
+  uint64_t run_bytes = 0;
+  for (const auto& run : runs_) run_bytes += run->bytes();
+  out->AddSpill(run_bytes, runs_.size());
+
+  // K-way merge over one streaming cursor per run (each holds at most a
+  // flush-sized window of its run): a binary heap of run heads replaces
+  // the O(k) scan per output tuple. Ties break toward the earlier run,
+  // preserving the stable order sequential spilling produced.
+  std::vector<std::unique_ptr<SpillRun::Cursor>> cursors;
+  std::vector<size_t> heap;
+  for (const auto& run : runs_) {
+    cursors.push_back(std::make_unique<SpillRun::Cursor>(*run));
+    bool more = false;
+    ASTERIX_RETURN_NOT_OK(cursors.back()->Next(&more));
+    if (more) heap.push_back(cursors.size() - 1);
+  }
+  auto heap_after = [&](size_t a, size_t b) {
+    int c = compare_(cursors[a]->tuple(), cursors[b]->tuple());
+    if (c != 0) return c > 0;  // larger head pops later
+    return a > b;
+  };
+  std::make_heap(heap.begin(), heap.end(), heap_after);
+  size_t emitted = 0;
+  while (!heap.empty() && (!limit_.has_value() || emitted < *limit_)) {
+    std::pop_heap(heap.begin(), heap.end(), heap_after);
+    size_t best = heap.back();
+    out->Push(std::move(cursors[best]->tuple()));
+    ++emitted;
+    bool more = false;
+    ASTERIX_RETURN_NOT_OK(cursors[best]->Next(&more));
+    if (more) {
+      std::push_heap(heap.begin(), heap.end(), heap_after);
+    } else {
+      heap.pop_back();
+    }
+  }
+  cursors.clear();
+  for (auto& run : runs_) run->Remove();
+  return Status::OK();
+}
+
+}  // namespace
 
 OperatorDescriptor MakeSort(int parallelism, TupleCompare compare,
                             std::optional<size_t> limit,
@@ -752,107 +944,9 @@ OperatorDescriptor MakeSort(int parallelism, TupleCompare compare,
   op.num_inputs = 1;
   op.blocking_ports = {0};
   op.memory_intensive = true;
-  op.factory = Lambda([compare, limit, spill_budget_tuples](
-                          int partition, const std::vector<InChannel*>& in,
-                          Emitter* out) {
-    // External merge sort: sorted runs spill to disk once the in-memory
-    // budget — tuple-count cap or the instance's byte budget, whichever
-    // trips first — is hit; a final heap-driven k-way merge streams the
-    // global order.
-    MemoryBudget* budget = out->memory_budget();
-    // Floor per run so a degenerate byte budget cannot degrade into one
-    // run per tuple (each run costs a file and a merge stream).
-    const size_t min_run_tuples = std::min<size_t>(64, spill_budget_tuples);
-    std::vector<Tuple> buffer;
-    size_t charged = 0;
-    std::vector<std::unique_ptr<SpillRun>> runs;
-    ScratchDirGuard scratch("sort-spill");
-    auto sort_buffer = [&] {
-      std::stable_sort(buffer.begin(), buffer.end(),
-                       [&](const Tuple& a, const Tuple& b) {
-                         return compare(a, b) < 0;
-                       });
-    };
-    auto spill = [&]() -> Status {
-      sort_buffer();
-      auto run = std::make_unique<SpillRun>(scratch.dir() + "/run" +
-                                            std::to_string(runs.size()));
-      for (const auto& t : buffer) ASTERIX_RETURN_NOT_OK(run->AppendTuple(t));
-      ASTERIX_RETURN_NOT_OK(run->Finish());
-      runs.push_back(std::move(run));
-      buffer.clear();
-      if (budget != nullptr) budget->Release(charged);
-      charged = 0;
-      return Status::OK();
-    };
-
-    ASTERIX_RETURN_NOT_OK(ForEachInput(in[0], [&](Tuple& t) {
-      if (budget != nullptr) {
-        size_t d = EstimateTupleBytes(t);
-        charged += d;
-        budget->Charge(d);
-      }
-      buffer.push_back(std::move(t));
-      if (buffer.size() >= spill_budget_tuples ||
-          (budget != nullptr && budget->over_budget() &&
-           buffer.size() >= min_run_tuples)) {
-        return spill();
-      }
-      return Status::OK();
-    }));
-    (void)partition;
-
-    if (runs.empty()) {
-      // Everything fit in memory.
-      sort_buffer();
-      size_t n = limit.has_value() ? std::min(*limit, buffer.size())
-                                   : buffer.size();
-      for (size_t i = 0; i < n; ++i) out->Push(std::move(buffer[i]));
-      if (budget != nullptr) budget->Release(charged);
-      return Status::OK();
-    }
-    if (!buffer.empty()) ASTERIX_RETURN_NOT_OK(spill());
-
-    uint64_t run_bytes = 0;
-    for (const auto& run : runs) run_bytes += run->bytes();
-    out->AddSpill(run_bytes, runs.size());
-
-    // K-way merge over one streaming cursor per run (each holds at most a
-    // flush-sized window of its run): a binary heap of run heads replaces
-    // the O(k) scan per output tuple. Ties break toward the earlier run,
-    // preserving the stable order sequential spilling produced.
-    std::vector<std::unique_ptr<SpillRun::Cursor>> cursors;
-    std::vector<size_t> heap;
-    for (const auto& run : runs) {
-      cursors.push_back(std::make_unique<SpillRun::Cursor>(*run));
-      bool more = false;
-      ASTERIX_RETURN_NOT_OK(cursors.back()->Next(&more));
-      if (more) heap.push_back(cursors.size() - 1);
-    }
-    auto heap_after = [&](size_t a, size_t b) {
-      int c = compare(cursors[a]->tuple(), cursors[b]->tuple());
-      if (c != 0) return c > 0;  // larger head pops later
-      return a > b;
-    };
-    std::make_heap(heap.begin(), heap.end(), heap_after);
-    size_t emitted = 0;
-    while (!heap.empty() && (!limit.has_value() || emitted < *limit)) {
-      std::pop_heap(heap.begin(), heap.end(), heap_after);
-      size_t best = heap.back();
-      out->Push(std::move(cursors[best]->tuple()));
-      ++emitted;
-      bool more = false;
-      ASTERIX_RETURN_NOT_OK(cursors[best]->Next(&more));
-      if (more) {
-        std::push_heap(heap.begin(), heap.end(), heap_after);
-      } else {
-        heap.pop_back();
-      }
-    }
-    cursors.clear();
-    for (auto& run : runs) run->Remove();
-    return Status::OK();
-  });
+  op.push = [compare, limit, spill_budget_tuples](int) {
+    return std::make_unique<ExternalSort>(compare, limit, spill_budget_tuples);
+  };
   return op;
 }
 
@@ -871,7 +965,8 @@ OperatorDescriptor MakeHybridHashJoin(int parallelism,
                           Emitter* out) {
     GraceHashJoin join(&build_keys, &probe_keys, build_arity, left_outer, out);
     Status st =
-        join.Execute(ChannelSource(in[0]), ChannelSource(in[1]), /*depth=*/0);
+        join.Execute(ChannelSource(in[0], out), ChannelSource(in[1], out),
+                     /*depth=*/0);
     join.Report();
     return st;
   });
@@ -927,7 +1022,7 @@ Status BlockNestedLoopJoin::Execute(InChannel* build_in, InChannel* probe_in) {
   std::unique_ptr<SpillRun> build_run;
 
   // Build: resident until the budget trips, everything after to the run.
-  ASTERIX_RETURN_NOT_OK(ForEachInput(build_in, [&](Tuple& t) {
+  ASTERIX_RETURN_NOT_OK(ForEachInput(build_in, ctx_.out, [&](Tuple& t) {
     if (budget != nullptr && budget->over_budget() && !block.empty()) {
       if (!build_run) {
         build_run = std::make_unique<SpillRun>(ctx_.NextRunPath());
@@ -954,7 +1049,7 @@ Status BlockNestedLoopJoin::Execute(InChannel* build_in, InChannel* probe_in) {
 
   // Probe once against the resident block. With no overflow this is the
   // whole join and left-outer tuples can be emitted immediately.
-  ASTERIX_RETURN_NOT_OK(ForEachInput(probe_in, [&](Tuple& t) -> Status {
+  ASTERIX_RETURN_NOT_OK(ForEachInput(probe_in, ctx_.out, [&](Tuple& t) -> Status {
     bool hit = false;
     for (const auto& b : block) {
       ASTERIX_ASSIGN_OR_RETURN(bool m, Match(b, t));
@@ -1075,13 +1170,21 @@ class SpillingHashGroupBy {
   SpillingHashGroupBy(const std::vector<TupleEval>* keys,
                       const std::vector<AggSpec>* aggs, AggMode mode,
                       Emitter* out)
-      : keys_(keys), aggs_(aggs), mode_(mode), ctx_(out, "group-spill") {}
+      : keys_(keys),
+        aggs_(aggs),
+        mode_(mode),
+        ctx_(out, "group-spill"),
+        top_(kSpillFanout) {}
 
-  /// `raw` feeds input tuples in the operator's own mode; `partials` feeds
-  /// previously spilled [keys..., Partial()...] tuples (combined regardless
-  /// of mode).
-  Status Execute(const TupleSource& raw, const TupleSource& partials,
-                 int depth);
+  /// Feeds one input tuple, in the operator's own mode, to the top level.
+  Status Add(Tuple& t) {
+    return Feed(&top_, t, /*is_partial=*/false, /*depth=*/0,
+                /*can_spill=*/ctx_.budget != nullptr);
+  }
+
+  /// End of input: emits the top level's resident groups, then aggregates
+  /// its spilled partitions level by level.
+  Status Finish() { return FinishLevel(&top_, /*depth=*/0); }
 
   void Report() { ctx_.Report(); }
 
@@ -1179,11 +1282,22 @@ class SpillingHashGroupBy {
   static constexpr size_t kGroupStateBytes = 64;
   static constexpr size_t kAggregatorBytes = 96;
 
+  /// One recursion level over a spilled partition's runs: `raw` feeds input
+  /// tuples in the operator's own mode; `partials` feeds spilled
+  /// [keys..., Partial()...] tuples (combined regardless of mode).
+  Status Execute(const TupleSource& raw, const TupleSource& partials,
+                 int depth);
+
+  /// Emits a level's resident groups, then recurses into its spilled
+  /// partitions.
+  Status FinishLevel(std::vector<Partition>* parts, int depth);
+
   const std::vector<TupleEval>* keys_;
   const std::vector<AggSpec>* aggs_;
   AggMode mode_;
   SpillContext ctx_;
   BytesWriter key_;
+  std::vector<Partition> top_;  // level 0, fed as input frames arrive
 };
 
 Status SpillingHashGroupBy::Execute(const TupleSource& raw,
@@ -1196,9 +1310,13 @@ Status SpillingHashGroupBy::Execute(const TupleSource& raw,
   ASTERIX_RETURN_NOT_OK(raw([&](Tuple& t) {
     return Feed(&parts, t, /*is_partial=*/false, depth, can_spill);
   }));
+  return FinishLevel(&parts, depth);
+}
 
+Status SpillingHashGroupBy::FinishLevel(std::vector<Partition>* parts,
+                                        int depth) {
   // Resident groups finish here; then free them before recursing.
-  for (auto& p : parts) {
+  for (auto& p : *parts) {
     if (p.spilled) continue;
     for (size_t i = 0; i < p.groups.size(); ++i) {
       ctx_.out->Push(FinishGroup(p.group_keys[i], &p.groups[i], mode_));
@@ -1211,7 +1329,7 @@ Status SpillingHashGroupBy::Execute(const TupleSource& raw,
     std::vector<GroupState>().swap(p.groups);
   }
 
-  for (auto& p : parts) {
+  for (auto& p : *parts) {
     if (!p.spilled) continue;
     if (p.partial_run) {
       ASTERIX_RETURN_NOT_OK(p.partial_run->Finish());
@@ -1231,6 +1349,60 @@ Status SpillingHashGroupBy::Execute(const TupleSource& raw,
   return Status::OK();
 }
 
+/// Hash group-by in push form; the grouper binds the instance's emitter
+/// (and with it the memory budget) on first use.
+class HashGroupBy final : public RowOperator {
+ public:
+  HashGroupBy(std::shared_ptr<const std::vector<TupleEval>> keys,
+              std::shared_ptr<const std::vector<AggSpec>> aggs, AggMode mode)
+      : keys_(std::move(keys)), aggs_(std::move(aggs)), mode_(mode) {}
+
+  Status Close(Emitter* out) override {
+    SpillingHashGroupBy& g = Grouper(out);
+    Status st = g.Finish();
+    g.Report();
+    return st;
+  }
+
+ protected:
+  Status ConsumeTuple(Tuple& t, Emitter* out) override {
+    return Grouper(out).Add(t);
+  }
+
+ private:
+  SpillingHashGroupBy& Grouper(Emitter* out) {
+    if (!grouper_) grouper_.emplace(keys_.get(), aggs_.get(), mode_, out);
+    return *grouper_;
+  }
+
+  std::shared_ptr<const std::vector<TupleEval>> keys_;
+  std::shared_ptr<const std::vector<AggSpec>> aggs_;
+  AggMode mode_;
+  std::optional<SpillingHashGroupBy> grouper_;
+};
+
+/// Ungrouped aggregation: one group fed per tuple, emitted at close.
+class Aggregate final : public RowOperator {
+ public:
+  Aggregate(std::shared_ptr<const std::vector<AggSpec>> aggs, AggMode mode)
+      : aggs_(std::move(aggs)), mode_(mode), group_(NewGroup(*aggs_)) {}
+
+  Status Close(Emitter* out) override {
+    out->Push(FinishGroup({}, &group_, mode_));
+    return Status::OK();
+  }
+
+ protected:
+  Status ConsumeTuple(Tuple& t, Emitter*) override {
+    return FeedGroup(&group_, *aggs_, t, mode_, /*key_arity=*/0);
+  }
+
+ private:
+  std::shared_ptr<const std::vector<AggSpec>> aggs_;
+  AggMode mode_;
+  GroupState group_;
+};
+
 }  // namespace
 
 OperatorDescriptor MakeHashGroupBy(int parallelism, std::vector<TupleEval> keys,
@@ -1241,15 +1413,13 @@ OperatorDescriptor MakeHashGroupBy(int parallelism, std::vector<TupleEval> keys,
   op.num_inputs = 1;
   op.blocking_ports = {0};
   op.memory_intensive = true;  // hash table over all groups
-  op.factory = Lambda([keys = std::move(keys), aggs = std::move(aggs), mode](
-                          int, const std::vector<InChannel*>& in,
-                          Emitter* out) {
-    SpillingHashGroupBy grouper(&keys, &aggs, mode, out);
-    Status st =
-        grouper.Execute(ChannelSource(in[0]), EmptySource(), /*depth=*/0);
-    grouper.Report();
-    return st;
-  });
+  auto shared_keys =
+      std::make_shared<const std::vector<TupleEval>>(std::move(keys));
+  auto shared_aggs =
+      std::make_shared<const std::vector<AggSpec>>(std::move(aggs));
+  op.push = [shared_keys, shared_aggs, mode](int) {
+    return std::make_unique<HashGroupBy>(shared_keys, shared_aggs, mode);
+  };
   return op;
 }
 
@@ -1262,15 +1432,10 @@ OperatorDescriptor MakeAggregate(int parallelism, std::vector<AggSpec> aggs,
   op.parallelism = parallelism;
   op.num_inputs = 1;
   op.blocking_ports = {0};
-  op.factory = Lambda([aggs, mode](int, const std::vector<InChannel*>& in,
-                                   Emitter* out) {
-    GroupState g = NewGroup(aggs);
-    ASTERIX_RETURN_NOT_OK(ForEachInput(in[0], [&](Tuple& t) {
-      return FeedGroup(&g, aggs, t, mode, /*key_arity=*/0);
-    }));
-    out->Push(FinishGroup({}, &g, mode));
-    return Status::OK();
-  });
+  auto shared = std::make_shared<const std::vector<AggSpec>>(std::move(aggs));
+  op.push = [shared, mode](int) {
+    return std::make_unique<Aggregate>(shared, mode);
+  };
   return op;
 }
 
@@ -1286,13 +1451,17 @@ namespace {
 class SpillingDistinct {
  public:
   SpillingDistinct(const std::vector<TupleEval>* keys, Emitter* out)
-      : keys_(keys), ctx_(out, "distinct-spill") {}
+      : keys_(keys), ctx_(out, "distinct-spill"), top_(kSpillFanout) {}
 
-  using Level =
-      std::function<Status(const TupleSink&,
-                           const std::function<Status(const uint8_t*, size_t)>&)>;
+  /// Emits `t` if its key is new to the top level.
+  Status Add(Tuple& t) {
+    return OnTuple(&top_, t, /*depth=*/0,
+                   /*can_spill=*/ctx_.budget != nullptr);
+  }
 
-  Status Execute(const Level& source, int depth);
+  /// End of input: de-duplicates the top level's spilled partitions level
+  /// by level.
+  Status Finish() { return FinishLevel(&top_, /*depth=*/0); }
 
   void Report() { ctx_.Report(); }
 
@@ -1317,6 +1486,40 @@ class SpillingDistinct {
     return inserted;
   }
 
+  Status OnTuple(std::vector<Partition>* parts, Tuple& t, int depth,
+                 bool can_spill) {
+    key_.Clear();
+    ASTERIX_RETURN_NOT_OK(
+        SerializeKeyOf(*keys_, t, &key_, /*unknown=*/nullptr));
+    uint64_t h = Hash64(key_.data().data(), key_.size());
+    Partition& p = (*parts)[SpillPartitionOf(h, depth)];
+    if (p.spilled) return p.run->AppendTuple(t);
+    if (Insert(&p, key_.data().data(), key_.size(), h)) {
+      ctx_.out->Push(std::move(t));
+      return SpillWhileOver(parts, can_spill);
+    }
+    return Status::OK();
+  }
+
+  /// A key marker from the parent level: mark emitted, never emit.
+  Status OnKey(std::vector<Partition>* parts, const uint8_t* kb, size_t n,
+               int depth, bool can_spill) {
+    uint64_t h = Hash64(kb, n);
+    Partition& p = (*parts)[SpillPartitionOf(h, depth)];
+    if (p.spilled) return p.run->AppendKeyBytes(kb, n);
+    Insert(&p, kb, n, h);
+    return SpillWhileOver(parts, can_spill);
+  }
+
+  Status SpillWhileOver(std::vector<Partition>* parts, bool can_spill) {
+    if (ctx_.budget == nullptr) return Status::OK();
+    while (can_spill && ctx_.budget->over_budget()) {
+      ASTERIX_ASSIGN_OR_RETURN(bool spilled, SpillVictim(parts));
+      if (!spilled) break;
+    }
+    return Status::OK();
+  }
+
   Result<bool> SpillVictim(std::vector<Partition>* parts) {
     Partition* victim = nullptr;
     for (auto& p : *parts) {
@@ -1336,70 +1539,77 @@ class SpillingDistinct {
     return true;
   }
 
+  /// One recursion level over a spilled partition's run (key markers, then
+  /// the tuples diverted after the spill).
+  Status Execute(const SpillRun& run, int depth);
+
+  /// Frees a level's resident sets, then recurses into its spilled
+  /// partitions.
+  Status FinishLevel(std::vector<Partition>* parts, int depth);
+
   const std::vector<TupleEval>* keys_;
   SpillContext ctx_;
   BytesWriter key_;
+  std::vector<Partition> top_;  // level 0, fed as input frames arrive
 };
 
-Status SpillingDistinct::Execute(const Level& source, int depth) {
+Status SpillingDistinct::Execute(const SpillRun& run, int depth) {
   const bool can_spill = ctx_.budget != nullptr && depth < kMaxSpillDepth;
   std::vector<Partition> parts(kSpillFanout);
-  ASTERIX_RETURN_NOT_OK(source(
-      [&](Tuple& t) -> Status {
-        key_.Clear();
-        ASTERIX_RETURN_NOT_OK(
-            SerializeKeyOf(*keys_, t, &key_, /*unknown=*/nullptr));
-        uint64_t h = Hash64(key_.data().data(), key_.size());
-        Partition& p = parts[SpillPartitionOf(h, depth)];
-        if (p.spilled) return p.run->AppendTuple(t);
-        if (Insert(&p, key_.data().data(), key_.size(), h)) {
-          ctx_.out->Push(std::move(t));
-          if (ctx_.budget != nullptr) {
-            while (can_spill && ctx_.budget->over_budget()) {
-              ASTERIX_ASSIGN_OR_RETURN(bool spilled, SpillVictim(&parts));
-              if (!spilled) break;
-            }
-          }
-        }
-        return Status::OK();
-      },
-      [&](const uint8_t* kb, size_t n) -> Status {
-        // A key marker from the parent level: mark emitted, never emit.
-        uint64_t h = Hash64(kb, n);
-        Partition& p = parts[SpillPartitionOf(h, depth)];
-        if (p.spilled) return p.run->AppendKeyBytes(kb, n);
-        Insert(&p, kb, n, h);
-        if (ctx_.budget != nullptr) {
-          while (can_spill && ctx_.budget->over_budget()) {
-            ASTERIX_ASSIGN_OR_RETURN(bool spilled, SpillVictim(&parts));
-            if (!spilled) break;
-          }
-        }
-        return Status::OK();
+  ASTERIX_RETURN_NOT_OK(run.ForEach(
+      [&](Tuple& t) { return OnTuple(&parts, t, depth, can_spill); },
+      [&](const uint8_t* kb, size_t n) {
+        return OnKey(&parts, kb, n, depth, can_spill);
       }));
+  return FinishLevel(&parts, depth);
+}
 
-  for (auto& p : parts) {
+Status SpillingDistinct::FinishLevel(std::vector<Partition>* parts,
+                                     int depth) {
+  for (auto& p : *parts) {
     if (p.spilled) continue;
     ctx_.hash_build_bytes += p.charged;
     if (ctx_.budget != nullptr) ctx_.budget->Release(p.charged);
     p.charged = 0;
     p.table = SerializedKeyTable();
   }
-  for (auto& p : parts) {
+  for (auto& p : *parts) {
     if (!p.spilled) continue;
     ASTERIX_RETURN_NOT_OK(p.run->Finish());
     ctx_.spill_bytes += p.run->bytes();
-    SpillRun* run = p.run.get();
-    ASTERIX_RETURN_NOT_OK(Execute(
-        [run](const TupleSink& on_tuple,
-              const std::function<Status(const uint8_t*, size_t)>& on_key) {
-          return run->ForEach(on_tuple, on_key);
-        },
-        depth + 1));
+    ASTERIX_RETURN_NOT_OK(Execute(*p.run, depth + 1));
     p.run->Remove();
   }
   return Status::OK();
 }
+
+/// Distinct in push form; binds the instance's emitter on first use.
+class Distinct final : public RowOperator {
+ public:
+  explicit Distinct(std::shared_ptr<const std::vector<TupleEval>> keys)
+      : keys_(std::move(keys)) {}
+
+  Status Close(Emitter* out) override {
+    SpillingDistinct& d = Set(out);
+    Status st = d.Finish();
+    d.Report();
+    return st;
+  }
+
+ protected:
+  Status ConsumeTuple(Tuple& t, Emitter* out) override {
+    return Set(out).Add(t);
+  }
+
+ private:
+  SpillingDistinct& Set(Emitter* out) {
+    if (!distinct_) distinct_.emplace(keys_.get(), out);
+    return *distinct_;
+  }
+
+  std::shared_ptr<const std::vector<TupleEval>> keys_;
+  std::optional<SpillingDistinct> distinct_;
+};
 
 }  // namespace
 
@@ -1409,41 +1619,92 @@ OperatorDescriptor MakeDistinct(int parallelism, std::vector<TupleEval> keys) {
   op.parallelism = parallelism;
   op.num_inputs = 1;
   op.memory_intensive = true;  // the seen-key set grows with distinct keys
-  op.factory = Lambda([keys](int, const std::vector<InChannel*>& in,
-                             Emitter* out) {
-    SpillingDistinct distinct(&keys, out);
-    Status st = distinct.Execute(
-        [&in](const TupleSink& on_tuple,
-              const std::function<Status(const uint8_t*, size_t)>&) {
-          return ForEachInput(in[0], on_tuple);
-        },
-        /*depth=*/0);
-    distinct.Report();
-    return st;
-  });
+  auto shared = std::make_shared<const std::vector<TupleEval>>(std::move(keys));
+  op.push = [shared](int) { return std::make_unique<Distinct>(shared); };
   return op;
 }
+
+namespace {
+
+class Limit final : public RowOperator {
+ public:
+  Limit(size_t limit, size_t offset) : limit_(limit), offset_(offset) {}
+
+ protected:
+  Status ConsumeTuple(Tuple& t, Emitter* out) override {
+    if (seen_++ < offset_) return Status::OK();
+    if (emitted_ < limit_) {
+      ++emitted_;
+      out->Push(std::move(t));
+    }
+    // Keep consuming: a channel-fed limit that abandoned its input would
+    // leave upstream producers blocked on a full channel.
+    return Status::OK();
+  }
+
+ private:
+  size_t limit_;
+  size_t offset_;
+  size_t seen_ = 0;
+  size_t emitted_ = 0;
+};
+
+/// Insert/delete sink: applies each tuple to the dataset and emits one
+/// [count] tuple at close.
+class ModifySink final : public RowOperator {
+ public:
+  /// Applies one tuple; true when it counts as modified.
+  using Apply = std::function<Result<bool>(const Tuple&)>;
+  explicit ModifySink(Apply apply) : apply_(std::move(apply)) {}
+
+  Status Close(Emitter* out) override {
+    out->Push({Value::Int64(count_)});
+    return Status::OK();
+  }
+
+ protected:
+  Status ConsumeTuple(Tuple& t, Emitter*) override {
+    ASTERIX_ASSIGN_OR_RETURN(bool counted, apply_(t));
+    if (counted) ++count_;
+    return Status::OK();
+  }
+
+ private:
+  Apply apply_;
+  int64_t count_ = 0;
+};
+
+/// Appends every input frame to the shared result under one lock.
+class ResultSink final : public PushOperator {
+ public:
+  ResultSink(std::shared_ptr<std::vector<Tuple>> sink,
+             std::shared_ptr<std::mutex> mu)
+      : sink_(std::move(sink)), mu_(std::move(mu)) {}
+
+  Status Consume(Frame& frame, Emitter*) override {
+    MaterializeRows(&frame);
+    std::lock_guard<std::mutex> lock(*mu_);
+    sink_->insert(sink_->end(), std::make_move_iterator(frame.tuples.begin()),
+                  std::make_move_iterator(frame.tuples.end()));
+    return Status::OK();
+  }
+  Status Close(Emitter*) override { return Status::OK(); }
+
+ private:
+  std::shared_ptr<std::vector<Tuple>> sink_;
+  std::shared_ptr<std::mutex> mu_;
+};
+
+}  // namespace
 
 OperatorDescriptor MakeLimit(size_t limit, size_t offset) {
   OperatorDescriptor op;
   op.name = "limit";
   op.parallelism = 1;
   op.num_inputs = 1;
-  op.factory = Lambda([limit, offset](int, const std::vector<InChannel*>& in,
-                                      Emitter* out) {
-    size_t seen = 0;
-    size_t emitted = 0;
-    return ForEachInput(in[0], [&](Tuple& t) {
-      if (seen++ < offset) return Status::OK();
-      if (emitted < limit) {
-        ++emitted;
-        out->Push(std::move(t));
-      }
-      // Keep draining: channels are bounded now, so abandoning the input
-      // would leave upstream producers blocked on a full channel.
-      return Status::OK();
-    });
-  });
+  op.push = [limit, offset](int) {
+    return std::make_unique<Limit>(limit, offset);
+  };
   return op;
 }
 
@@ -1453,33 +1714,31 @@ OperatorDescriptor MakeUnnest(int parallelism, TupleEval collection_eval,
   op.name = outer ? "outer-unnest" : "unnest";
   op.parallelism = parallelism;
   op.num_inputs = 1;
-  op.factory = Lambda([collection_eval, outer, with_position](
-                          int, const std::vector<InChannel*>& in, Emitter* out) {
-    return ForEachInput(in[0], [&](Tuple& t) {
-      auto v = collection_eval(t);
-      if (!v.ok()) return v.status();
-      const Value& coll = v.value();
-      if (coll.IsList() && !coll.AsList().empty()) {
-        int64_t pos = 0;
-        for (const auto& item : coll.AsList()) {
-          Tuple o = t;
-          o.push_back(item);
-          if (with_position) o.push_back(Value::Int64(++pos));
-          out->Push(std::move(o));
-        }
-      } else if (!coll.IsList() && !coll.IsUnknown()) {
-        Tuple o = std::move(t);
-        o.push_back(coll);
-        if (with_position) o.push_back(Value::Int64(1));
-        out->Push(std::move(o));
-      } else if (outer) {
-        Tuple o = std::move(t);
-        o.push_back(Value::Missing());
-        if (with_position) o.push_back(Value::Missing());
+  op.push = PerTuple([collection_eval, outer, with_position](
+                         Tuple& t, Emitter* out) -> Status {
+    auto v = collection_eval(t);
+    if (!v.ok()) return v.status();
+    const Value& coll = v.value();
+    if (coll.IsList() && !coll.AsList().empty()) {
+      int64_t pos = 0;
+      for (const auto& item : coll.AsList()) {
+        Tuple o = t;
+        o.push_back(item);
+        if (with_position) o.push_back(Value::Int64(++pos));
         out->Push(std::move(o));
       }
-      return Status::OK();
-    });
+    } else if (!coll.IsList() && !coll.IsUnknown()) {
+      Tuple o = std::move(t);
+      o.push_back(coll);
+      if (with_position) o.push_back(Value::Int64(1));
+      out->Push(std::move(o));
+    } else if (outer) {
+      Tuple o = std::move(t);
+      o.push_back(Value::Missing());
+      if (with_position) o.push_back(Value::Missing());
+      out->Push(std::move(o));
+    }
+    return Status::OK();
   });
   return op;
 }
@@ -1490,18 +1749,14 @@ OperatorDescriptor MakeInsert(storage::PartitionedDataset* dataset,
   op.name = "insert(" + dataset->def().name + ")";
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 1;
-  op.factory = Lambda([dataset, record_column](
-                          int, const std::vector<InChannel*>& in, Emitter* out) {
-    int64_t count = 0;
-    ASTERIX_RETURN_NOT_OK(ForEachInput(in[0], [&](Tuple& t) {
-      ASTERIX_RETURN_NOT_OK(
-          dataset->Insert(t[static_cast<size_t>(record_column)]));
-      ++count;
-      return Status::OK();
-    }));
-    out->Push({Value::Int64(count)});
-    return Status::OK();
-  });
+  op.push = [dataset, record_column](int) {
+    return std::make_unique<ModifySink>(
+        [dataset, record_column](const Tuple& t) -> Result<bool> {
+          ASTERIX_RETURN_NOT_OK(
+              dataset->Insert(t[static_cast<size_t>(record_column)]));
+          return true;
+        });
+  };
   return op;
 }
 
@@ -1511,20 +1766,16 @@ OperatorDescriptor MakeDelete(storage::PartitionedDataset* dataset,
   op.name = "delete(" + dataset->def().name + ")";
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 1;
-  op.factory = Lambda([dataset, key_columns](
-                          int, const std::vector<InChannel*>& in, Emitter* out) {
-    int64_t count = 0;
-    ASTERIX_RETURN_NOT_OK(ForEachInput(in[0], [&](Tuple& t) {
-      storage::CompositeKey pk;
-      for (int c : key_columns) pk.push_back(t[static_cast<size_t>(c)]);
-      bool found = false;
-      ASTERIX_RETURN_NOT_OK(dataset->DeleteByKey(pk, &found));
-      if (found) ++count;
-      return Status::OK();
-    }));
-    out->Push({Value::Int64(count)});
-    return Status::OK();
-  });
+  op.push = [dataset, key_columns](int) {
+    return std::make_unique<ModifySink>(
+        [dataset, key_columns](const Tuple& t) -> Result<bool> {
+          storage::CompositeKey pk;
+          for (int c : key_columns) pk.push_back(t[static_cast<size_t>(c)]);
+          bool found = false;
+          ASTERIX_RETURN_NOT_OK(dataset->DeleteByKey(pk, &found));
+          return found;
+        });
+  };
   return op;
 }
 
@@ -1534,14 +1785,7 @@ OperatorDescriptor MakeResultSink(std::shared_ptr<std::vector<Tuple>> sink) {
   op.parallelism = 1;
   op.num_inputs = 1;
   auto mu = std::make_shared<std::mutex>();
-  op.factory = Lambda([sink, mu](int, const std::vector<InChannel*>& in,
-                                 Emitter*) {
-    return ForEachInput(in[0], [&](Tuple& t) {
-      std::lock_guard<std::mutex> lock(*mu);
-      sink->push_back(std::move(t));
-      return Status::OK();
-    });
-  });
+  op.push = [sink, mu](int) { return std::make_unique<ResultSink>(sink, mu); };
   return op;
 }
 
@@ -1575,7 +1819,7 @@ OperatorDescriptor MakeVectorScan(storage::PartitionedDataset* dataset,
           rows_selected += batch->sel.size();
           rows_total += batch->num_rows;
           out->PushBatch(batch);
-          return Status::OK();
+          return out->status();
         };
     Status st = part->BatchScan(*shared, *proj, emit, &stats);
     if (st.code() == StatusCode::kNotImplemented) {
@@ -1602,6 +1846,129 @@ OperatorDescriptor MakeVectorScan(storage::PartitionedDataset* dataset,
   return op;
 }
 
+namespace {
+
+/// Vectorized filter: batches refine their selection vector in place; row
+/// tuples from a non-batch producer go through the interpreted fallback.
+class VectorSelect final : public PushOperator {
+ public:
+  VectorSelect(std::shared_ptr<vector::PredNode> pred, TupleEval fallback)
+      : pred_(std::move(pred)), fallback_(std::move(fallback)) {}
+
+  Status Consume(Frame& frame, Emitter* out) override {
+    for (Tuple& t : frame.tuples) {
+      auto v = fallback_(t);
+      if (!v.ok()) return v.status();
+      if (functions::ValueToTri(v.value()) == functions::Tri::kTrue) {
+        out->Push(std::move(t));
+      }
+    }
+    if (frame.batch != nullptr) {
+      ++batches_;
+      rows_total_ += frame.batch->sel.size();
+      auto t0 = std::chrono::steady_clock::now();
+      Status st = vector::Filter(*pred_, frame.batch.get());
+      kernel_us_ += ElapsedUs(t0);
+      ASTERIX_RETURN_NOT_OK(st);
+      rows_selected_ += frame.batch->sel.size();
+      if (!frame.batch->sel.empty()) out->PushBatch(std::move(frame.batch));
+    }
+    return Status::OK();
+  }
+
+  Status Close(Emitter* out) override {
+    out->AddBatchStats(batches_, rows_selected_, rows_total_);
+    out->AddKernelTime(kernel_us_);
+    return Status::OK();
+  }
+
+ private:
+  std::shared_ptr<vector::PredNode> pred_;
+  TupleEval fallback_;
+  uint64_t batches_ = 0, rows_selected_ = 0, rows_total_ = 0, kernel_us_ = 0;
+};
+
+/// Vectorized ungrouped aggregation: kernels fold each batch; row tuples are
+/// re-batched so the same kernels (and NULL/MISSING rules) apply.
+class VectorAggregate final : public PushOperator {
+ public:
+  VectorAggregate(const std::vector<VectorAggSpec>& aggs, AggMode mode)
+      : mode_(mode) {
+    states_.reserve(aggs.size());
+    for (const auto& a : aggs) {
+      states_.emplace_back(a.function, a.field);
+      if (!a.field.empty() &&
+          std::find(fields_.begin(), fields_.end(), a.field) == fields_.end()) {
+        fields_.push_back(a.field);
+      }
+    }
+  }
+
+  Status Consume(Frame& frame, Emitter*) override {
+    if (!frame.tuples.empty()) {
+      storage::column::BatchBuilder builder(fields_);
+      for (Tuple& t : frame.tuples) builder.Add(std::move(t[0]));
+      auto b = builder.Take();
+      if (b != nullptr) ASTERIX_RETURN_NOT_OK(Feed(*b));
+    }
+    if (frame.batch != nullptr) ASTERIX_RETURN_NOT_OK(Feed(*frame.batch));
+    return Status::OK();
+  }
+
+  Status Close(Emitter* out) override {
+    out->AddBatchStats(batches_, rows_, rows_);
+    out->AddKernelTime(kernel_us_);
+    Tuple result;
+    result.reserve(states_.size());
+    for (const auto& s : states_) {
+      result.push_back(mode_ == AggMode::kLocal ? s.Partial() : s.Finish());
+    }
+    out->Push(std::move(result));
+    return Status::OK();
+  }
+
+ private:
+  Status Feed(const storage::column::ColumnBatch& batch) {
+    ++batches_;
+    rows_ += batch.sel.size();
+    auto t0 = std::chrono::steady_clock::now();
+    for (auto& s : states_) ASTERIX_RETURN_NOT_OK(s.AddBatch(batch));
+    kernel_us_ += ElapsedUs(t0);
+    return Status::OK();
+  }
+
+  AggMode mode_;
+  std::vector<vector::VectorAgg> states_;
+  std::vector<std::string> fields_;
+  uint64_t batches_ = 0, rows_ = 0, kernel_us_ = 0;
+};
+
+/// Late materialization: each batch's selected rows become [record] tuples.
+class VectorMaterialize final : public PushOperator {
+ public:
+  Status Consume(Frame& frame, Emitter* out) override {
+    for (Tuple& t : frame.tuples) out->Push(std::move(t));
+    if (frame.batch != nullptr) {
+      ++batches_;
+      rows_ += frame.batch->sel.size();
+      for (uint32_t row : frame.batch->sel.rows) {
+        out->Push({frame.batch->MaterializeRow(row)});
+      }
+    }
+    return Status::OK();
+  }
+
+  Status Close(Emitter* out) override {
+    out->AddBatchStats(batches_, rows_, rows_);
+    return Status::OK();
+  }
+
+ private:
+  uint64_t batches_ = 0, rows_ = 0;
+};
+
+}  // namespace
+
 OperatorDescriptor MakeVectorSelect(int parallelism,
                                     std::shared_ptr<vector::PredNode> pred,
                                     TupleEval fallback) {
@@ -1609,38 +1976,9 @@ OperatorDescriptor MakeVectorSelect(int parallelism,
   op.name = "vector-select";
   op.parallelism = parallelism;
   op.num_inputs = 1;
-  op.factory = Lambda([pred, fallback](int, const std::vector<InChannel*>& in,
-                                       Emitter* out) {
-    Frame frame;
-    uint64_t batches = 0, rows_selected = 0, rows_total = 0, kernel_us = 0;
-    while (true) {
-      auto r = in[0]->NextFrame(&frame);
-      if (!r.ok()) return r.status();
-      if (!r.value()) break;
-      for (Tuple& t : frame.tuples) {
-        auto v = fallback(t);
-        if (!v.ok()) return v.status();
-        if (functions::ValueToTri(v.value()) == functions::Tri::kTrue) {
-          out->Push(std::move(t));
-        }
-      }
-      if (frame.batch != nullptr) {
-        ++batches;
-        rows_total += frame.batch->sel.size();
-        auto t0 = std::chrono::steady_clock::now();
-        Status st = vector::Filter(*pred, frame.batch.get());
-        kernel_us += ElapsedUs(t0);
-        if (!st.ok()) return st;
-        rows_selected += frame.batch->sel.size();
-        if (!frame.batch->sel.empty()) {
-          out->PushBatch(std::move(frame.batch));
-        }
-      }
-    }
-    out->AddBatchStats(batches, rows_selected, rows_total);
-    out->AddKernelTime(kernel_us);
-    return Status::OK();
-  });
+  op.push = [pred, fallback](int) {
+    return std::make_unique<VectorSelect>(pred, fallback);
+  };
   return op;
 }
 
@@ -1655,62 +1993,9 @@ OperatorDescriptor MakeVectorAggregate(int parallelism,
   op.parallelism = parallelism;
   op.num_inputs = 1;
   op.blocking_ports = {0};
-  op.factory = Lambda([aggs, mode](int, const std::vector<InChannel*>& in,
-                                   Emitter* out) {
-    std::vector<vector::VectorAgg> states;
-    states.reserve(aggs.size());
-    std::vector<std::string> fields;
-    for (const auto& a : aggs) {
-      states.emplace_back(a.function, a.field);
-      if (!a.field.empty() &&
-          std::find(fields.begin(), fields.end(), a.field) == fields.end()) {
-        fields.push_back(a.field);
-      }
-    }
-    uint64_t batches = 0, rows = 0, kernel_us = 0;
-    auto feed = [&](const storage::column::ColumnBatch& batch) {
-      ++batches;
-      rows += batch.sel.size();
-      auto t0 = std::chrono::steady_clock::now();
-      for (auto& s : states) {
-        ASTERIX_RETURN_NOT_OK(s.AddBatch(batch));
-      }
-      kernel_us += ElapsedUs(t0);
-      return Status::OK();
-    };
-    Frame frame;
-    Status st = Status::OK();
-    while (true) {
-      auto r = in[0]->NextFrame(&frame);
-      if (!r.ok()) { st = r.status(); break; }
-      if (!r.value()) break;
-      if (!frame.tuples.empty()) {
-        // Row tuples from a non-batch producer: re-batch the records so the
-        // same kernels (and the same NULL/MISSING rules) apply.
-        storage::column::BatchBuilder builder(fields);
-        for (Tuple& t : frame.tuples) builder.Add(std::move(t[0]));
-        auto b = builder.Take();
-        if (b != nullptr) {
-          st = feed(*b);
-          if (!st.ok()) break;
-        }
-      }
-      if (frame.batch != nullptr) {
-        st = feed(*frame.batch);
-        if (!st.ok()) break;
-      }
-    }
-    out->AddBatchStats(batches, rows, rows);
-    out->AddKernelTime(kernel_us);
-    ASTERIX_RETURN_NOT_OK(st);
-    Tuple result;
-    result.reserve(states.size());
-    for (const auto& s : states) {
-      result.push_back(mode == AggMode::kLocal ? s.Partial() : s.Finish());
-    }
-    out->Push(std::move(result));
-    return Status::OK();
-  });
+  op.push = [aggs, mode](int) {
+    return std::make_unique<VectorAggregate>(aggs, mode);
+  };
   return op;
 }
 
@@ -1719,26 +2004,7 @@ OperatorDescriptor MakeVectorMaterialize(int parallelism) {
   op.name = "vector-materialize";
   op.parallelism = parallelism;
   op.num_inputs = 1;
-  op.factory = Lambda([](int, const std::vector<InChannel*>& in,
-                         Emitter* out) {
-    Frame frame;
-    uint64_t batches = 0, rows = 0;
-    while (true) {
-      auto r = in[0]->NextFrame(&frame);
-      if (!r.ok()) return r.status();
-      if (!r.value()) break;
-      for (Tuple& t : frame.tuples) out->Push(std::move(t));
-      if (frame.batch != nullptr) {
-        ++batches;
-        rows += frame.batch->sel.size();
-        for (uint32_t row : frame.batch->sel.rows) {
-          out->Push({frame.batch->MaterializeRow(row)});
-        }
-      }
-    }
-    out->AddBatchStats(batches, rows, rows);
-    return Status::OK();
-  });
+  op.push = [](int) { return std::make_unique<VectorMaterialize>(); };
   return op;
 }
 

@@ -114,6 +114,7 @@ std::string JobProfile::ToJson() const {
     AppendJsonString(s.op_name, &out);
     out += ", \"instance\": " + std::to_string(s.instance) +
            ", \"node\": " + std::to_string(s.node) +
+           ", \"pipeline\": " + std::to_string(s.pipeline) +
            ", \"start_ms\": " + FmtMs(s.start_ms) +
            ", \"end_ms\": " + FmtMs(s.end_ms) +
            ", \"tuples_in\": " + std::to_string(s.tuples_in) +
@@ -200,6 +201,7 @@ std::string JobProfile::ToChromeTrace() const {
            ", \"tid\": " + std::to_string(s.instance) +
            ", \"args\": { \"op\": " + std::to_string(s.op_id) +
            ", \"partition\": " + std::to_string(s.instance) +
+           ", \"pipeline\": " + std::to_string(s.pipeline) +
            ", \"tuples_in\": " + std::to_string(s.tuples_in) +
            ", \"tuples_out\": " + std::to_string(s.tuples_out) +
            ", \"frames_flushed\": " + std::to_string(s.frames_flushed) +

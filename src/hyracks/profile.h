@@ -12,15 +12,18 @@ struct JobSpec;
 
 /// What one operator instance (one partition of one operator) did during a
 /// job: its wall-clock span relative to job submission and its tuple/frame
-/// traffic. Filled in by the executor; each instance's worker thread owns
-/// its span exclusively until the job joins.
+/// traffic. Filled in by the executor; the worker thread running the
+/// instance's pipeline owns its span exclusively until the job joins.
 struct OperatorSpan {
   int op_id = 0;
   std::string op_name;
   int instance = 0;  // partition index of this instance
   int node = 0;      // node the instance ran on
-  double start_ms = 0;  // relative to job submission
-  double end_ms = 0;
+  /// The head operator of the pipeline that ran this instance (op_id when
+  /// the instance heads its own). One task runs each (pipeline, instance).
+  int pipeline = -1;
+  double start_ms = 0;  // relative to job submission (its pipeline's start)
+  double end_ms = 0;    // when the instance ended its output
   uint64_t tuples_in = 0;
   uint64_t tuples_out = 0;
   uint64_t frames_flushed = 0;
@@ -28,7 +31,8 @@ struct OperatorSpan {
   /// for compute-only operators). On columnar scans this excludes pages
   /// skipped by projection/min-max pruning.
   uint64_t bytes_read = 0;
-  /// Wall time blocked pulling input frames (waiting on upstream).
+  /// Wall time blocked pulling input frames (waiting on upstream). Only a
+  /// pipeline head reads a channel; fused instances never wait for input.
   uint64_t input_wait_us = 0;
   /// Wall time blocked pushing output frames into full channels — the
   /// backpressure this instance absorbed from downstream.
@@ -50,9 +54,11 @@ struct OperatorSpan {
   uint64_t vec_rows_total = 0;
   /// Microseconds inside vectorized kernels (filter/aggregate tight loops).
   uint64_t kernel_us = 0;
-  /// Thread CPU time (CLOCK_THREAD_CPUTIME_ID) consumed by this instance's
-  /// Run() — actual compute, as opposed to the wall-clock span, which also
-  /// contains input/output waits.
+  /// Thread CPU time (CLOCK_THREAD_CPUTIME_ID) charged to this instance —
+  /// actual compute, as opposed to the wall-clock span, which also contains
+  /// waits. A pipeline's task charges every microsecond of its thread's CPU
+  /// to the instance running at the time, so the spans of a job sum to its
+  /// tasks' CPU.
   uint64_t cpu_us = 0;
   bool ok = true;
 

@@ -25,39 +25,14 @@ using TupleCompare = std::function<int(const Tuple&, const Tuple&)>;
 /// Batching amortizes queue synchronization the way byte frames amortize
 /// network calls in the real system. A frame may instead carry one typed
 /// columnar batch (the vectorized path): `batch` set, `tuples` empty. Batch
-/// frames only traverse 1:1 connectors — partitioning/merging connectors
-/// need per-tuple routing, so producers materialize rows first.
+/// frames only traverse 1:1 connectors, fused or not — partitioning/merging
+/// connectors need per-tuple routing, so producers materialize rows first.
 struct Frame {
   std::vector<Tuple> tuples;
   std::shared_ptr<storage::column::ColumnBatch> batch;
 };
 
 constexpr size_t kDefaultFrameTuples = 256;
-
-/// Accumulates tuples into frames and forwards them through a push target.
-class FrameAppender {
- public:
-  FrameAppender(std::function<void(Frame)> sink,
-                size_t frame_tuples = kDefaultFrameTuples)
-      : sink_(std::move(sink)), frame_tuples_(frame_tuples) {}
-
-  void Push(Tuple tuple) {
-    current_.tuples.push_back(std::move(tuple));
-    if (current_.tuples.size() >= frame_tuples_) Flush();
-  }
-
-  void Flush() {
-    if (!current_.tuples.empty()) {
-      sink_(std::move(current_));
-      current_ = Frame{};
-    }
-  }
-
- private:
-  std::function<void(Frame)> sink_;
-  size_t frame_tuples_;
-  Frame current_;
-};
 
 }  // namespace hyracks
 }  // namespace asterix

@@ -25,17 +25,20 @@ using PagePtr = std::shared_ptr<const PageData>;
 /// Disk components are immutable once written (LSM shadowing), so there is
 /// no dirty-page management: pages are only ever read, cached, and evicted.
 /// Thread-safe; returned pages stay valid after eviction because callers
-/// hold shared ownership.
+/// hold shared ownership. Each registered file is opened once and read with
+/// pread() through that one descriptor.
 class BufferCache {
  public:
   /// `capacity_pages` bounds resident pages (LRU beyond that).
   explicit BufferCache(size_t capacity_pages);
 
-  /// Registers a file for paged access. The file must exist.
+  /// Opens a file for paged access. The file must exist; once open, reads
+  /// keep working even if the path is unlinked.
   Result<FileId> OpenFile(const std::string& path);
 
   /// Drops a file's pages and forgets the id (called when a merged-away
-  /// component is destroyed).
+  /// component is destroyed). The descriptor closes once no read of the
+  /// file is in flight.
   void CloseFile(FileId id);
 
   /// Fetches page `page_no` of `file`, reading through on miss.
@@ -64,6 +67,22 @@ class BufferCache {
     PagePtr data;
     std::list<Key>::iterator lru_it;
   };
+  /// An open file. Readers copy the shared handle under the lock and read
+  /// outside it, so a descriptor stays valid for a read already in flight
+  /// when CloseFile runs: a reused descriptor number can never serve
+  /// another file's bytes.
+  struct File {
+    File(std::string path, int fd) : path(std::move(path)), fd(fd) {}
+    ~File();
+    File(const File&) = delete;
+    File& operator=(const File&) = delete;
+    std::string path;
+    int fd;
+  };
+  using FilePtr = std::shared_ptr<const File>;
+
+  /// Requires mu_ held.
+  Result<FilePtr> FindFileLocked(FileId id) const;
 
   void Touch(const Key& key, Entry& e);
   void EvictIfNeeded();
@@ -72,7 +91,7 @@ class BufferCache {
   size_t capacity_;
   std::map<Key, Entry> pages_;
   std::list<Key> lru_;  // front = most recent
-  std::map<FileId, std::string> files_;
+  std::map<FileId, FilePtr> files_;
   FileId next_file_id_ = 1;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -340,10 +340,11 @@ Status DatasetPartition::MultiGet(
     const column::Projection& projection,
     const std::function<Status(size_t, adm::Value)>& cb) {
   if (txn != 0) {
-    for (const CompositeKey& pk : pks) {
-      ASTERIX_RETURN_NOT_OK(txns_->locks().Acquire(txn, LockResource(pk),
-                                                   txn::LockMode::kShared));
-    }
+    std::vector<uint64_t> resources;
+    resources.reserve(pks.size());
+    for (const CompositeKey& pk : pks) resources.push_back(LockResource(pk));
+    ASTERIX_RETURN_NOT_OK(txns_->locks().AcquireAll(txn, resources,
+                                                    txn::LockMode::kShared));
   }
   return primary_->MultiGet(pks, projection, cb);
 }

@@ -184,6 +184,10 @@ Result<std::shared_ptr<RTreeReader>> RTreeReader::Open(BufferCache* cache,
   auto file_r = cache->OpenFile(path);
   if (!file_r.ok()) return file_r.status();
   FileId file = file_r.value();
+  // Owns the open file from here on, so an early error return closes it.
+  auto reader = std::shared_ptr<RTreeReader>(new RTreeReader());
+  reader->cache_ = cache;
+  reader->file_ = file;
   uint64_t size = cache->FileSizeBytes(file);
   if (size < 8) return Status::Corruption("rtree file too small: " + path);
   std::vector<uint8_t> tail;
@@ -203,9 +207,6 @@ Result<std::shared_ptr<RTreeReader>> RTreeReader::Open(BufferCache* cache,
     return Status::Corruption("rtree footer checksum mismatch: " + path);
   }
   BytesReader fr(fbytes.data(), flen - 4);
-  auto reader = std::shared_ptr<RTreeReader>(new RTreeReader());
-  reader->cache_ = cache;
-  reader->file_ = file;
   reader->file_size_ = size;
   uint32_t fmagic;
   ASTERIX_RETURN_NOT_OK(fr.GetU32(&fmagic));

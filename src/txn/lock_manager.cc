@@ -20,13 +20,33 @@ bool LockManager::Compatible(const LockState& state, TxnId txn,
 }
 
 Status LockManager::Acquire(TxnId txn, uint64_t resource, LockMode mode) {
+  static metrics::Counter* acquires =
+      metrics::MetricsRegistry::Default().GetCounter("txn.lock.acquires");
+  acquires->Inc();
+  std::unique_lock<std::mutex> lock(mu_);
+  return AcquireLocked(lock, txn, resource, mode);
+}
+
+Status LockManager::AcquireAll(TxnId txn,
+                               const std::vector<uint64_t>& resources,
+                               LockMode mode) {
+  static metrics::Counter* acquires =
+      metrics::MetricsRegistry::Default().GetCounter("txn.lock.acquires");
+  acquires->Inc(resources.size());
+  std::unique_lock<std::mutex> lock(mu_);
+  for (uint64_t resource : resources) {
+    ASTERIX_RETURN_NOT_OK(AcquireLocked(lock, txn, resource, mode));
+  }
+  return Status::OK();
+}
+
+Status LockManager::AcquireLocked(std::unique_lock<std::mutex>& lock,
+                                  TxnId txn, uint64_t resource,
+                                  LockMode mode) {
   auto& reg = metrics::MetricsRegistry::Default();
-  static metrics::Counter* acquires = reg.GetCounter("txn.lock.acquires");
   static metrics::Counter* waits = reg.GetCounter("txn.lock.waits");
   static metrics::Counter* timeouts = reg.GetCounter("txn.lock.timeouts");
   static metrics::Histogram* wait_us = reg.GetHistogram("txn.lock.wait_us");
-  acquires->Inc();
-  std::unique_lock<std::mutex> lock(mu_);
   LockState& state = locks_[resource];
   auto it = state.holders.find(txn);
   if (it != state.holders.end()) {
@@ -35,11 +55,15 @@ Status LockManager::Acquire(TxnId txn, uint64_t resource, LockMode mode) {
     }
     // Upgrade S -> X: wait until we are the only holder.
   }
+  if (Compatible(state, txn, mode)) {
+    state.holders[txn] = mode;
+    txn_locks_[txn].insert(resource);
+    return Status::OK();
+  }
+  waits->Inc();
   auto wait_start = std::chrono::steady_clock::now();
   auto deadline = wait_start + std::chrono::milliseconds(timeout_ms_);
-  bool waited = false;
   auto observe_wait = [&] {
-    if (!waited) return;
     uint64_t us = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - wait_start)
@@ -50,10 +74,6 @@ Status LockManager::Acquire(TxnId txn, uint64_t resource, LockMode mode) {
   };
   ++state.waiters;
   while (!Compatible(state, txn, mode)) {
-    if (!waited) {
-      waited = true;
-      waits->Inc();
-    }
     if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
       --state.waiters;
       if (state.holders.empty() && state.waiters == 0) locks_.erase(resource);

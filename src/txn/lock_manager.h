@@ -31,6 +31,11 @@ class LockManager {
   explicit LockManager(int64_t timeout_ms = 2000) : timeout_ms_(timeout_ms) {}
 
   Status Acquire(TxnId txn, uint64_t resource, LockMode mode);
+  /// Acquires `resources` in order under one hold of the manager's mutex
+  /// (released only while waiting on a conflict): a batched read takes its
+  /// record locks without contending once per key.
+  Status AcquireAll(TxnId txn, const std::vector<uint64_t>& resources,
+                    LockMode mode);
   void Release(TxnId txn, uint64_t resource);
   void ReleaseAll(TxnId txn);
 
@@ -45,6 +50,9 @@ class LockManager {
   };
 
   bool Compatible(const LockState& state, TxnId txn, LockMode mode) const;
+  /// Acquire() with `lock` holding mu_.
+  Status AcquireLocked(std::unique_lock<std::mutex>& lock, TxnId txn,
+                       uint64_t resource, LockMode mode);
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -18,21 +18,26 @@ using adm::Value;
 
 Tuple T(int64_t v) { return Tuple{Value::Int64(v)}; }
 
+// Pulls every frame to end-of-stream, flattening the first column.
+std::vector<int64_t> Drain(InChannel* ch) {
+  std::vector<int64_t> got;
+  Frame f;
+  while (true) {
+    auto r = ch->NextFrame(&f);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok() || !r.value()) break;
+    for (const auto& t : f.tuples) got.push_back(t[0].AsInt());
+  }
+  return got;
+}
+
 TEST(ChannelTest, FifoDeliversAllThenEos) {
   FifoChannel ch(2);
   ch.Push(0, Frame{{T(1), T(2)}});
   ch.Push(1, Frame{{T(3)}});
   ch.ProducerDone(0);
   ch.ProducerDone(1);
-  std::vector<int64_t> got;
-  Tuple t;
-  while (true) {
-    auto r = ch.Next(&t);
-    ASSERT_TRUE(r.ok());
-    if (!r.value()) break;
-    got.push_back(t[0].AsInt());
-  }
-  EXPECT_EQ(got.size(), 3u);
+  EXPECT_EQ(Drain(&ch).size(), 3u);
 }
 
 TEST(ChannelTest, FifoBlocksUntilData) {
@@ -42,19 +47,20 @@ TEST(ChannelTest, FifoBlocksUntilData) {
     ch.Push(0, Frame{{T(42)}});
     ch.ProducerDone(0);
   });
-  Tuple t;
-  auto r = ch.Next(&t);
+  Frame f;
+  auto r = ch.NextFrame(&f);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value());
-  EXPECT_EQ(t[0].AsInt(), 42);
+  ASSERT_EQ(f.tuples.size(), 1u);
+  EXPECT_EQ(f.tuples[0][0].AsInt(), 42);
   producer.join();
 }
 
 TEST(ChannelTest, FailurePropagatesToConsumer) {
   FifoChannel ch(1);
   ch.Fail(Status::Internal("boom"));
-  Tuple t;
-  auto r = ch.Next(&t);
+  Frame f;
+  auto r = ch.NextFrame(&f);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
 }
@@ -72,15 +78,7 @@ TEST(ChannelTest, MergeChannelProducesGlobalOrder) {
   ch.Push(2, Frame{{T(6)}});
   ch.ProducerDone(1);
   ch.ProducerDone(2);
-  std::vector<int64_t> got;
-  Tuple t;
-  while (true) {
-    auto r = ch.Next(&t);
-    ASSERT_TRUE(r.ok());
-    if (!r.value()) break;
-    got.push_back(t[0].AsInt());
-  }
-  EXPECT_EQ(got, (std::vector<int64_t>{1, 2, 3, 4, 5, 6, 9}));
+  EXPECT_EQ(Drain(&ch), (std::vector<int64_t>{1, 2, 3, 4, 5, 6, 9}));
 }
 
 TEST(ChannelTest, MergeChannelWaitsForSlowProducer) {
@@ -95,10 +93,11 @@ TEST(ChannelTest, MergeChannelWaitsForSlowProducer) {
     ch.ProducerDone(0);
     ch.ProducerDone(1);
   });
-  Tuple t;
-  auto r = ch.Next(&t);  // must wait for producer 1's 5, not emit 10 early
+  Frame f;
+  auto r = ch.NextFrame(&f);  // must wait for producer 1's 5, not emit 10 early
   ASSERT_TRUE(r.ok() && r.value());
-  EXPECT_EQ(t[0].AsInt(), 5);
+  ASSERT_FALSE(f.tuples.empty());
+  EXPECT_EQ(f.tuples[0][0].AsInt(), 5);
   slow.join();
 }
 
@@ -148,13 +147,13 @@ class ConnectorTest : public ::testing::Test {
             std::shared_ptr<std::mutex> mu)
             : p_(p), sink_(std::move(sink)), mu_(std::move(mu)) {}
         Status Run(const std::vector<InChannel*>& in, Emitter*) override {
-          Tuple t;
+          Frame f;
           while (true) {
-            auto r = in[0]->Next(&t);
+            auto r = in[0]->NextFrame(&f);
             if (!r.ok()) return r.status();
             if (!r.value()) return Status::OK();
             std::lock_guard<std::mutex> lock(*mu_);
-            sink_->emplace_back(p_, t[0].AsInt());
+            for (const auto& t : f.tuples) sink_->emplace_back(p_, t[0].AsInt());
           }
         }
         int p_;

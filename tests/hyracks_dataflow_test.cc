@@ -1,9 +1,11 @@
 // Frame-at-a-time dataflow tests: bounded-channel backpressure semantics,
-// heap-merge correctness under randomized threaded interleavings, the
-// frame/tuple consumption equivalence, teardown deadlock-freedom, and
-// executor-pool thread reuse across jobs.
+// heap-merge correctness under randomized threaded interleavings, teardown
+// deadlock-freedom, fused push pipelines (task count, CPU attribution,
+// failure inside a fused stage), and executor-pool thread reuse across jobs.
 
 #include <gtest/gtest.h>
+
+#include <time.h>
 
 #include <atomic>
 #include <chrono>
@@ -185,44 +187,6 @@ TEST(MergeChannelTest, RandomizedInterleavingsProduceGlobalOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame/tuple consumption equivalence
-// ---------------------------------------------------------------------------
-
-TEST(FrameShimTest, MixedNextAndNextFrameSeeEveryTupleInOrder) {
-  FifoChannel ch(1);
-  int64_t v = 0;
-  for (int f = 0; f < 10; ++f) {
-    Frame frame;
-    for (int i = 0; i <= f * 3; ++i) frame.tuples.push_back(T(v++));
-    ch.Push(0, std::move(frame));
-  }
-  ch.ProducerDone(0);
-
-  // Alternate pulling one tuple (shim) and one frame; the stream must be
-  // seamless across the boundary in both directions.
-  std::vector<int64_t> got;
-  bool use_tuple = true;
-  while (true) {
-    if (use_tuple) {
-      Tuple t;
-      auto r = ch.Next(&t);
-      ASSERT_TRUE(r.ok());
-      if (!r.value()) break;
-      got.push_back(t[0].AsInt());
-    } else {
-      Frame f;
-      auto r = ch.NextFrame(&f);
-      ASSERT_TRUE(r.ok());
-      if (!r.value()) break;
-      for (auto& t : f.tuples) got.push_back(t[0].AsInt());
-    }
-    use_tuple = !use_tuple;
-  }
-  ASSERT_EQ(got.size(), static_cast<size_t>(v));
-  for (int64_t i = 0; i < v; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
-}
-
-// ---------------------------------------------------------------------------
 // Job-level: teardown under backpressure, profile wait accounting
 // ---------------------------------------------------------------------------
 
@@ -301,7 +265,10 @@ TEST(DataflowJobTest, ProfileRecordsInputWaitForStarvedConsumer) {
   int src = job.AddOperator(std::move(slow));
   auto sink = std::make_shared<std::vector<Tuple>>();
   int dst = job.AddOperator(MakeResultSink(sink));
-  job.Connect(ConnectorType::kOneToOne, src, dst);
+  // An exchange, so the sink reads a channel: across a 1:1 connector it
+  // would be fused into the source's pipeline and never wait for input.
+  job.Connect(ConnectorType::kMToNPartitioning, src, dst, 0,
+              HashOnColumns({0}));
 
   auto r = cluster.ExecuteJob(job);
   ASSERT_TRUE(r.ok());
@@ -315,6 +282,89 @@ TEST(DataflowJobTest, ProfileRecordsInputWaitForStarvedConsumer) {
   // And the wait shows up in the rendered profile JSON.
   EXPECT_NE(r.value().profile->ToJson().find("\"input_wait_us\""),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Fused push pipelines
+// ---------------------------------------------------------------------------
+
+uint64_t ThreadCpuUs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000u +
+         static_cast<uint64_t>(ts.tv_nsec) / 1000u;
+}
+
+// source -> 1:1 -> select -> 1:1 -> result-sink runs as one pipeline on one
+// thread, and the CPU a fused stage burns lands in its own span, not in the
+// head's that handed it the frames.
+TEST(FusedPipelineTest, FusedStageCpuLandsInItsOwnSpan) {
+  ClusterConfig config{1, 1, 0, ""};
+  Cluster cluster(config);
+  JobSpec job;
+  int src = job.AddOperator(MakeCountingSource(1, 400));
+  // ~50us of CPU per tuple: ~20ms in the select.
+  int sel = job.AddOperator(MakeSelect(1, [](const Tuple&) -> Result<Value> {
+    uint64_t until = ThreadCpuUs() + 50;
+    while (ThreadCpuUs() < until) {
+    }
+    return Value::Boolean(true);
+  }));
+  auto sink = std::make_shared<std::vector<Tuple>>();
+  int dst = job.AddOperator(MakeResultSink(sink));
+  job.Connect(ConnectorType::kOneToOne, src, sel);
+  job.Connect(ConnectorType::kOneToOne, sel, dst);
+
+  auto r = cluster.ExecuteJob(job);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(sink->size(), 400u);
+  const JobProfile& prof = *r.value().profile;
+  ASSERT_EQ(prof.spans.size(), 3u);
+  const OperatorSpan& source = prof.spans[0];
+  const OperatorSpan& select = prof.spans[1];
+  for (const auto& s : prof.spans) EXPECT_EQ(s.pipeline, src);
+  EXPECT_GE(select.cpu_us, 15000u);
+  EXPECT_LT(source.cpu_us, select.cpu_us / 4);
+  EXPECT_EQ(select.tuples_in, 400u);
+  EXPECT_EQ(select.tuples_out, 400u);
+  EXPECT_EQ(prof.spans[2].tuples_in, 400u);
+  // Fused hops still count as connector tuples.
+  EXPECT_EQ(r.value().connector_tuples, 800u);
+}
+
+// A fused stage fails while its head (a channel-fed select behind an
+// exchange) has producers blocked on its full input channel: the job ends
+// with the stage's error, the producers are released, nothing hangs.
+TEST(FusedPipelineTest, FailingFusedStageBehindBlockedHeadReturnsItsError) {
+  ClusterConfig config{1, 2, 0, ""};
+  config.channel_capacity_frames = 2;
+  Cluster cluster(config);
+  JobSpec job;
+  int src = job.AddOperator(MakeCountingSource(2, 50000));
+  int head = job.AddOperator(MakeSelect(1, [](const Tuple&) -> Result<Value> {
+    return Value::Boolean(true);
+  }));
+  int failing = job.AddOperator(
+      MakeSelect(1, [](const Tuple& t) -> Result<Value> {
+        if (t[0].AsInt() == 0) {
+          // Let the sources fill the bounded channel and block first.
+          std::this_thread::sleep_for(std::chrono::milliseconds(30));
+          return Status::Internal("predicate failed");
+        }
+        return Value::Boolean(true);
+      }));
+  auto sink = std::make_shared<std::vector<Tuple>>();
+  int dst = job.AddOperator(MakeResultSink(sink));
+  job.Connect(ConnectorType::kMToNPartitioning, src, head, 0,
+              HashOnColumns({0}));
+  job.Connect(ConnectorType::kOneToOne, head, failing);
+  job.Connect(ConnectorType::kOneToOne, failing, dst);
+
+  auto r = cluster.ExecuteJob(job);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(r.status().message(), "predicate failed");
+  EXPECT_TRUE(sink->empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -386,9 +436,9 @@ TEST(ExecutorPoolTest, PoolGrowsToFullyThreadWideJobs) {
     class D : public OperatorInstance {
      public:
       Status Run(const std::vector<InChannel*>& in, Emitter*) override {
-        Tuple t;
+        Frame f;
         while (true) {
-          auto r = in[0]->Next(&t);
+          auto r = in[0]->NextFrame(&f);
           if (!r.ok()) return r.status();
           if (!r.value()) return Status::OK();
         }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "adm/adm_parser.h"
@@ -252,6 +254,54 @@ return $a.id;)aql");
   }
   EXPECT_EQ(complete, prof.spans.size());
   EXPECT_GT(phase_events, 0u);
+}
+
+// A primary-key lookup compiles to btree-range-scan[x4] -> select[x4] -> n:m
+// -> select -> assign -> project -> result-sink. Each scan instance drives
+// its select in one pipeline, and the gathering select drives assign,
+// project and the sink: 12 operator instances, 5 tasks.
+TEST_F(ObservabilityE2eTest, PrimaryKeyLookupRunsFivePipelines) {
+  auto r = Run("for $d in dataset D where $d.id = 3 return $d.v;");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().values.size(), 1u);
+  EXPECT_EQ(r.value().values[0].AsInt(), 4);
+  ASSERT_TRUE(r.value().stats.profile);
+  const hyracks::JobProfile& prof = *r.value().stats.profile;
+  ASSERT_EQ(prof.spans.size(), 12u) << r.value().job_plan;
+
+  std::set<std::pair<int, int>> pipelines;  // (head op, instance)
+  std::set<int> heads;
+  for (const auto& s : prof.spans) {
+    pipelines.insert({s.pipeline, s.instance});
+    if (s.pipeline == s.op_id) heads.insert(s.op_id);
+    EXPECT_TRUE(s.ok);
+    EXPECT_GE(s.end_ms, s.start_ms);
+  }
+  EXPECT_EQ(pipelines.size(), 5u);
+  ASSERT_EQ(heads.size(), 2u);
+  for (const auto& s : prof.spans) {
+    if (s.op_name.rfind("btree-range-scan", 0) == 0) {
+      EXPECT_EQ(s.pipeline, s.op_id);
+    }
+    // Only a head reads a channel; fused instances still count their input.
+    if (s.pipeline != s.op_id) {
+      EXPECT_EQ(s.input_wait_us, 0u);
+    }
+  }
+  // Every hop still counts, fused or not: scan -> select carries the one
+  // matching record, and so does each 1:1 edge after the gather.
+  uint64_t conn_total = 0;
+  for (const auto& c : prof.connectors) {
+    conn_total += c.tuples;
+    EXPECT_EQ(c.tuples, 1u) << c.type << " " << c.src_op << "->" << c.dst_op;
+  }
+  EXPECT_EQ(conn_total, r.value().stats.connector_tuples);
+  // The profile JSON names each span's pipeline.
+  Value v;
+  ASSERT_TRUE(adm::ParseAdm(prof.ToJson(), &v).ok()) << prof.ToJson();
+  for (const auto& span : v.GetField("spans").AsList()) {
+    EXPECT_TRUE(heads.count(static_cast<int>(span.GetField("pipeline").AsInt())));
+  }
 }
 
 TEST_F(ObservabilityE2eTest, ExplainReturnsPlanAndAnalyzeAddsActuals) {

@@ -1,6 +1,7 @@
 #include "storage/btree.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <map>
@@ -37,6 +38,48 @@ IndexEntry MakeEntry(int64_t key, const std::string& payload,
   e.antimatter = antimatter;
   e.payload.assign(payload.begin(), payload.end());
   return e;
+}
+
+// Every read of a file goes through the descriptor OpenFile opened: reads
+// keep working after the path is unlinked, and CloseFile drops only that
+// file's pages.
+TEST(BufferCacheTest, ReadsGoThroughTheDescriptorOpenedOnce) {
+  std::string dir = env::NewScratchDir("bufcache");
+  std::vector<uint8_t> bytes(kPageSize * 2 + 100);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  std::string path_a = dir + "/a", path_b = dir + "/b";
+  ASSERT_TRUE(env::WriteFileAtomic(path_a, bytes.data(), bytes.size()).ok());
+  ASSERT_TRUE(env::WriteFileAtomic(path_b, bytes.data(), kPageSize).ok());
+  BufferCache cache(16);
+  auto a = cache.OpenFile(path_a);
+  auto b = cache.OpenFile(path_b);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(::unlink(path_a.c_str()), 0);
+
+  std::vector<uint8_t> range;
+  auto st = cache.ReadRange(a.value(), kPageSize * 2, 100, &range);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(range, std::vector<uint8_t>(bytes.end() - 100, bytes.end()));
+  auto page = cache.GetPage(a.value(), 1);  // a miss, read from disk
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  EXPECT_EQ(*page.value(),
+            std::vector<uint8_t>(bytes.begin() + kPageSize,
+                                 bytes.begin() + 2 * kPageSize));
+  auto tail = cache.GetPage(a.value(), 2);  // the short last page
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(tail.value()->size(), 100u);
+  EXPECT_FALSE(cache.GetPage(a.value(), 3).ok());  // past EOF
+  EXPECT_EQ(cache.FileSizeBytes(a.value()), bytes.size());
+
+  ASSERT_TRUE(cache.GetPage(b.value(), 0).ok());
+  uint64_t hits = cache.hits();
+  cache.CloseFile(a.value());
+  EXPECT_FALSE(cache.ReadRange(a.value(), 0, 1, &range).ok());
+  ASSERT_TRUE(cache.GetPage(b.value(), 0).ok());  // b's page is still cached
+  EXPECT_EQ(cache.hits(), hits + 1);
+  env::RemoveAll(dir);
 }
 
 TEST_F(BTreeTest, BuildAndPointLookup) {

@@ -70,6 +70,27 @@ TEST_F(TxnTest, WaiterWakesOnRelease) {
   EXPECT_TRUE(acquired.load());
 }
 
+// A batch waits at a conflicting resource holding the locks before it, as
+// one Acquire per resource would, and resumes when the holder releases.
+TEST_F(TxnTest, AcquireAllWaitsAtAConflictThenTakesTheRest) {
+  LockManager locks(2000);
+  ASSERT_TRUE(locks.Acquire(1, 6, LockMode::kExclusive).ok());
+  std::atomic<bool> acquired{false};
+  std::thread batch([&] {
+    acquired = locks.AcquireAll(2, {5, 6, 7}, LockMode::kShared).ok();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(acquired.load());
+  // 5 is held and 6 waited on; 7 is not reached yet.
+  EXPECT_EQ(locks.ActiveLockCount(), 2u);
+  locks.ReleaseAll(1);
+  batch.join();
+  EXPECT_TRUE(acquired.load());
+  EXPECT_EQ(locks.ActiveLockCount(), 3u);
+  locks.ReleaseAll(2);
+  EXPECT_EQ(locks.ActiveLockCount(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // WAL
 // ---------------------------------------------------------------------------

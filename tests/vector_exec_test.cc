@@ -754,6 +754,58 @@ TEST(VectorExecTest, ApiEndToEndVectorizedVsInterpretedVsRowFormat) {
   env::RemoveAll(dir_interp);
 }
 
+// Batches cross fused 1:1 edges unmaterialized, as they crossed 1:1
+// channels: every lowered plan's vector operators see the same batches and
+// carry the same rows as when each operator ran as its own task.
+TEST(VectorExecTest, FusedPipelinesKeepBatchAndRowCounts) {
+  std::string dir = env::NewScratchDir("vecexec-fused");
+  api::InstanceConfig config;
+  config.base_dir = dir;
+  config.cluster.num_nodes = 1;
+  config.cluster.partitions_per_node = 2;
+  config.cluster.job_startup_us = 0;
+  api::AsterixInstance inst(config);
+  ASSERT_TRUE(inst.Boot().ok());
+  auto ddl = inst.Execute(kVecDdl);
+  ASSERT_TRUE(ddl.ok()) << ddl.status().ToString();
+  InsertFleet(&inst, "ColT");
+  ASSERT_TRUE(inst.FlushAll().ok());
+
+  // Per query, per vector operator: batches / rows selected / rows carried.
+  const std::vector<std::string> expected = {
+      "vector-column-scan 2/150/150; vector-select 2/75/150; "
+      "vector-materialize 2/75/75",
+      "vector-column-scan 2/150/150; vector-select 2/64/150; "
+      "vector-materialize 2/64/64",
+      "vector-column-scan 2/150/150; vector-select 2/9/150; "
+      "vector-materialize 2/9/9",
+      "vector-column-scan 2/150/150; vector-select 2/75/150; "
+      "vector-local-aggregate 2/75/75",
+      "vector-column-scan 2/150/150; vector-select 2/45/150; "
+      "vector-local-aggregate 2/45/45",
+      "vector-column-scan 2/150/150; vector-select 2/75/150; "
+      "vector-local-aggregate 1/75/75",
+  };
+  ASSERT_EQ(expected.size(), VecQueries().size());
+  for (size_t q = 0; q < VecQueries().size(); ++q) {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf), VecQueries()[q], "ColT");
+    auto r = inst.Execute(std::string("use dataverse VecTest; ") + buf);
+    ASSERT_TRUE(r.ok()) << buf << ": " << r.status().ToString();
+    std::string got;
+    for (const auto& op : r.value().stats.profile->Rollup()) {
+      if (op.name.rfind("vector-", 0) != 0) continue;
+      if (!got.empty()) got += "; ";
+      got += op.name.substr(0, op.name.find('(')) + " " +
+             std::to_string(op.batches) + "/" +
+             std::to_string(op.vec_rows_selected) + "/" +
+             std::to_string(op.vec_rows_total);
+    }
+    EXPECT_EQ(got, expected[q]) << buf;
+  }
+  env::RemoveAll(dir);
+}
+
 }  // namespace
 }  // namespace hyracks
 }  // namespace asterix
