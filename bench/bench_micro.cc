@@ -651,20 +651,11 @@ void BM_PipelineJobOnPersistentPool(benchmark::State& state) {
     src.name = "gen";
     src.parallelism = 2;
     src.num_inputs = 0;
-    src.factory = [](int p) -> std::unique_ptr<hyracks::OperatorInstance> {
-      class Gen : public hyracks::OperatorInstance {
-       public:
-        explicit Gen(int p) : p_(p) {}
-        Status Run(const std::vector<hyracks::InChannel*>&,
-                   hyracks::Emitter* out) override {
-          for (int64_t i = 0; i < kPerScan; ++i) {
-            out->Push({Value::Int64(p_ * kPerScan + i)});
-          }
-          return Status::OK();
-        }
-        int p_;
-      };
-      return std::make_unique<Gen>(p);
+    src.source = [](int p, hyracks::Emitter* out) {
+      for (int64_t i = 0; i < kPerScan; ++i) {
+        out->Push({Value::Int64(p * kPerScan + i)});
+      }
+      return Status::OK();
     };
     int src_id = job.AddOperator(std::move(src));
     int sel_id = job.AddOperator(hyracks::MakeSelect(
@@ -717,42 +708,37 @@ hyracks::OperatorDescriptor MakeLegacyValueKeyJoinOnCol0() {
   op.parallelism = 1;
   op.num_inputs = 2;
   op.blocking_ports = {0};
-  op.factory = [](int) -> std::unique_ptr<hyracks::OperatorInstance> {
-    class Legacy : public hyracks::OperatorInstance {
+  op.push = [](int, hyracks::Emitter* out)
+      -> std::unique_ptr<hyracks::PushOperator> {
+    class Legacy : public hyracks::PushOperator {
      public:
-      Status Run(const std::vector<hyracks::InChannel*>& in,
-                 hyracks::Emitter* out) override {
-        std::unordered_map<std::vector<Value>, std::vector<hyracks::Tuple>,
-                           LegacyKeyHash, LegacyKeyEq>
-            table;
-        hyracks::Frame f;
-        while (true) {
-          auto r = in[0]->NextFrame(&f);
-          if (!r.ok()) return r.status();
-          if (!r.value()) break;
-          for (auto& t : f.tuples) {
+      explicit Legacy(hyracks::Emitter* out) : out_(out) {}
+      Status Consume(int port, hyracks::Frame& f) override {
+        for (auto& t : f.tuples) {
+          if (port == 0) {
             std::vector<Value> key{t[0]};
-            table[std::move(key)].push_back(std::move(t));
+            table_[std::move(key)].push_back(std::move(t));
+            continue;
           }
-        }
-        while (true) {
-          auto r = in[1]->NextFrame(&f);
-          if (!r.ok()) return r.status();
-          if (!r.value()) break;
-          for (auto& t : f.tuples) {
-            auto it = table.find(std::vector<Value>{t[0]});
-            if (it == table.end()) continue;
-            for (const auto& b : it->second) {
-              hyracks::Tuple o = b;
-              o.insert(o.end(), t.begin(), t.end());
-              out->Push(std::move(o));
-            }
+          auto it = table_.find(std::vector<Value>{t[0]});
+          if (it == table_.end()) continue;
+          for (const auto& b : it->second) {
+            hyracks::Tuple o = b;
+            o.insert(o.end(), t.begin(), t.end());
+            out_->Push(std::move(o));
           }
         }
         return Status::OK();
       }
+      Status Close(int) override { return Status::OK(); }
+
+     private:
+      hyracks::Emitter* out_;
+      std::unordered_map<std::vector<Value>, std::vector<hyracks::Tuple>,
+                         LegacyKeyHash, LegacyKeyEq>
+          table_;
     };
-    return std::make_unique<Legacy>();
+    return std::make_unique<Legacy>(out);
   };
   return op;
 }

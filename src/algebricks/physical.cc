@@ -802,11 +802,9 @@ std::optional<PhysicalCompiler::Stream> PhysicalCompiler::TryCompileVectorSource
       hyracks::MakeVectorScan(ds, std::move(proj), bounds));
   s.schema[scan->var] = 0;
   s.width = 1;
-  for (size_t i = 0; i < preds.size(); ++i) {
-    // Fallback evaluator for row-tuple frames (non-batch producers): the
-    // same predicate, compiled for the interpreter.
-    int id = job->AddOperator(hyracks::MakeVectorSelect(
-        s.parallelism, preds[i], CompileExpr(sel_exprs[i], s)));
+  for (auto& pred : preds) {
+    int id = job->AddOperator(
+        hyracks::MakeVectorSelect(s.parallelism, std::move(pred)));
     job->Connect(ConnectorType::kOneToOne, s.op_id, id);
     s.op_id = id;
   }

@@ -165,6 +165,28 @@ void StampProfilePhases(hyracks::JobStats* stats,
   job.parse_us = request->parse_us;
 }
 
+/// Every record of `ds`, partition by partition: what an index DDL reloads
+/// into the dataset it rebuilds.
+Result<std::vector<Value>> ReadAllRecords(storage::PartitionedDataset* ds) {
+  std::vector<Value> records;
+  for (uint32_t p = 0; p < ds->num_partitions(); ++p) {
+    ASTERIX_RETURN_NOT_OK(ds->partition(p)->ScanAll([&](const Value& rec) {
+      records.push_back(rec);
+      return Status::OK();
+    }));
+  }
+  return records;
+}
+
+/// Reloads a rebuilt dataset's records. Bulk-loaded records are in no WAL,
+/// so they are flushed before this returns, or a crash would lose them.
+Status ReloadRecords(storage::PartitionedDataset* ds,
+                     const std::vector<Value>& records) {
+  if (records.empty()) return Status::OK();
+  ASTERIX_RETURN_NOT_OK(ds->LoadBulk(records));
+  return ds->FlushAll();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1100,23 +1122,14 @@ Status AsterixInstance::ExecuteDdl(const aql::Statement& st) {
           return Status::AlreadyExists("index " + ix.name);
         }
       }
-      std::vector<Value> existing_records;
-      for (uint32_t p = 0; p < it->second->num_partitions(); ++p) {
-        ASTERIX_RETURN_NOT_OK(it->second->partition(p)->ScanAll(
-            [&](const Value& rec) {
-              existing_records.push_back(rec);
-              return Status::OK();
-            }));
-      }
+      ASTERIX_ASSIGN_OR_RETURN(std::vector<Value> existing_records,
+                               ReadAllRecords(it->second.get()));
       def.secondary_indexes.push_back(ix);
       datasets_.erase(it);
       env::RemoveAll(config_.base_dir + "/data/" + st.dataset);
       ASTERIX_RETURN_NOT_OK(metadata_->RegisterIndex(st.dataset, ix));
       ASTERIX_RETURN_NOT_OK(InstantiateDataset(def));
-      if (!existing_records.empty()) {
-        ASTERIX_RETURN_NOT_OK(datasets_[st.dataset]->LoadBulk(existing_records));
-      }
-      return Status::OK();
+      return ReloadRecords(datasets_[st.dataset].get(), existing_records);
     }
     case K::kDropIndex: {
       auto it = datasets_.find(st.dataset);
@@ -1137,23 +1150,14 @@ Status AsterixInstance::ExecuteDdl(const aql::Statement& st) {
       def.secondary_indexes.erase(ix);
       // Rebuild the dataset instance without the index (mirror of create
       // index on a populated dataset).
-      std::vector<Value> existing_records;
-      for (uint32_t p = 0; p < it->second->num_partitions(); ++p) {
-        ASTERIX_RETURN_NOT_OK(it->second->partition(p)->ScanAll(
-            [&](const Value& rec) {
-              existing_records.push_back(rec);
-              return Status::OK();
-            }));
-      }
+      ASTERIX_ASSIGN_OR_RETURN(std::vector<Value> existing_records,
+                               ReadAllRecords(it->second.get()));
       datasets_.erase(it);
       env::RemoveAll(config_.base_dir + "/data/" + st.dataset);
       ASTERIX_RETURN_NOT_OK(
           metadata_->UnregisterIndex(st.dataset, st.name, st.if_exists));
       ASTERIX_RETURN_NOT_OK(InstantiateDataset(def));
-      if (!existing_records.empty()) {
-        ASTERIX_RETURN_NOT_OK(datasets_[st.dataset]->LoadBulk(existing_records));
-      }
-      return Status::OK();
+      return ReloadRecords(datasets_[st.dataset].get(), existing_records);
     }
     case K::kDropFunction:
       return metadata_->UnregisterFunction(st.dataverse, st.name, st.if_exists);

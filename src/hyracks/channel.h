@@ -313,48 +313,6 @@ class MergeChannel : public InChannel {
   Status status_;
 };
 
-/// Pass-through wrapper counting consumed tuples into `*consumed` and
-/// (optionally) the microseconds spent waiting on the inner channel into
-/// `*input_wait_us` — the profiler's tuples_in / blocked-on-input hooks.
-/// Counters are plain (not atomic) because a channel endpoint is pulled by
-/// exactly one operator instance thread, which also owns the counters' span.
-class CountingChannel : public InChannel {
- public:
-  CountingChannel(InChannel* inner, uint64_t* consumed,
-                  uint64_t* input_wait_us = nullptr)
-      : inner_(inner), consumed_(consumed), input_wait_us_(input_wait_us) {}
-
-  void Push(int producer, Frame frame) override {
-    inner_->Push(producer, std::move(frame));
-  }
-  void ProducerDone(int producer) override { inner_->ProducerDone(producer); }
-  void Fail(Status status) override { inner_->Fail(std::move(status)); }
-  void CancelConsumer() override { inner_->CancelConsumer(); }
-
- protected:
-  Result<bool> PullFrame(Frame* out) override {
-    std::chrono::steady_clock::time_point t0;
-    if (input_wait_us_) t0 = std::chrono::steady_clock::now();
-    Result<bool> r = inner_->NextFrame(out);
-    if (input_wait_us_) {
-      *input_wait_us_ += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-    }
-    if (r.ok() && r.value()) {
-      *consumed_ += out->tuples.size();
-      if (out->batch != nullptr) *consumed_ += out->batch->sel.size();
-    }
-    return r;
-  }
-
- private:
-  InChannel* inner_;
-  uint64_t* consumed_;
-  uint64_t* input_wait_us_;
-};
-
 }  // namespace hyracks
 }  // namespace asterix
 

@@ -51,18 +51,28 @@ uint64_t ThreadCpuUs() {
          static_cast<uint64_t>(ts.tv_nsec) / 1000ull;
 }
 
-/// The channel-fed path of a push operator: consumes `in` frame by frame,
-/// stopping at the first failure (its own or a fused stage's behind `out`),
-/// then closes it.
-Status DrainChannel(InChannel* in, PushOperator* op, Emitter* out) {
+/// Feeds one input port of a channel-fed head from its channel, frame by
+/// frame, counting the tuples it takes in and the time it waits for them
+/// into its span; stops at the first failure (its own or a fused stage's
+/// behind `out`), then closes the port.
+Status DrainChannel(InChannel* in, int port, PushOperator* op,
+                    const Emitter* out, OperatorSpan* span) {
   Frame frame;
   while (true) {
-    ASTERIX_ASSIGN_OR_RETURN(bool more, in->NextFrame(&frame));
-    if (!more) break;
-    ASTERIX_RETURN_NOT_OK(op->Consume(frame, out));
+    auto t0 = std::chrono::steady_clock::now();
+    Result<bool> more = in->NextFrame(&frame);
+    span->input_wait_us += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    if (!more.ok()) return more.status();
+    if (!more.value()) break;
+    span->tuples_in += frame.tuples.size();
+    if (frame.batch != nullptr) span->tuples_in += frame.batch->sel.size();
+    ASTERIX_RETURN_NOT_OK(op->Consume(port, frame));
     ASTERIX_RETURN_NOT_OK(out->status());
   }
-  return op->Close(out);
+  return op->Close(port);
 }
 
 class RoutingEmitter;
@@ -73,8 +83,7 @@ struct Stage {
   const OperatorDescriptor* op = nullptr;
   OperatorSpan* span = nullptr;
   std::unique_ptr<RoutingEmitter> emitter;
-  std::unique_ptr<OperatorInstance> pull;  // a source or two-input head
-  std::unique_ptr<PushOperator> push;      // fused, or a channel-fed head
+  std::unique_ptr<PushOperator> push;  // null while running a source
   std::vector<Stage*> fused;  // consumers of its fused routes, route order
   bool ended = false;         // its channel routes have seen ProducerDone
 };
@@ -92,7 +101,7 @@ class Pipeline {
 
   /// Stages in pre-order: the head first, each stage before its consumers.
   std::vector<std::unique_ptr<Stage>> stages;
-  /// The head's input channels by port (counting wrappers).
+  /// The head's input channels by port.
   std::vector<InChannel*> inputs;
 
   /// Runs the head to its end, then closes the fused stages in order. On
@@ -115,6 +124,9 @@ class Pipeline {
   /// Charges the CPU used since the last switch to the current span and
   /// makes `next` current; returns the previous span.
   OperatorSpan* SwitchTo(OperatorSpan* next);
+  /// Drains a channel-fed head's input ports in port order, each to its
+  /// end: a join's build (port 0) before its probe (port 1).
+  Status DrainInputs(Stage* head);
   void Fail(Stage* s, Status status);
   /// `s`'s input has ended and its operator has produced everything: ends
   /// its routes, then closes and ends its fused consumers.
@@ -374,7 +386,7 @@ void Pipeline::Deliver(Stage* s, Frame frame) {
   s->span->tuples_in += frame.tuples.size();
   if (frame.batch != nullptr) s->span->tuples_in += frame.batch->sel.size();
   OperatorSpan* prev = SwitchTo(s->span);
-  Status st = s->push->Consume(frame, s->emitter.get());
+  Status st = s->push->Consume(0, frame);
   SwitchTo(prev);
   if (!st.ok()) Fail(s, std::move(st));
 }
@@ -387,7 +399,7 @@ void Pipeline::End(Stage* s) {
   s->span->end_ms = SinceStartMs();
   for (Stage* c : s->fused) {
     OperatorSpan* prev = SwitchTo(c->span);
-    Status st = c->push->Close(c->emitter.get());
+    Status st = c->push->Close(0);
     if (!st.ok()) {
       Fail(c, std::move(st));
     } else {
@@ -396,6 +408,19 @@ void Pipeline::End(Stage* s) {
     SwitchTo(prev);
     if (!failure_.ok()) return;
   }
+}
+
+Status Pipeline::DrainInputs(Stage* head) {
+  for (size_t port = 0; port < inputs.size(); ++port) {
+    if (inputs[port] == nullptr) {
+      return Status::InvalidArgument(head->op->name + " has no input on port " +
+                                     std::to_string(port));
+    }
+    ASTERIX_RETURN_NOT_OK(DrainChannel(inputs[port], static_cast<int>(port),
+                                       head->push.get(), head->emitter.get(),
+                                       head->span));
+  }
+  return Status::OK();
 }
 
 Status Pipeline::Run() {
@@ -407,19 +432,12 @@ Status Pipeline::Run() {
   // Instances are built and torn down on this thread, charged to the head.
   for (auto& s : stages) {
     if (s->op->push) {
-      s->push = s->op->push(s->span->instance);
-    } else {
-      s->pull = s->op->factory(s->span->instance);
+      s->push = s->op->push(s->span->instance, s->emitter.get());
     }
   }
-  Status st;
-  if (!head->op->push) {
-    st = head->pull->Run(inputs, head->emitter.get());
-  } else if (inputs.empty() || inputs[0] == nullptr) {
-    st = Status::InvalidArgument(head->op->name + " has no input connector");
-  } else {
-    st = DrainChannel(inputs[0], head->push.get(), head->emitter.get());
-  }
+  Status st = head->push != nullptr
+                  ? DrainInputs(head)
+                  : head->op->source(head->span->instance, head->emitter.get());
   if (!st.ok()) Fail(head, std::move(st));
   if (failure_.ok()) End(head);
   if (!failure_.ok()) {
@@ -433,10 +451,7 @@ Status Pipeline::Run() {
       if (in) in->CancelConsumer();
     }
   }
-  for (auto& s : stages) {
-    s->push.reset();
-    s->pull.reset();
-  }
+  for (auto& s : stages) s->push.reset();
   SwitchTo(nullptr);
   return failure_;
 }
@@ -674,18 +689,14 @@ Result<JobStats> Cluster::ExecuteJob(const JobSpec& job) {
     if (fused_dst.count(op.id)) continue;
     for (int inst = 0; inst < op.parallelism; ++inst) {
       auto p = std::make_unique<Pipeline>(start);
-      Stage* head = add_stage(p.get(), op, inst, op.id);
-      // The head's input channels by port, wrapped to count consumed tuples
-      // and input-wait time into its span (pulled only by its own task).
+      add_stage(p.get(), op, inst, op.id);
+      // The head's input channels by port, drained only by its own task.
       p->inputs.assign(static_cast<size_t>(op.num_inputs), nullptr);
       for (size_t i = 0; i < job.connectors.size(); ++i) {
         const ConnectorDescriptor& c = job.connectors[i];
         if (c.dst_op != op.id) continue;
-        channel_storage.push_back(std::make_unique<CountingChannel>(
-            conn_channels[i][static_cast<size_t>(inst)],
-            &head->span->tuples_in, &head->span->input_wait_us));
         p->inputs[static_cast<size_t>(c.dst_port)] =
-            channel_storage.back().get();
+            conn_channels[i][static_cast<size_t>(inst)];
       }
       pipelines.push_back(std::move(p));
     }

@@ -52,37 +52,36 @@ class Emitter {
   virtual Status status() const { return Status::OK(); }
 };
 
-/// A per-partition runtime instance of a source or two-input operator: it
-/// pulls its own inputs (`inputs[p]` is the channel for input port p) and
-/// emits everything through `out`. Such an instance heads a pipeline.
-class OperatorInstance {
- public:
-  virtual ~OperatorInstance() = default;
-  virtual Status Run(const std::vector<InChannel*>& inputs, Emitter* out) = 0;
-};
-
-using OperatorFactory =
-    std::function<std::unique_ptr<OperatorInstance>(int partition)>;
-
-/// A per-partition runtime instance of a one-input operator, in push form:
-/// whoever drives its pipeline hands it input frames, then ends the input.
-/// Fused behind a 1:1 connector, Consume() runs on the producer's thread;
-/// behind a channel, the executor's one channel-draining adapter drives it.
+/// A per-partition runtime instance of an operator with inputs: whoever
+/// drives it hands it frames by input port, then closes each port. Ports
+/// are fed one at a time in port order, each to its end, so a blocking
+/// port takes the lowest number (a join's build is port 0, its probe port
+/// 1). Fused behind a 1:1 connector, a one-input operator's Consume() runs
+/// on the producer's thread; behind channels, the executor's one
+/// channel-draining loop drives it. Everything it produces goes to the
+/// emitter it was constructed with.
 class PushOperator {
  public:
   PushOperator() = default;
   PushOperator(const PushOperator&) = delete;
   PushOperator& operator=(const PushOperator&) = delete;
   virtual ~PushOperator() = default;
-  /// Consumes one input frame. A frame may carry a columnar batch instead
-  /// of tuples (see Frame); row-oriented operators materialize its rows.
-  virtual Status Consume(Frame& frame, Emitter* out) = 0;
-  /// End of input: blocking operators produce their output here.
-  virtual Status Close(Emitter* out) = 0;
+  /// Consumes one frame of input `port`. A frame may carry a columnar
+  /// batch instead of tuples (see Frame); row operators materialize its
+  /// rows.
+  virtual Status Consume(int port, Frame& frame) = 0;
+  /// End of input `port`: an operator produces what the port's end
+  /// completes (a blocking operator's output follows its last port).
+  virtual Status Close(int port) = 0;
 };
 
+/// Builds partition `partition`'s instance around its routed output.
 using PushFactory =
-    std::function<std::unique_ptr<PushOperator>(int partition)>;
+    std::function<std::unique_ptr<PushOperator>(int partition, Emitter* out)>;
+
+/// A source: produces partition `partition`'s output with no input. It
+/// should stop early once `out->status()` fails.
+using SourceFn = std::function<Status(int partition, Emitter* out)>;
 
 /// Declarative operator description in a Hyracks job DAG. `blocking_ports`
 /// exposes the operator's activity structure to the scheduler: those ports
@@ -95,15 +94,15 @@ struct OperatorDescriptor {
   int parallelism = 1;
   int num_inputs = 0;
   std::vector<int> blocking_ports;
-  /// Sources and two-input operators: a pull-style instance.
-  OperatorFactory factory;
+  /// Operators without inputs: the source each instance runs.
+  SourceFn source;
   /// True for operators that build unbounded in-memory state (hash join,
   /// hash group-by, distinct, sort); the executor divides the job's memory
   /// budget across the instances of exactly these operators.
   bool memory_intensive = false;
-  /// One-input operators: a push-form instance, set instead of `factory`.
-  /// The executor fuses it into its producer's pipeline across a 1:1
-  /// connector, and drives it from a channel everywhere else.
+  /// Operators with inputs: the push-form instance. The executor fuses a
+  /// one-input operator into its producer's pipeline across a 1:1
+  /// connector, and drives it from channels everywhere else.
   PushFactory push;
 };
 

@@ -24,29 +24,6 @@ using adm::Value;
 
 namespace {
 
-/// Adapter: build an OperatorInstance from a lambda.
-class LambdaOperator : public OperatorInstance {
- public:
-  using Fn = std::function<Status(const std::vector<InChannel*>&, Emitter*)>;
-  explicit LambdaOperator(Fn fn) : fn_(std::move(fn)) {}
-  Status Run(const std::vector<InChannel*>& inputs, Emitter* out) override {
-    return fn_(inputs, out);
-  }
-
- private:
-  Fn fn_;
-};
-
-OperatorFactory Lambda(std::function<Status(int, const std::vector<InChannel*>&,
-                                            Emitter*)> fn) {
-  return [fn = std::move(fn)](int partition) {
-    return std::make_unique<LambdaOperator>(
-        [fn, partition](const std::vector<InChannel*>& in, Emitter* out) {
-          return fn(partition, in, out);
-        });
-  };
-}
-
 /// Replaces a columnar batch frame by its selected rows as [record] tuples,
 /// so a row-oriented operator is a safe vectorization boundary.
 void MaterializeRows(Frame* frame) {
@@ -58,60 +35,48 @@ void MaterializeRows(Frame* frame) {
   frame->batch.reset();
 }
 
-/// Drains one input channel frame-at-a-time, invoking `fn` per tuple; the
-/// input loop of the pull-style heads (union, joins). One channel
-/// synchronization buys a whole frame of work. Stops at the first failure
-/// of a stage fused behind `out`.
-Status ForEachInput(InChannel* in, const Emitter* out,
-                    const std::function<Status(Tuple&)>& fn) {
-  Frame frame;
-  while (true) {
-    ASTERIX_ASSIGN_OR_RETURN(bool more, in->NextFrame(&frame));
-    if (!more) return Status::OK();
-    MaterializeRows(&frame);
-    for (Tuple& t : frame.tuples) ASTERIX_RETURN_NOT_OK(fn(t));
-    ASTERIX_RETURN_NOT_OK(out->status());
-  }
-}
-
-/// Base of the row-oriented push operators: a batch frame arrives as its
+/// Base of the one-input row operators: a batch frame arrives as its
 /// selected rows, one ConsumeTuple() call each.
 class RowOperator : public PushOperator {
  public:
-  Status Consume(Frame& frame, Emitter* out) final {
+  explicit RowOperator(Emitter* out) : out_(out) {}
+
+  Status Consume(int, Frame& frame) final {
     MaterializeRows(&frame);
-    for (Tuple& t : frame.tuples) ASTERIX_RETURN_NOT_OK(ConsumeTuple(t, out));
+    for (Tuple& t : frame.tuples) ASTERIX_RETURN_NOT_OK(ConsumeTuple(t));
     return Status::OK();
   }
-  Status Close(Emitter*) override { return Status::OK(); }
+  Status Close(int) override { return Status::OK(); }
 
  protected:
-  virtual Status ConsumeTuple(Tuple& t, Emitter* out) = 0;
+  virtual Status ConsumeTuple(Tuple& t) = 0;
+
+  Emitter* const out_;
 };
 
 /// A streaming row operator given as a function of (tuple, emitter).
 template <typename Fn>
 class TupleOperator final : public RowOperator {
  public:
-  explicit TupleOperator(Fn fn) : fn_(std::move(fn)) {}
+  TupleOperator(Fn fn, Emitter* out) : RowOperator(out), fn_(std::move(fn)) {}
 
  protected:
-  Status ConsumeTuple(Tuple& t, Emitter* out) override { return fn_(t, out); }
+  Status ConsumeTuple(Tuple& t) override { return fn_(t, out_); }
 
  private:
   Fn fn_;
 };
 
 template <typename Fn>
-std::unique_ptr<PushOperator> TupleOp(Fn fn) {
-  return std::make_unique<TupleOperator<Fn>>(std::move(fn));
+std::unique_ptr<PushOperator> TupleOp(Fn fn, Emitter* out) {
+  return std::make_unique<TupleOperator<Fn>>(std::move(fn), out);
 }
 
 /// Push factory for a stateless streaming operator: every instance runs a
 /// copy of `fn`.
 template <typename Fn>
 PushFactory PerTuple(Fn fn) {
-  return [fn](int) { return TupleOp(fn); };
+  return [fn](int, Emitter* out) { return TupleOp(fn, out); };
 }
 
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
@@ -199,21 +164,6 @@ GroupState NewGroup(const std::vector<AggSpec>& specs) {
 // recursion splits what the parent level could not.
 // ---------------------------------------------------------------------------
 
-using TupleSink = std::function<Status(Tuple&)>;
-using TupleSource = std::function<Status(const TupleSink&)>;
-
-TupleSource ChannelSource(InChannel* in, const Emitter* out) {
-  return [in, out](const TupleSink& fn) { return ForEachInput(in, out, fn); };
-}
-
-TupleSource RunSource(const SpillRun* run) {
-  return [run](const TupleSink& fn) { return run->ForEach(fn); };
-}
-
-TupleSource EmptySource() {
-  return [](const TupleSink&) { return Status::OK(); };
-}
-
 constexpr int kSpillFanout = 16;
 constexpr int kSpillHashBits = 4;  // log2(kSpillFanout)
 constexpr int kMaxSpillDepth = 4;
@@ -271,22 +221,43 @@ struct SpillContext {
 };
 
 // --- Hybrid/Grace hash join ------------------------------------------------
+//
+// Port 0 builds, port 1 probes. Each recursion level is kSpillFanout
+// partitions: the top level is fed by the input ports, a deeper one by a
+// spilled partition's build and probe runs.
 
-class GraceHashJoin {
+class HybridHashJoin final : public PushOperator {
  public:
-  GraceHashJoin(const std::vector<TupleEval>* build_keys,
-                const std::vector<TupleEval>* probe_keys, size_t build_arity,
-                bool left_outer, Emitter* out)
-      : build_keys_(build_keys),
-        probe_keys_(probe_keys),
+  struct Keys {
+    std::vector<TupleEval> build, probe;
+  };
+
+  HybridHashJoin(std::shared_ptr<const Keys> keys, size_t build_arity,
+                 bool left_outer, Emitter* out)
+      : keys_(std::move(keys)),
         build_arity_(build_arity),
         left_outer_(left_outer),
-        ctx_(out, "join-spill") {}
+        ctx_(out, "join-spill"),
+        top_(kSpillFanout) {}
 
-  Status Execute(const TupleSource& build, const TupleSource& probe,
-                 int depth);
+  Status Consume(int port, Frame& frame) override {
+    MaterializeRows(&frame);
+    for (Tuple& t : frame.tuples) {
+      ASTERIX_RETURN_NOT_OK(port == 0 ? Build(&top_, t, /*depth=*/0)
+                                      : Probe(&top_, t, /*depth=*/0));
+    }
+    return Status::OK();
+  }
 
-  void Report() { ctx_.Report(); }
+  Status Close(int port) override {
+    if (port == 0) {
+      EndBuild(top_);
+      return Status::OK();
+    }
+    Status st = FinishLevel(&top_, /*depth=*/0);
+    ctx_.Report();
+    return st;
+  }
 
  private:
   struct Partition {
@@ -299,6 +270,17 @@ class GraceHashJoin {
     bool spilled = false;
     std::unique_ptr<SpillRun> build_run, probe_run;
   };
+
+  /// Partitions a build tuple: inserted while its partition is resident,
+  /// diverted to the partition's run once it spilled.
+  Status Build(std::vector<Partition>* parts, Tuple& t, int depth);
+  /// Sums the level's resident build state into hash_build_bytes.
+  void EndBuild(const std::vector<Partition>& parts);
+  /// Resident partitions stream matches; spilled ones buffer the probe.
+  Status Probe(std::vector<Partition>* parts, Tuple& t, int depth);
+  /// Releases a level's resident state, then joins its spilled partitions
+  /// one level down.
+  Status FinishLevel(std::vector<Partition>* parts, int depth);
 
   /// Evicts the largest resident partition to disk. Returns false (without
   /// error) when nothing is left to evict.
@@ -329,91 +311,90 @@ class GraceHashJoin {
     ctx_.out->Push(std::move(o));
   }
 
-  const std::vector<TupleEval>* build_keys_;
-  const std::vector<TupleEval>* probe_keys_;
+  std::shared_ptr<const Keys> keys_;
   size_t build_arity_;
   bool left_outer_;
   SpillContext ctx_;
+  BytesWriter key_;
+  std::vector<uint32_t> chain_;
+  std::vector<Partition> top_;  // level 0, fed by the input ports
 };
 
-Status GraceHashJoin::Execute(const TupleSource& build,
-                              const TupleSource& probe, int depth) {
-  const bool can_spill = ctx_.budget != nullptr && depth < kMaxSpillDepth;
-  std::vector<Partition> parts(kSpillFanout);
-  BytesWriter key;
-
-  // Build: partition, insert resident, divert to runs once spilled.
-  ASTERIX_RETURN_NOT_OK(build([&](Tuple& t) -> Status {
-    key.Clear();
-    bool unknown = false;
-    ASTERIX_RETURN_NOT_OK(SerializeKeyOf(*build_keys_, t, &key, &unknown));
-    if (unknown) return Status::OK();  // unknown keys never join
-    uint64_t h = Hash64(key.data().data(), key.size());
-    Partition& p = parts[SpillPartitionOf(h, depth)];
-    if (p.spilled) return p.build_run->AppendTuple(t);
-    size_t table_before = p.table.bytes();
-    bool inserted;
-    uint32_t* head =
-        p.table.FindOrInsert(key.data().data(), key.size(), h, &inserted);
-    p.next.push_back(*head);
-    *head = static_cast<uint32_t>(p.tuples.size());
-    size_t delta = p.table.bytes() - table_before + EstimateTupleBytes(t) +
-                   sizeof(uint32_t);
-    p.tuples.push_back(std::move(t));
-    p.charged += delta;
-    if (ctx_.budget != nullptr) {
-      ctx_.budget->Charge(delta);
-      while (can_spill && ctx_.budget->over_budget()) {
-        ASTERIX_ASSIGN_OR_RETURN(bool spilled, SpillVictim(&parts));
-        if (!spilled) break;
-      }
+Status HybridHashJoin::Build(std::vector<Partition>* parts, Tuple& t,
+                             int depth) {
+  key_.Clear();
+  bool unknown = false;
+  ASTERIX_RETURN_NOT_OK(SerializeKeyOf(keys_->build, t, &key_, &unknown));
+  if (unknown) return Status::OK();  // unknown keys never join
+  uint64_t h = Hash64(key_.data().data(), key_.size());
+  Partition& p = (*parts)[SpillPartitionOf(h, depth)];
+  if (p.spilled) return p.build_run->AppendTuple(t);
+  size_t table_before = p.table.bytes();
+  bool inserted;
+  uint32_t* head =
+      p.table.FindOrInsert(key_.data().data(), key_.size(), h, &inserted);
+  p.next.push_back(*head);
+  *head = static_cast<uint32_t>(p.tuples.size());
+  size_t delta = p.table.bytes() - table_before + EstimateTupleBytes(t) +
+                 sizeof(uint32_t);
+  p.tuples.push_back(std::move(t));
+  p.charged += delta;
+  if (ctx_.budget != nullptr) {
+    ctx_.budget->Charge(delta);
+    while (depth < kMaxSpillDepth && ctx_.budget->over_budget()) {
+      ASTERIX_ASSIGN_OR_RETURN(bool spilled, SpillVictim(parts));
+      if (!spilled) break;
     }
-    return Status::OK();
-  }));
+  }
+  return Status::OK();
+}
+
+void HybridHashJoin::EndBuild(const std::vector<Partition>& parts) {
   for (const Partition& p : parts) {
     if (!p.spilled) ctx_.hash_build_bytes += p.charged;
   }
+}
 
-  // Probe: resident partitions stream matches; spilled ones buffer probes.
-  std::vector<uint32_t> chain;
-  ASTERIX_RETURN_NOT_OK(probe([&](Tuple& t) -> Status {
-    key.Clear();
-    bool unknown = false;
-    ASTERIX_RETURN_NOT_OK(SerializeKeyOf(*probe_keys_, t, &key, &unknown));
-    if (unknown) {
-      if (left_outer_) EmitOuter(t);
-      return Status::OK();
-    }
-    uint64_t h = Hash64(key.data().data(), key.size());
-    Partition& p = parts[SpillPartitionOf(h, depth)];
-    if (p.spilled) {
-      if (!p.probe_run) {
-        p.probe_run = std::make_unique<SpillRun>(ctx_.NextRunPath());
-      }
-      return p.probe_run->AppendTuple(t);
-    }
-    const uint32_t* head = p.table.Find(key.data().data(), key.size(), h);
-    if (head != nullptr) {
-      // The chain is newest-first; emit matches in build-arrival order.
-      chain.clear();
-      for (uint32_t i = *head; i != SerializedKeyTable::kNoPayload;
-           i = p.next[i]) {
-        chain.push_back(i);
-      }
-      for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-        Tuple o = p.tuples[*it];
-        o.insert(o.end(), t.begin(), t.end());
-        ctx_.out->Push(std::move(o));
-      }
-    } else if (left_outer_) {
-      EmitOuter(t);
-    }
+Status HybridHashJoin::Probe(std::vector<Partition>* parts, Tuple& t,
+                             int depth) {
+  key_.Clear();
+  bool unknown = false;
+  ASTERIX_RETURN_NOT_OK(SerializeKeyOf(keys_->probe, t, &key_, &unknown));
+  if (unknown) {
+    if (left_outer_) EmitOuter(t);
     return Status::OK();
-  }));
+  }
+  uint64_t h = Hash64(key_.data().data(), key_.size());
+  Partition& p = (*parts)[SpillPartitionOf(h, depth)];
+  if (p.spilled) {
+    if (!p.probe_run) {
+      p.probe_run = std::make_unique<SpillRun>(ctx_.NextRunPath());
+    }
+    return p.probe_run->AppendTuple(t);
+  }
+  const uint32_t* head = p.table.Find(key_.data().data(), key_.size(), h);
+  if (head != nullptr) {
+    // The chain is newest-first; emit matches in build-arrival order.
+    chain_.clear();
+    for (uint32_t i = *head; i != SerializedKeyTable::kNoPayload;
+         i = p.next[i]) {
+      chain_.push_back(i);
+    }
+    for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
+      Tuple o = p.tuples[*it];
+      o.insert(o.end(), t.begin(), t.end());
+      ctx_.out->Push(std::move(o));
+    }
+  } else if (left_outer_) {
+    EmitOuter(t);
+  }
+  return Status::OK();
+}
 
+Status HybridHashJoin::FinishLevel(std::vector<Partition>* parts, int depth) {
   // This level's resident state is dead; release it before recursing so the
   // sub-joins inherit the full budget.
-  for (auto& p : parts) {
+  for (auto& p : *parts) {
     if (p.spilled) continue;
     if (ctx_.budget != nullptr) ctx_.budget->Release(p.charged);
     p.charged = 0;
@@ -422,7 +403,7 @@ Status GraceHashJoin::Execute(const TupleSource& build,
     std::vector<uint32_t>().swap(p.next);
   }
 
-  for (auto& p : parts) {
+  for (auto& p : *parts) {
     if (!p.spilled) continue;
     ASTERIX_RETURN_NOT_OK(p.build_run->Finish());
     ctx_.spill_bytes += p.build_run->bytes();
@@ -433,8 +414,13 @@ Status GraceHashJoin::Execute(const TupleSource& build,
     // No probes hit the partition: nothing can join (and outer padding only
     // applies to probe tuples), so the build run is simply dropped.
     if (p.probe_run && !p.probe_run->empty()) {
-      ASTERIX_RETURN_NOT_OK(Execute(RunSource(p.build_run.get()),
-                                    RunSource(p.probe_run.get()), depth + 1));
+      std::vector<Partition> sub(kSpillFanout);
+      ASTERIX_RETURN_NOT_OK(p.build_run->ForEach(
+          [&](Tuple& t) { return Build(&sub, t, depth + 1); }));
+      EndBuild(sub);
+      ASTERIX_RETURN_NOT_OK(p.probe_run->ForEach(
+          [&](Tuple& t) { return Probe(&sub, t, depth + 1); }));
+      ASTERIX_RETURN_NOT_OK(FinishLevel(&sub, depth + 1));
     }
     p.build_run->Remove();
     if (p.probe_run) p.probe_run->Remove();
@@ -458,79 +444,36 @@ OperatorDescriptor MakeValueScan(std::vector<Tuple> tuples) {
   op.parallelism = 1;
   op.num_inputs = 0;
   auto shared = std::make_shared<std::vector<Tuple>>(std::move(tuples));
-  op.factory = Lambda([shared](int partition, const std::vector<InChannel*>&,
-                               Emitter* out) {
+  op.source = [shared](int partition, Emitter* out) {
     // Only instance 0 emits, so a misconfigured parallelism cannot
     // duplicate the constants.
     if (partition == 0) {
       for (const auto& t : *shared) out->Push(t);
     }
     return out->status();
-  });
+  };
   return op;
 }
 
-OperatorDescriptor MakeUnion(int parallelism, int num_inputs) {
-  OperatorDescriptor op;
-  op.name = "union-all";
-  op.parallelism = parallelism;
-  op.num_inputs = num_inputs;
-  op.factory = Lambda([num_inputs](int, const std::vector<InChannel*>& in,
-                                   Emitter* out) {
-    for (int port = 0; port < num_inputs; ++port) {
-      ASTERIX_RETURN_NOT_OK(ForEachInput(in[static_cast<size_t>(port)], out,
-                                         [&](Tuple& t) {
-                                           out->Push(std::move(t));
-                                           return Status::OK();
-                                         }));
-    }
-    return Status::OK();
-  });
-  return op;
-}
+namespace {
 
-OperatorDescriptor MakeDatasetScan(storage::PartitionedDataset* dataset,
-                                   storage::column::Projection projection) {
+/// The primary-index scan both full and range scans run: instance p scans
+/// storage partition p within `bounds`, emitting [record] tuples of the
+/// projected fields and reporting the physical bytes it read.
+OperatorDescriptor MakeScan(std::string name,
+                            storage::PartitionedDataset* dataset,
+                            storage::ScanBounds bounds,
+                            storage::column::Projection projection) {
   OperatorDescriptor op;
-  bool columnar =
-      dataset->def().storage_format == storage::StorageFormat::kColumn;
-  op.name = std::string(columnar ? "column-scan(" : "scan(") +
-            dataset->def().name + ")";
+  op.name = std::move(name);
   std::string ptag = projection.ToString();
   if (!ptag.empty()) op.name += " " + ptag;
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 0;
-  auto proj = std::make_shared<storage::column::Projection>(std::move(projection));
-  op.factory = Lambda([dataset, proj](int p, const std::vector<InChannel*>&,
-                                      Emitter* out) {
-    storage::column::ProjectedScanStats stats;
-    Status st = dataset->partition(static_cast<uint32_t>(p))
-                    ->ProjectedScan(storage::ScanBounds{}, *proj,
-                                    [&](const Value& rec) {
-                                      out->Push({rec});
-                                      return out->status();
-                                    },
-                                    &stats);
-    out->AddBytesRead(stats.bytes_read);
-    return st;
-  });
-  return op;
-}
-
-OperatorDescriptor MakePrimaryRangeScan(storage::PartitionedDataset* dataset,
-                                        storage::ScanBounds bounds,
-                                        storage::column::Projection projection) {
-  OperatorDescriptor op;
-  op.name = "btree-range-scan(" + dataset->def().name + ")";
-  std::string ptag = projection.ToString();
-  if (!ptag.empty()) op.name += " " + ptag;
-  op.parallelism = static_cast<int>(dataset->num_partitions());
-  op.num_inputs = 0;
-  auto shared = std::make_shared<storage::ScanBounds>(std::move(bounds));
-  auto proj = std::make_shared<storage::column::Projection>(std::move(projection));
-  op.factory = Lambda([dataset, shared, proj](int p,
-                                              const std::vector<InChannel*>&,
-                                              Emitter* out) {
+  auto shared = std::make_shared<const storage::ScanBounds>(std::move(bounds));
+  auto proj = std::make_shared<const storage::column::Projection>(
+      std::move(projection));
+  op.source = [dataset, shared, proj](int p, Emitter* out) {
     storage::column::ProjectedScanStats stats;
     Status st = dataset->partition(static_cast<uint32_t>(p))
                     ->ProjectedScan(*shared, *proj,
@@ -541,8 +484,26 @@ OperatorDescriptor MakePrimaryRangeScan(storage::PartitionedDataset* dataset,
                                     &stats);
     out->AddBytesRead(stats.bytes_read);
     return st;
-  });
+  };
   return op;
+}
+
+}  // namespace
+
+OperatorDescriptor MakeDatasetScan(storage::PartitionedDataset* dataset,
+                                   storage::column::Projection projection) {
+  bool columnar =
+      dataset->def().storage_format == storage::StorageFormat::kColumn;
+  return MakeScan(std::string(columnar ? "column-scan(" : "scan(") +
+                      dataset->def().name + ")",
+                  dataset, storage::ScanBounds{}, std::move(projection));
+}
+
+OperatorDescriptor MakePrimaryRangeScan(storage::PartitionedDataset* dataset,
+                                        storage::ScanBounds bounds,
+                                        storage::column::Projection projection) {
+  return MakeScan("btree-range-scan(" + dataset->def().name + ")", dataset,
+                  std::move(bounds), std::move(projection));
 }
 
 namespace {
@@ -610,8 +571,10 @@ class PrimaryFetch final : public PushOperator {
  public:
   PrimaryFetch(storage::PartitionedDataset* dataset, txn::TxnManager* txns,
                std::vector<int> key_columns, bool locked,
-               std::shared_ptr<const storage::column::Projection> proj)
-      : dataset_(dataset),
+               std::shared_ptr<const storage::column::Projection> proj,
+               Emitter* out)
+      : out_(out),
+        dataset_(dataset),
         txns_(txns),
         key_columns_(std::move(key_columns)),
         proj_(std::move(proj)),
@@ -619,12 +582,12 @@ class PrimaryFetch final : public PushOperator {
         txn_(locked ? txns->Begin() : 0) {}
   ~PrimaryFetch() override { ReleaseLocks(); }
 
-  Status Consume(Frame& frame, Emitter* out) override {
+  Status Consume(int, Frame& frame) override {
     MaterializeRows(&frame);
-    return FetchFrame(dataset_, txn_, key_columns_, *proj_, &frame, out);
+    return FetchFrame(dataset_, txn_, key_columns_, *proj_, &frame, out_);
   }
 
-  Status Close(Emitter*) override {
+  Status Close(int) override {
     ReleaseLocks();
     return Status::OK();
   }
@@ -638,6 +601,7 @@ class PrimaryFetch final : public PushOperator {
     locked_ = false;
   }
 
+  Emitter* const out_;
   storage::PartitionedDataset* dataset_;
   txn::TxnManager* txns_;
   std::vector<int> key_columns_;
@@ -660,9 +624,9 @@ OperatorDescriptor MakePrimarySearch(storage::PartitionedDataset* dataset,
   op.num_inputs = 1;
   auto proj = std::make_shared<const storage::column::Projection>(
       std::move(projection));
-  op.push = [dataset, txns, key_columns, locked, proj](int) {
+  op.push = [dataset, txns, key_columns, locked, proj](int, Emitter* out) {
     return std::make_unique<PrimaryFetch>(dataset, txns, key_columns, locked,
-                                          proj);
+                                          proj, out);
   };
   return op;
 }
@@ -676,8 +640,7 @@ OperatorDescriptor MakeSecondarySearch(storage::PartitionedDataset* dataset,
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 0;
   auto shared = std::make_shared<storage::ScanBounds>(std::move(bounds));
-  op.factory = Lambda([dataset, index_name, shared, pk_arity](
-                          int p, const std::vector<InChannel*>&, Emitter* out) {
+  op.source = [dataset, index_name, shared, pk_arity](int p, Emitter* out) {
     return dataset->partition(static_cast<uint32_t>(p))
         ->SecondaryRangeScan(index_name, *shared,
                              [&](const storage::IndexEntry& e) {
@@ -685,7 +648,7 @@ OperatorDescriptor MakeSecondarySearch(storage::PartitionedDataset* dataset,
                                out->Push(std::move(t));
                                return out->status();
                              });
-  });
+  };
   return op;
 }
 
@@ -696,10 +659,10 @@ OperatorDescriptor MakeSecondaryProbe(storage::PartitionedDataset* dataset,
   op.name = "btree-probe(" + index_name + ")";
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 1;
-  op.push = [dataset, index_name, key_eval, pk_arity](int p) {
+  op.push = [dataset, index_name, key_eval, pk_arity](int p, Emitter* out) {
     auto* part = dataset->partition(static_cast<uint32_t>(p));
-    return TupleOp([part, index_name, key_eval, pk_arity](
-                       Tuple& tuple, Emitter* out) -> Status {
+    auto probe = [part, index_name, key_eval, pk_arity](
+                     Tuple& tuple, Emitter* emit) -> Status {
       auto key_r = key_eval(tuple);
       if (!key_r.ok()) return key_r.status();
       if (key_r.value().IsUnknown()) return Status::OK();
@@ -710,10 +673,11 @@ OperatorDescriptor MakeSecondaryProbe(storage::PartitionedDataset* dataset,
           index_name, b, [&](const storage::IndexEntry& e) {
             Tuple o = tuple;
             o.insert(o.end(), e.key.end() - pk_arity, e.key.end());
-            out->Push(std::move(o));
+            emit->Push(std::move(o));
             return Status::OK();
           });
-    });
+    };
+    return TupleOp(std::move(probe), out);
   };
   return op;
 }
@@ -725,15 +689,14 @@ OperatorDescriptor MakeRTreeSearch(storage::PartitionedDataset* dataset,
   op.name = "rtree-search(" + index_name + ")";
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 0;
-  op.factory = Lambda([dataset, index_name, query, pk_arity](
-                          int p, const std::vector<InChannel*>&, Emitter* out) {
-    (void)pk_arity;
+  (void)pk_arity;
+  op.source = [dataset, index_name, query](int p, Emitter* out) {
     return dataset->partition(static_cast<uint32_t>(p))
         ->RTreeSearch(index_name, query, [&](const storage::CompositeKey& pk) {
           out->Push(Tuple(pk.begin(), pk.end()));
           return out->status();
         });
-  });
+  };
   return op;
 }
 
@@ -746,9 +709,8 @@ OperatorDescriptor MakeInvertedSearch(storage::PartitionedDataset* dataset,
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 0;
   auto shared = std::make_shared<std::vector<std::string>>(std::move(tokens));
-  op.factory = Lambda([dataset, index_name, shared, min_matches, pk_arity](
-                          int p, const std::vector<InChannel*>&, Emitter* out) {
-    (void)pk_arity;
+  (void)pk_arity;
+  op.source = [dataset, index_name, shared, min_matches](int p, Emitter* out) {
     auto* ix = dataset->partition(static_cast<uint32_t>(p))
                    ->inverted_index(index_name);
     if (!ix) return Status::NotFound("no inverted index " + index_name);
@@ -757,7 +719,7 @@ OperatorDescriptor MakeInvertedSearch(storage::PartitionedDataset* dataset,
           if (count >= min_matches) out->Push(Tuple(pk.begin(), pk.end()));
           return out->status();
         });
-  });
+  };
   return op;
 }
 
@@ -817,8 +779,10 @@ namespace {
 class ExternalSort final : public RowOperator {
  public:
   ExternalSort(TupleCompare compare, std::optional<size_t> limit,
-               size_t spill_budget_tuples)
-      : compare_(std::move(compare)),
+               size_t spill_budget_tuples, Emitter* out)
+      : RowOperator(out),
+        budget_(out->memory_budget()),
+        compare_(std::move(compare)),
         limit_(limit),
         spill_budget_tuples_(spill_budget_tuples),
         // Floor per run so a degenerate byte budget cannot degrade into one
@@ -830,11 +794,10 @@ class ExternalSort final : public RowOperator {
     if (budget_ != nullptr) budget_->Release(charged_);
   }
 
-  Status Close(Emitter* out) override;
+  Status Close(int) override;
 
  protected:
-  Status ConsumeTuple(Tuple& t, Emitter* out) override {
-    budget_ = out->memory_budget();
+  Status ConsumeTuple(Tuple& t) override {
     if (budget_ != nullptr) {
       size_t d = EstimateTupleBytes(t);
       charged_ += d;
@@ -870,31 +833,31 @@ class ExternalSort final : public RowOperator {
     return Status::OK();
   }
 
+  MemoryBudget* const budget_;  // null when running unbudgeted
   TupleCompare compare_;
   std::optional<size_t> limit_;
   size_t spill_budget_tuples_;
   size_t min_run_tuples_;
-  MemoryBudget* budget_ = nullptr;  // bound by the first input tuple
   std::vector<Tuple> buffer_;
   size_t charged_ = 0;
   std::vector<std::unique_ptr<SpillRun>> runs_;
   ScratchDirGuard scratch_;
 };
 
-Status ExternalSort::Close(Emitter* out) {
+Status ExternalSort::Close(int) {
   if (runs_.empty()) {
     // Everything fit in memory.
     SortBuffer();
     size_t n = limit_.has_value() ? std::min(*limit_, buffer_.size())
                                   : buffer_.size();
-    for (size_t i = 0; i < n; ++i) out->Push(std::move(buffer_[i]));
+    for (size_t i = 0; i < n; ++i) out_->Push(std::move(buffer_[i]));
     return Status::OK();
   }
   if (!buffer_.empty()) ASTERIX_RETURN_NOT_OK(Spill());
 
   uint64_t run_bytes = 0;
   for (const auto& run : runs_) run_bytes += run->bytes();
-  out->AddSpill(run_bytes, runs_.size());
+  out_->AddSpill(run_bytes, runs_.size());
 
   // K-way merge over one streaming cursor per run (each holds at most a
   // flush-sized window of its run): a binary heap of run heads replaces
@@ -918,7 +881,7 @@ Status ExternalSort::Close(Emitter* out) {
   while (!heap.empty() && (!limit_.has_value() || emitted < *limit_)) {
     std::pop_heap(heap.begin(), heap.end(), heap_after);
     size_t best = heap.back();
-    out->Push(std::move(cursors[best]->tuple()));
+    out_->Push(std::move(cursors[best]->tuple()));
     ++emitted;
     bool more = false;
     ASTERIX_RETURN_NOT_OK(cursors[best]->Next(&more));
@@ -944,8 +907,9 @@ OperatorDescriptor MakeSort(int parallelism, TupleCompare compare,
   op.num_inputs = 1;
   op.blocking_ports = {0};
   op.memory_intensive = true;
-  op.push = [compare, limit, spill_budget_tuples](int) {
-    return std::make_unique<ExternalSort>(compare, limit, spill_budget_tuples);
+  op.push = [compare, limit, spill_budget_tuples](int, Emitter* out) {
+    return std::make_unique<ExternalSort>(compare, limit, spill_budget_tuples,
+                                          out);
   };
   return op;
 }
@@ -960,16 +924,11 @@ OperatorDescriptor MakeHybridHashJoin(int parallelism,
   op.num_inputs = 2;
   op.blocking_ports = {0};  // Join Build activity blocks before probing
   op.memory_intensive = true;
-  op.factory = Lambda([build_keys, probe_keys, build_arity, left_outer](
-                          int, const std::vector<InChannel*>& in,
-                          Emitter* out) {
-    GraceHashJoin join(&build_keys, &probe_keys, build_arity, left_outer, out);
-    Status st =
-        join.Execute(ChannelSource(in[0], out), ChannelSource(in[1], out),
-                     /*depth=*/0);
-    join.Report();
-    return st;
-  });
+  auto keys = std::make_shared<const HybridHashJoin::Keys>(
+      HybridHashJoin::Keys{std::move(build_keys), std::move(probe_keys)});
+  op.push = [keys, build_arity, left_outer](int, Emitter* out) {
+    return std::make_unique<HybridHashJoin>(keys, build_arity, left_outer, out);
+  };
   return op;
 }
 
@@ -984,152 +943,165 @@ namespace {
 // Left-outer emission is deferred behind per-probe matched flags: a probe
 // tuple whose only match lives in a late block must not be emitted
 // null-padded after an early block misses it.
-class BlockNestedLoopJoin {
+class BlockNestedLoopJoin final : public PushOperator {
  public:
-  BlockNestedLoopJoin(const TupleEval* predicate, size_t build_arity,
-                      bool left_outer, Emitter* out)
-      : predicate_(predicate),
+  BlockNestedLoopJoin(std::shared_ptr<const TupleEval> predicate,
+                      size_t build_arity, bool left_outer, Emitter* out)
+      : predicate_(std::move(predicate)),
         build_arity_(build_arity),
         left_outer_(left_outer),
         ctx_(out, "nlj-spill") {}
 
-  Status Execute(InChannel* build_in, InChannel* probe_in);
-
-  void Report() { ctx_.Report(); }
-
- private:
-  /// Tests one (build, probe) pair, pushing the joined tuple on a match.
-  Result<bool> Match(const Tuple& b, const Tuple& p) {
-    Tuple joined = b;
-    joined.insert(joined.end(), p.begin(), p.end());
-    auto v = (*predicate_)(joined);
-    if (!v.ok()) return v.status();
-    if (functions::ValueToTri(v.value()) != functions::Tri::kTrue) return false;
-    ctx_.out->Push(std::move(joined));
-    return true;
+  Status Consume(int port, Frame& frame) override {
+    MaterializeRows(&frame);
+    for (Tuple& t : frame.tuples) {
+      ASTERIX_RETURN_NOT_OK(port == 0 ? Build(t) : Probe(t));
+    }
+    return Status::OK();
   }
 
-  const TupleEval* predicate_;
+  Status Close(int port) override {
+    if (port == 0) return EndBuild();
+    Status st = EndProbe();
+    ctx_.Report();
+    return st;
+  }
+
+ private:
+  /// Build: resident until the budget trips, everything after to the run.
+  Status Build(Tuple& t) {
+    if (ctx_.budget != nullptr && ctx_.budget->over_budget() &&
+        !block_.empty()) {
+      if (!build_run_) {
+        build_run_ = std::make_unique<SpillRun>(ctx_.NextRunPath());
+      }
+      return build_run_->AppendTuple(t);
+    }
+    Load(t);
+    return Status::OK();
+  }
+
+  /// With overflow, the probe side is also copied to a run, so each further
+  /// build block can re-scan it.
+  Status EndBuild() {
+    if (!build_run_) return Status::OK();
+    ASTERIX_RETURN_NOT_OK(build_run_->Finish());
+    ctx_.spill_bytes += build_run_->bytes();
+    ++ctx_.spilled_partitions;
+    probe_run_ = std::make_unique<SpillRun>(ctx_.NextRunPath());
+    return Status::OK();
+  }
+
+  /// Probes once against the resident block. With no overflow this is the
+  /// whole join and left-outer tuples can be emitted immediately.
+  Status Probe(Tuple& t) {
+    ASTERIX_ASSIGN_OR_RETURN(bool hit, MatchBlock(t));
+    if (probe_run_) {
+      matched_.push_back(hit);
+      return probe_run_->AppendTuple(t);
+    }
+    if (!hit && left_outer_) EmitOuter(t);
+    return Status::OK();
+  }
+
+  /// Joins the remaining build blocks against the probe run, then emits the
+  /// left-outer tuples no block matched.
+  Status EndProbe();
+
+  void Load(Tuple& t) {
+    if (ctx_.budget != nullptr) {
+      size_t d = EstimateTupleBytes(t);
+      charged_ += d;
+      ctx_.budget->Charge(d);
+    }
+    block_.push_back(std::move(t));
+  }
+
+  void ReleaseBlock() {
+    std::vector<Tuple>().swap(block_);
+    if (ctx_.budget != nullptr) ctx_.budget->Release(charged_);
+    charged_ = 0;
+  }
+
+  /// Tests `p` against every resident build tuple, pushing each match.
+  Result<bool> MatchBlock(const Tuple& p) {
+    bool hit = false;
+    for (const auto& b : block_) {
+      Tuple joined = b;
+      joined.insert(joined.end(), p.begin(), p.end());
+      auto v = (*predicate_)(joined);
+      if (!v.ok()) return v.status();
+      if (functions::ValueToTri(v.value()) != functions::Tri::kTrue) continue;
+      ctx_.out->Push(std::move(joined));
+      hit = true;
+    }
+    return hit;
+  }
+
+  void EmitOuter(const Tuple& p) {
+    Tuple o(build_arity_, Value::Null());
+    o.insert(o.end(), p.begin(), p.end());
+    ctx_.out->Push(std::move(o));
+  }
+
+  std::shared_ptr<const TupleEval> predicate_;
   size_t build_arity_;
   bool left_outer_;
   SpillContext ctx_;
+  std::vector<Tuple> block_;
+  size_t charged_ = 0;
+  std::unique_ptr<SpillRun> build_run_, probe_run_;
+  std::vector<bool> matched_;  // per probe-run position, across all blocks
 };
 
-Status BlockNestedLoopJoin::Execute(InChannel* build_in, InChannel* probe_in) {
-  MemoryBudget* budget = ctx_.budget;
-  std::vector<Tuple> block;
-  size_t charged = 0;
-  std::unique_ptr<SpillRun> build_run;
-
-  // Build: resident until the budget trips, everything after to the run.
-  ASTERIX_RETURN_NOT_OK(ForEachInput(build_in, ctx_.out, [&](Tuple& t) {
-    if (budget != nullptr && budget->over_budget() && !block.empty()) {
-      if (!build_run) {
-        build_run = std::make_unique<SpillRun>(ctx_.NextRunPath());
-      }
-      return build_run->AppendTuple(t);
-    }
-    if (budget != nullptr) {
-      size_t d = EstimateTupleBytes(t);
-      charged += d;
-      budget->Charge(d);
-    }
-    block.push_back(std::move(t));
-    return Status::OK();
-  }));
-
-  std::unique_ptr<SpillRun> probe_run;
-  std::vector<bool> matched;  // per probe-run position, across all blocks
-  if (build_run) {
-    ASTERIX_RETURN_NOT_OK(build_run->Finish());
-    ctx_.spill_bytes += build_run->bytes();
-    ++ctx_.spilled_partitions;
-    probe_run = std::make_unique<SpillRun>(ctx_.NextRunPath());
-  }
-
-  // Probe once against the resident block. With no overflow this is the
-  // whole join and left-outer tuples can be emitted immediately.
-  ASTERIX_RETURN_NOT_OK(ForEachInput(probe_in, ctx_.out, [&](Tuple& t) -> Status {
-    bool hit = false;
-    for (const auto& b : block) {
-      ASTERIX_ASSIGN_OR_RETURN(bool m, Match(b, t));
-      hit = hit || m;
-    }
-    if (probe_run) {
-      matched.push_back(hit);
-      return probe_run->AppendTuple(t);
-    }
-    if (!hit && left_outer_) {
-      Tuple o(build_arity_, Value::Null());
-      o.insert(o.end(), t.begin(), t.end());
-      ctx_.out->Push(std::move(o));
-    }
-    return Status::OK();
-  }));
-
-  if (!probe_run) {
-    if (budget != nullptr) budget->Release(charged);
+Status BlockNestedLoopJoin::EndProbe() {
+  if (!probe_run_) {
+    ReleaseBlock();
     return Status::OK();
   }
-  ASTERIX_RETURN_NOT_OK(probe_run->Finish());
-  ctx_.spill_bytes += probe_run->bytes();
-  std::vector<Tuple>().swap(block);
-  if (budget != nullptr) budget->Release(charged);
-  charged = 0;
+  ASTERIX_RETURN_NOT_OK(probe_run_->Finish());
+  ctx_.spill_bytes += probe_run_->bytes();
+  ReleaseBlock();
 
   // Remaining build blocks: load a budget's worth from the run (the scan
   // skips records outside the window), re-scan the probe run against it.
   uint64_t offset = 0;
-  const uint64_t overflow = build_run->records();
+  const uint64_t overflow = build_run_->records();
   while (offset < overflow) {
     uint64_t idx = 0;
     uint64_t loaded = 0;
-    ASTERIX_RETURN_NOT_OK(build_run->ForEach([&](Tuple& t) {
+    ASTERIX_RETURN_NOT_OK(build_run_->ForEach([&](Tuple& t) {
       uint64_t i = idx++;
       if (i < offset) return Status::OK();
       // The first tuple always loads, so each pass strictly advances.
-      if (!block.empty() && budget != nullptr && budget->over_budget()) {
+      if (!block_.empty() && ctx_.budget != nullptr &&
+          ctx_.budget->over_budget()) {
         return Status::OK();
       }
-      if (budget != nullptr) {
-        size_t d = EstimateTupleBytes(t);
-        charged += d;
-        budget->Charge(d);
-      }
-      block.push_back(std::move(t));
+      Load(t);
       ++loaded;
       return Status::OK();
     }));
     offset += loaded;
     uint64_t pidx = 0;
-    ASTERIX_RETURN_NOT_OK(probe_run->ForEach([&](Tuple& t) -> Status {
+    ASTERIX_RETURN_NOT_OK(probe_run_->ForEach([&](Tuple& t) -> Status {
       uint64_t i = pidx++;
-      bool hit = false;
-      for (const auto& b : block) {
-        ASTERIX_ASSIGN_OR_RETURN(bool m, Match(b, t));
-        hit = hit || m;
-      }
-      if (hit) matched[i] = true;
+      ASTERIX_ASSIGN_OR_RETURN(bool hit, MatchBlock(t));
+      if (hit) matched_[i] = true;
       return Status::OK();
     }));
-    std::vector<Tuple>().swap(block);
-    if (budget != nullptr) budget->Release(charged);
-    charged = 0;
+    ReleaseBlock();
   }
 
   if (left_outer_) {
     uint64_t pidx = 0;
-    ASTERIX_RETURN_NOT_OK(probe_run->ForEach([&](Tuple& t) {
-      if (!matched[pidx++]) {
-        Tuple o(build_arity_, Value::Null());
-        o.insert(o.end(), t.begin(), t.end());
-        ctx_.out->Push(std::move(o));
-      }
+    ASTERIX_RETURN_NOT_OK(probe_run_->ForEach([&](Tuple& t) {
+      if (!matched_[pidx++]) EmitOuter(t);
       return Status::OK();
     }));
   }
-  build_run->Remove();
-  probe_run->Remove();
+  build_run_->Remove();
+  probe_run_->Remove();
   return Status::OK();
 }
 
@@ -1143,14 +1115,11 @@ OperatorDescriptor MakeNestedLoopJoin(int parallelism, TupleEval predicate,
   op.num_inputs = 2;
   op.blocking_ports = {0};
   op.memory_intensive = true;  // buffers the build side
-  op.factory = Lambda([predicate, build_arity, left_outer](
-                          int, const std::vector<InChannel*>& in,
-                          Emitter* out) {
-    BlockNestedLoopJoin join(&predicate, build_arity, left_outer, out);
-    Status st = join.Execute(in[0], in[1]);
-    join.Report();
-    return st;
-  });
+  auto shared = std::make_shared<const TupleEval>(std::move(predicate));
+  op.push = [shared, build_arity, left_outer](int, Emitter* out) {
+    return std::make_unique<BlockNestedLoopJoin>(shared, build_arity,
+                                                 left_outer, out);
+  };
   return op;
 }
 
@@ -1165,28 +1134,32 @@ namespace {
 // arriving for an already-spilled partition goes to a second run unchanged.
 // A listify aggregate's partial is its bag, so a `group by ... with` group
 // spills its collected values and concatenates them back on reload.
-class SpillingHashGroupBy {
+class SpillingHashGroupBy final : public RowOperator {
  public:
-  SpillingHashGroupBy(const std::vector<TupleEval>* keys,
-                      const std::vector<AggSpec>* aggs, AggMode mode,
-                      Emitter* out)
-      : keys_(keys),
-        aggs_(aggs),
+  SpillingHashGroupBy(std::shared_ptr<const std::vector<TupleEval>> keys,
+                      std::shared_ptr<const std::vector<AggSpec>> aggs,
+                      AggMode mode, Emitter* out)
+      : RowOperator(out),
+        keys_(std::move(keys)),
+        aggs_(std::move(aggs)),
         mode_(mode),
         ctx_(out, "group-spill"),
         top_(kSpillFanout) {}
 
+  /// End of input: emits the top level's resident groups, then aggregates
+  /// its spilled partitions level by level.
+  Status Close(int) override {
+    Status st = FinishLevel(&top_, /*depth=*/0);
+    ctx_.Report();
+    return st;
+  }
+
+ protected:
   /// Feeds one input tuple, in the operator's own mode, to the top level.
-  Status Add(Tuple& t) {
+  Status ConsumeTuple(Tuple& t) override {
     return Feed(&top_, t, /*is_partial=*/false, /*depth=*/0,
                 /*can_spill=*/ctx_.budget != nullptr);
   }
-
-  /// End of input: emits the top level's resident groups, then aggregates
-  /// its spilled partitions level by level.
-  Status Finish() { return FinishLevel(&top_, /*depth=*/0); }
-
-  void Report() { ctx_.Report(); }
 
  private:
   struct Partition {
@@ -1282,34 +1255,38 @@ class SpillingHashGroupBy {
   static constexpr size_t kGroupStateBytes = 64;
   static constexpr size_t kAggregatorBytes = 96;
 
-  /// One recursion level over a spilled partition's runs: `raw` feeds input
-  /// tuples in the operator's own mode; `partials` feeds spilled
-  /// [keys..., Partial()...] tuples (combined regardless of mode).
-  Status Execute(const TupleSource& raw, const TupleSource& partials,
-                 int depth);
+  /// One recursion level over a spilled partition's runs (either may be
+  /// null): `raw` holds input tuples in the operator's own mode; `partials`
+  /// holds spilled [keys..., Partial()...] tuples (combined regardless of
+  /// mode).
+  Status Execute(const SpillRun* raw, const SpillRun* partials, int depth);
 
   /// Emits a level's resident groups, then recurses into its spilled
   /// partitions.
   Status FinishLevel(std::vector<Partition>* parts, int depth);
 
-  const std::vector<TupleEval>* keys_;
-  const std::vector<AggSpec>* aggs_;
+  std::shared_ptr<const std::vector<TupleEval>> keys_;
+  std::shared_ptr<const std::vector<AggSpec>> aggs_;
   AggMode mode_;
   SpillContext ctx_;
   BytesWriter key_;
   std::vector<Partition> top_;  // level 0, fed as input frames arrive
 };
 
-Status SpillingHashGroupBy::Execute(const TupleSource& raw,
-                                    const TupleSource& partials, int depth) {
+Status SpillingHashGroupBy::Execute(const SpillRun* raw,
+                                    const SpillRun* partials, int depth) {
   const bool can_spill = ctx_.budget != nullptr && depth < kMaxSpillDepth;
   std::vector<Partition> parts(kSpillFanout);
-  ASTERIX_RETURN_NOT_OK(partials([&](Tuple& t) {
-    return Feed(&parts, t, /*is_partial=*/true, depth, can_spill);
-  }));
-  ASTERIX_RETURN_NOT_OK(raw([&](Tuple& t) {
-    return Feed(&parts, t, /*is_partial=*/false, depth, can_spill);
-  }));
+  if (partials != nullptr) {
+    ASTERIX_RETURN_NOT_OK(partials->ForEach([&](Tuple& t) {
+      return Feed(&parts, t, /*is_partial=*/true, depth, can_spill);
+    }));
+  }
+  if (raw != nullptr) {
+    ASTERIX_RETURN_NOT_OK(raw->ForEach([&](Tuple& t) {
+      return Feed(&parts, t, /*is_partial=*/false, depth, can_spill);
+    }));
+  }
   return FinishLevel(&parts, depth);
 }
 
@@ -1339,61 +1316,31 @@ Status SpillingHashGroupBy::FinishLevel(std::vector<Partition>* parts,
       ASTERIX_RETURN_NOT_OK(p.raw_run->Finish());
       ctx_.spill_bytes += p.raw_run->bytes();
     }
-    ASTERIX_RETURN_NOT_OK(Execute(
-        p.raw_run ? RunSource(p.raw_run.get()) : EmptySource(),
-        p.partial_run ? RunSource(p.partial_run.get()) : EmptySource(),
-        depth + 1));
+    ASTERIX_RETURN_NOT_OK(
+        Execute(p.raw_run.get(), p.partial_run.get(), depth + 1));
     if (p.raw_run) p.raw_run->Remove();
     if (p.partial_run) p.partial_run->Remove();
   }
   return Status::OK();
 }
 
-/// Hash group-by in push form; the grouper binds the instance's emitter
-/// (and with it the memory budget) on first use.
-class HashGroupBy final : public RowOperator {
- public:
-  HashGroupBy(std::shared_ptr<const std::vector<TupleEval>> keys,
-              std::shared_ptr<const std::vector<AggSpec>> aggs, AggMode mode)
-      : keys_(std::move(keys)), aggs_(std::move(aggs)), mode_(mode) {}
-
-  Status Close(Emitter* out) override {
-    SpillingHashGroupBy& g = Grouper(out);
-    Status st = g.Finish();
-    g.Report();
-    return st;
-  }
-
- protected:
-  Status ConsumeTuple(Tuple& t, Emitter* out) override {
-    return Grouper(out).Add(t);
-  }
-
- private:
-  SpillingHashGroupBy& Grouper(Emitter* out) {
-    if (!grouper_) grouper_.emplace(keys_.get(), aggs_.get(), mode_, out);
-    return *grouper_;
-  }
-
-  std::shared_ptr<const std::vector<TupleEval>> keys_;
-  std::shared_ptr<const std::vector<AggSpec>> aggs_;
-  AggMode mode_;
-  std::optional<SpillingHashGroupBy> grouper_;
-};
-
 /// Ungrouped aggregation: one group fed per tuple, emitted at close.
 class Aggregate final : public RowOperator {
  public:
-  Aggregate(std::shared_ptr<const std::vector<AggSpec>> aggs, AggMode mode)
-      : aggs_(std::move(aggs)), mode_(mode), group_(NewGroup(*aggs_)) {}
+  Aggregate(std::shared_ptr<const std::vector<AggSpec>> aggs, AggMode mode,
+            Emitter* out)
+      : RowOperator(out),
+        aggs_(std::move(aggs)),
+        mode_(mode),
+        group_(NewGroup(*aggs_)) {}
 
-  Status Close(Emitter* out) override {
-    out->Push(FinishGroup({}, &group_, mode_));
+  Status Close(int) override {
+    out_->Push(FinishGroup({}, &group_, mode_));
     return Status::OK();
   }
 
  protected:
-  Status ConsumeTuple(Tuple& t, Emitter*) override {
+  Status ConsumeTuple(Tuple& t) override {
     return FeedGroup(&group_, *aggs_, t, mode_, /*key_arity=*/0);
   }
 
@@ -1417,8 +1364,9 @@ OperatorDescriptor MakeHashGroupBy(int parallelism, std::vector<TupleEval> keys,
       std::make_shared<const std::vector<TupleEval>>(std::move(keys));
   auto shared_aggs =
       std::make_shared<const std::vector<AggSpec>>(std::move(aggs));
-  op.push = [shared_keys, shared_aggs, mode](int) {
-    return std::make_unique<HashGroupBy>(shared_keys, shared_aggs, mode);
+  op.push = [shared_keys, shared_aggs, mode](int, Emitter* out) {
+    return std::make_unique<SpillingHashGroupBy>(shared_keys, shared_aggs,
+                                                 mode, out);
   };
   return op;
 }
@@ -1433,8 +1381,8 @@ OperatorDescriptor MakeAggregate(int parallelism, std::vector<AggSpec> aggs,
   op.num_inputs = 1;
   op.blocking_ports = {0};
   auto shared = std::make_shared<const std::vector<AggSpec>>(std::move(aggs));
-  op.push = [shared, mode](int) {
-    return std::make_unique<Aggregate>(shared, mode);
+  op.push = [shared, mode](int, Emitter* out) {
+    return std::make_unique<Aggregate>(shared, mode, out);
   };
   return op;
 }
@@ -1448,22 +1396,29 @@ namespace {
 // arrives. When a partition is evicted, its already-emitted keys are written
 // to the run as raw key-byte markers ahead of the diverted tuples, so the
 // recursion level knows which keys must stay suppressed.
-class SpillingDistinct {
+class SpillingDistinct final : public RowOperator {
  public:
-  SpillingDistinct(const std::vector<TupleEval>* keys, Emitter* out)
-      : keys_(keys), ctx_(out, "distinct-spill"), top_(kSpillFanout) {}
-
-  /// Emits `t` if its key is new to the top level.
-  Status Add(Tuple& t) {
-    return OnTuple(&top_, t, /*depth=*/0,
-                   /*can_spill=*/ctx_.budget != nullptr);
-  }
+  SpillingDistinct(std::shared_ptr<const std::vector<TupleEval>> keys,
+                   Emitter* out)
+      : RowOperator(out),
+        keys_(std::move(keys)),
+        ctx_(out, "distinct-spill"),
+        top_(kSpillFanout) {}
 
   /// End of input: de-duplicates the top level's spilled partitions level
   /// by level.
-  Status Finish() { return FinishLevel(&top_, /*depth=*/0); }
+  Status Close(int) override {
+    Status st = FinishLevel(&top_, /*depth=*/0);
+    ctx_.Report();
+    return st;
+  }
 
-  void Report() { ctx_.Report(); }
+ protected:
+  /// Emits `t` if its key is new to the top level.
+  Status ConsumeTuple(Tuple& t) override {
+    return OnTuple(&top_, t, /*depth=*/0,
+                   /*can_spill=*/ctx_.budget != nullptr);
+  }
 
  private:
   struct Partition {
@@ -1547,7 +1502,7 @@ class SpillingDistinct {
   /// partitions.
   Status FinishLevel(std::vector<Partition>* parts, int depth);
 
-  const std::vector<TupleEval>* keys_;
+  std::shared_ptr<const std::vector<TupleEval>> keys_;
   SpillContext ctx_;
   BytesWriter key_;
   std::vector<Partition> top_;  // level 0, fed as input frames arrive
@@ -1583,34 +1538,6 @@ Status SpillingDistinct::FinishLevel(std::vector<Partition>* parts,
   return Status::OK();
 }
 
-/// Distinct in push form; binds the instance's emitter on first use.
-class Distinct final : public RowOperator {
- public:
-  explicit Distinct(std::shared_ptr<const std::vector<TupleEval>> keys)
-      : keys_(std::move(keys)) {}
-
-  Status Close(Emitter* out) override {
-    SpillingDistinct& d = Set(out);
-    Status st = d.Finish();
-    d.Report();
-    return st;
-  }
-
- protected:
-  Status ConsumeTuple(Tuple& t, Emitter* out) override {
-    return Set(out).Add(t);
-  }
-
- private:
-  SpillingDistinct& Set(Emitter* out) {
-    if (!distinct_) distinct_.emplace(keys_.get(), out);
-    return *distinct_;
-  }
-
-  std::shared_ptr<const std::vector<TupleEval>> keys_;
-  std::optional<SpillingDistinct> distinct_;
-};
-
 }  // namespace
 
 OperatorDescriptor MakeDistinct(int parallelism, std::vector<TupleEval> keys) {
@@ -1620,7 +1547,9 @@ OperatorDescriptor MakeDistinct(int parallelism, std::vector<TupleEval> keys) {
   op.num_inputs = 1;
   op.memory_intensive = true;  // the seen-key set grows with distinct keys
   auto shared = std::make_shared<const std::vector<TupleEval>>(std::move(keys));
-  op.push = [shared](int) { return std::make_unique<Distinct>(shared); };
+  op.push = [shared](int, Emitter* out) {
+    return std::make_unique<SpillingDistinct>(shared, out);
+  };
   return op;
 }
 
@@ -1628,14 +1557,15 @@ namespace {
 
 class Limit final : public RowOperator {
  public:
-  Limit(size_t limit, size_t offset) : limit_(limit), offset_(offset) {}
+  Limit(size_t limit, size_t offset, Emitter* out)
+      : RowOperator(out), limit_(limit), offset_(offset) {}
 
  protected:
-  Status ConsumeTuple(Tuple& t, Emitter* out) override {
+  Status ConsumeTuple(Tuple& t) override {
     if (seen_++ < offset_) return Status::OK();
     if (emitted_ < limit_) {
       ++emitted_;
-      out->Push(std::move(t));
+      out_->Push(std::move(t));
     }
     // Keep consuming: a channel-fed limit that abandoned its input would
     // leave upstream producers blocked on a full channel.
@@ -1655,15 +1585,16 @@ class ModifySink final : public RowOperator {
  public:
   /// Applies one tuple; true when it counts as modified.
   using Apply = std::function<Result<bool>(const Tuple&)>;
-  explicit ModifySink(Apply apply) : apply_(std::move(apply)) {}
+  ModifySink(Apply apply, Emitter* out)
+      : RowOperator(out), apply_(std::move(apply)) {}
 
-  Status Close(Emitter* out) override {
-    out->Push({Value::Int64(count_)});
+  Status Close(int) override {
+    out_->Push({Value::Int64(count_)});
     return Status::OK();
   }
 
  protected:
-  Status ConsumeTuple(Tuple& t, Emitter*) override {
+  Status ConsumeTuple(Tuple& t) override {
     ASTERIX_ASSIGN_OR_RETURN(bool counted, apply_(t));
     if (counted) ++count_;
     return Status::OK();
@@ -1681,14 +1612,14 @@ class ResultSink final : public PushOperator {
              std::shared_ptr<std::mutex> mu)
       : sink_(std::move(sink)), mu_(std::move(mu)) {}
 
-  Status Consume(Frame& frame, Emitter*) override {
+  Status Consume(int, Frame& frame) override {
     MaterializeRows(&frame);
     std::lock_guard<std::mutex> lock(*mu_);
     sink_->insert(sink_->end(), std::make_move_iterator(frame.tuples.begin()),
                   std::make_move_iterator(frame.tuples.end()));
     return Status::OK();
   }
-  Status Close(Emitter*) override { return Status::OK(); }
+  Status Close(int) override { return Status::OK(); }
 
  private:
   std::shared_ptr<std::vector<Tuple>> sink_;
@@ -1702,8 +1633,8 @@ OperatorDescriptor MakeLimit(size_t limit, size_t offset) {
   op.name = "limit";
   op.parallelism = 1;
   op.num_inputs = 1;
-  op.push = [limit, offset](int) {
-    return std::make_unique<Limit>(limit, offset);
+  op.push = [limit, offset](int, Emitter* out) {
+    return std::make_unique<Limit>(limit, offset, out);
   };
   return op;
 }
@@ -1749,13 +1680,14 @@ OperatorDescriptor MakeInsert(storage::PartitionedDataset* dataset,
   op.name = "insert(" + dataset->def().name + ")";
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 1;
-  op.push = [dataset, record_column](int) {
+  op.push = [dataset, record_column](int, Emitter* out) {
     return std::make_unique<ModifySink>(
         [dataset, record_column](const Tuple& t) -> Result<bool> {
           ASTERIX_RETURN_NOT_OK(
               dataset->Insert(t[static_cast<size_t>(record_column)]));
           return true;
-        });
+        },
+        out);
   };
   return op;
 }
@@ -1766,7 +1698,7 @@ OperatorDescriptor MakeDelete(storage::PartitionedDataset* dataset,
   op.name = "delete(" + dataset->def().name + ")";
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 1;
-  op.push = [dataset, key_columns](int) {
+  op.push = [dataset, key_columns](int, Emitter* out) {
     return std::make_unique<ModifySink>(
         [dataset, key_columns](const Tuple& t) -> Result<bool> {
           storage::CompositeKey pk;
@@ -1774,7 +1706,8 @@ OperatorDescriptor MakeDelete(storage::PartitionedDataset* dataset,
           bool found = false;
           ASTERIX_RETURN_NOT_OK(dataset->DeleteByKey(pk, &found));
           return found;
-        });
+        },
+        out);
   };
   return op;
 }
@@ -1785,7 +1718,9 @@ OperatorDescriptor MakeResultSink(std::shared_ptr<std::vector<Tuple>> sink) {
   op.parallelism = 1;
   op.num_inputs = 1;
   auto mu = std::make_shared<std::mutex>();
-  op.push = [sink, mu](int) { return std::make_unique<ResultSink>(sink, mu); };
+  op.push = [sink, mu](int, Emitter*) {
+    return std::make_unique<ResultSink>(sink, mu);
+  };
   return op;
 }
 
@@ -1806,9 +1741,7 @@ OperatorDescriptor MakeVectorScan(storage::PartitionedDataset* dataset,
   op.num_inputs = 0;
   auto proj = std::make_shared<storage::column::Projection>(std::move(projection));
   auto shared = std::make_shared<storage::ScanBounds>(std::move(bounds));
-  op.factory = Lambda([dataset, proj, shared](int p,
-                                              const std::vector<InChannel*>&,
-                                              Emitter* out) {
+  op.source = [dataset, proj, shared](int p, Emitter* out) {
     auto* part = dataset->partition(static_cast<uint32_t>(p));
     storage::column::ProjectedScanStats stats;
     uint64_t batches = 0, rows_selected = 0, rows_total = 0;
@@ -1842,142 +1775,124 @@ OperatorDescriptor MakeVectorScan(storage::PartitionedDataset* dataset,
     out->AddBytesRead(stats.bytes_read);
     out->AddBatchStats(batches, rows_selected, rows_total);
     return st;
-  });
+  };
   return op;
 }
 
 namespace {
 
-/// Vectorized filter: batches refine their selection vector in place; row
-/// tuples from a non-batch producer go through the interpreted fallback.
+/// Only a vector scan feeds the vectorized operators, across 1:1 connectors
+/// that forward batches whole, so a frame without a batch is a plan bug.
+Status NoBatchError(const char* op) {
+  return Status::Internal(std::string(op) +
+                          " received a frame without a batch");
+}
+
+/// Vectorized filter: batches refine their selection vector in place.
 class VectorSelect final : public PushOperator {
  public:
-  VectorSelect(std::shared_ptr<vector::PredNode> pred, TupleEval fallback)
-      : pred_(std::move(pred)), fallback_(std::move(fallback)) {}
+  VectorSelect(std::shared_ptr<vector::PredNode> pred, Emitter* out)
+      : out_(out), pred_(std::move(pred)) {}
 
-  Status Consume(Frame& frame, Emitter* out) override {
-    for (Tuple& t : frame.tuples) {
-      auto v = fallback_(t);
-      if (!v.ok()) return v.status();
-      if (functions::ValueToTri(v.value()) == functions::Tri::kTrue) {
-        out->Push(std::move(t));
-      }
-    }
-    if (frame.batch != nullptr) {
-      ++batches_;
-      rows_total_ += frame.batch->sel.size();
-      auto t0 = std::chrono::steady_clock::now();
-      Status st = vector::Filter(*pred_, frame.batch.get());
-      kernel_us_ += ElapsedUs(t0);
-      ASTERIX_RETURN_NOT_OK(st);
-      rows_selected_ += frame.batch->sel.size();
-      if (!frame.batch->sel.empty()) out->PushBatch(std::move(frame.batch));
-    }
+  Status Consume(int, Frame& frame) override {
+    if (frame.batch == nullptr) return NoBatchError("vector-select");
+    ++batches_;
+    rows_total_ += frame.batch->sel.size();
+    auto t0 = std::chrono::steady_clock::now();
+    Status st = vector::Filter(*pred_, frame.batch.get());
+    kernel_us_ += ElapsedUs(t0);
+    ASTERIX_RETURN_NOT_OK(st);
+    rows_selected_ += frame.batch->sel.size();
+    if (!frame.batch->sel.empty()) out_->PushBatch(std::move(frame.batch));
     return Status::OK();
   }
 
-  Status Close(Emitter* out) override {
-    out->AddBatchStats(batches_, rows_selected_, rows_total_);
-    out->AddKernelTime(kernel_us_);
+  Status Close(int) override {
+    out_->AddBatchStats(batches_, rows_selected_, rows_total_);
+    out_->AddKernelTime(kernel_us_);
     return Status::OK();
   }
 
  private:
+  Emitter* const out_;
   std::shared_ptr<vector::PredNode> pred_;
-  TupleEval fallback_;
   uint64_t batches_ = 0, rows_selected_ = 0, rows_total_ = 0, kernel_us_ = 0;
 };
 
-/// Vectorized ungrouped aggregation: kernels fold each batch; row tuples are
-/// re-batched so the same kernels (and NULL/MISSING rules) apply.
+/// Vectorized ungrouped aggregation: kernels fold each batch.
 class VectorAggregate final : public PushOperator {
  public:
-  VectorAggregate(const std::vector<VectorAggSpec>& aggs, AggMode mode)
-      : mode_(mode) {
+  VectorAggregate(const std::vector<VectorAggSpec>& aggs, AggMode mode,
+                  Emitter* out)
+      : out_(out), mode_(mode) {
     states_.reserve(aggs.size());
-    for (const auto& a : aggs) {
-      states_.emplace_back(a.function, a.field);
-      if (!a.field.empty() &&
-          std::find(fields_.begin(), fields_.end(), a.field) == fields_.end()) {
-        fields_.push_back(a.field);
-      }
-    }
+    for (const auto& a : aggs) states_.emplace_back(a.function, a.field);
   }
 
-  Status Consume(Frame& frame, Emitter*) override {
-    if (!frame.tuples.empty()) {
-      storage::column::BatchBuilder builder(fields_);
-      for (Tuple& t : frame.tuples) builder.Add(std::move(t[0]));
-      auto b = builder.Take();
-      if (b != nullptr) ASTERIX_RETURN_NOT_OK(Feed(*b));
-    }
-    if (frame.batch != nullptr) ASTERIX_RETURN_NOT_OK(Feed(*frame.batch));
+  Status Consume(int, Frame& frame) override {
+    if (frame.batch == nullptr) return NoBatchError("vector-aggregate");
+    ++batches_;
+    rows_ += frame.batch->sel.size();
+    auto t0 = std::chrono::steady_clock::now();
+    for (auto& s : states_) ASTERIX_RETURN_NOT_OK(s.AddBatch(*frame.batch));
+    kernel_us_ += ElapsedUs(t0);
     return Status::OK();
   }
 
-  Status Close(Emitter* out) override {
-    out->AddBatchStats(batches_, rows_, rows_);
-    out->AddKernelTime(kernel_us_);
+  Status Close(int) override {
+    out_->AddBatchStats(batches_, rows_, rows_);
+    out_->AddKernelTime(kernel_us_);
     Tuple result;
     result.reserve(states_.size());
     for (const auto& s : states_) {
       result.push_back(mode_ == AggMode::kLocal ? s.Partial() : s.Finish());
     }
-    out->Push(std::move(result));
+    out_->Push(std::move(result));
     return Status::OK();
   }
 
  private:
-  Status Feed(const storage::column::ColumnBatch& batch) {
-    ++batches_;
-    rows_ += batch.sel.size();
-    auto t0 = std::chrono::steady_clock::now();
-    for (auto& s : states_) ASTERIX_RETURN_NOT_OK(s.AddBatch(batch));
-    kernel_us_ += ElapsedUs(t0);
-    return Status::OK();
-  }
-
+  Emitter* const out_;
   AggMode mode_;
   std::vector<vector::VectorAgg> states_;
-  std::vector<std::string> fields_;
   uint64_t batches_ = 0, rows_ = 0, kernel_us_ = 0;
 };
 
 /// Late materialization: each batch's selected rows become [record] tuples.
 class VectorMaterialize final : public PushOperator {
  public:
-  Status Consume(Frame& frame, Emitter* out) override {
-    for (Tuple& t : frame.tuples) out->Push(std::move(t));
-    if (frame.batch != nullptr) {
-      ++batches_;
-      rows_ += frame.batch->sel.size();
-      for (uint32_t row : frame.batch->sel.rows) {
-        out->Push({frame.batch->MaterializeRow(row)});
-      }
+  explicit VectorMaterialize(Emitter* out) : out_(out) {}
+
+  Status Consume(int, Frame& frame) override {
+    if (frame.batch == nullptr) return NoBatchError("vector-materialize");
+    ++batches_;
+    rows_ += frame.batch->sel.size();
+    for (uint32_t row : frame.batch->sel.rows) {
+      out_->Push({frame.batch->MaterializeRow(row)});
     }
     return Status::OK();
   }
 
-  Status Close(Emitter* out) override {
-    out->AddBatchStats(batches_, rows_, rows_);
+  Status Close(int) override {
+    out_->AddBatchStats(batches_, rows_, rows_);
     return Status::OK();
   }
 
  private:
+  Emitter* const out_;
   uint64_t batches_ = 0, rows_ = 0;
 };
 
 }  // namespace
 
 OperatorDescriptor MakeVectorSelect(int parallelism,
-                                    std::shared_ptr<vector::PredNode> pred,
-                                    TupleEval fallback) {
+                                    std::shared_ptr<vector::PredNode> pred) {
   OperatorDescriptor op;
   op.name = "vector-select";
   op.parallelism = parallelism;
   op.num_inputs = 1;
-  op.push = [pred, fallback](int) {
-    return std::make_unique<VectorSelect>(pred, fallback);
+  op.push = [pred](int, Emitter* out) {
+    return std::make_unique<VectorSelect>(pred, out);
   };
   return op;
 }
@@ -1993,8 +1908,8 @@ OperatorDescriptor MakeVectorAggregate(int parallelism,
   op.parallelism = parallelism;
   op.num_inputs = 1;
   op.blocking_ports = {0};
-  op.push = [aggs, mode](int) {
-    return std::make_unique<VectorAggregate>(aggs, mode);
+  op.push = [aggs, mode](int, Emitter* out) {
+    return std::make_unique<VectorAggregate>(aggs, mode, out);
   };
   return op;
 }
@@ -2004,7 +1919,9 @@ OperatorDescriptor MakeVectorMaterialize(int parallelism) {
   op.name = "vector-materialize";
   op.parallelism = parallelism;
   op.num_inputs = 1;
-  op.push = [](int) { return std::make_unique<VectorMaterialize>(); };
+  op.push = [](int, Emitter* out) {
+    return std::make_unique<VectorMaterialize>(out);
+  };
   return op;
 }
 

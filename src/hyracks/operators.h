@@ -35,9 +35,6 @@ enum class AggMode {
 /// payloads, `1+1` queries).
 OperatorDescriptor MakeValueScan(std::vector<Tuple> tuples);
 
-/// Concatenates `num_inputs` input streams (UNION ALL).
-OperatorDescriptor MakeUnion(int parallelism, int num_inputs);
-
 /// Full scan of a partitioned dataset: instance p scans storage partition p,
 /// emitting [record] tuples. parallelism = #partitions.
 /// `projection` restricts which record fields are materialized: on columnar
@@ -49,8 +46,9 @@ OperatorDescriptor MakeDatasetScan(
     storage::PartitionedDataset* dataset,
     storage::column::Projection projection = storage::column::Projection::All());
 
-/// Primary-index range scan with constant bounds; emits [record]. See
-/// MakeDatasetScan for projection semantics.
+/// Primary-index range scan with constant bounds; emits [record]. The same
+/// scan source as MakeDatasetScan, bounded; see there for projection
+/// semantics.
 OperatorDescriptor MakePrimaryRangeScan(
     storage::PartitionedDataset* dataset, storage::ScanBounds bounds,
     storage::column::Projection projection = storage::column::Projection::All());
@@ -200,17 +198,16 @@ OperatorDescriptor MakeVectorScan(storage::PartitionedDataset* dataset,
                                   storage::ScanBounds bounds = {});
 
 /// Vectorized filter: refines each batch's selection vector in place with
-/// the lowered predicate kernel and forwards the surviving batch. Row-tuple
-/// frames (a non-batch producer upstream) go through `fallback`, the
-/// compiled interpreter predicate — identical semantics.
+/// the lowered predicate kernel and forwards the surviving batch. Like the
+/// other vectorized operators it takes batches only, fed across 1:1
+/// connectors from a vector scan; a frame without a batch fails the job
+/// with Status::Internal.
 OperatorDescriptor MakeVectorSelect(int parallelism,
-                                    std::shared_ptr<vector::PredNode> pred,
-                                    TupleEval fallback);
+                                    std::shared_ptr<vector::PredNode> pred);
 
 /// Vectorized ungrouped aggregation over batches. mode=kLocal emits the
 /// partial-state tuple the existing global Aggregator combines; kComplete
-/// emits finals directly. Row-tuple frames are re-batched and fed through
-/// the same kernels (semantics are interpreter-exact either way).
+/// emits finals directly (semantics are interpreter-exact either way).
 OperatorDescriptor MakeVectorAggregate(int parallelism,
                                        std::vector<VectorAggSpec> aggs,
                                        AggMode mode);

@@ -20,9 +20,9 @@ namespace hyracks {
 void SerializeTuple(const Tuple& t, BytesWriter* w);
 Status DeserializeTuple(BytesReader* r, Tuple* out);
 
-/// Lazily-created scratch directory removed when the guard dies — success,
-/// operator failure, and job cancellation all unwind through the operator's
-/// stack, so spill scratch space can never outlive its operator instance.
+/// Lazily-created scratch directory removed when the guard dies. Its owner,
+/// an operator instance, is torn down after success, failure and job
+/// cancellation alike, so spill scratch space never outlives the instance.
 class ScratchDirGuard {
  public:
   explicit ScratchDirGuard(std::string prefix) : prefix_(std::move(prefix)) {}

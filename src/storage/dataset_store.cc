@@ -351,17 +351,7 @@ Status DatasetPartition::MultiGet(
 
 Status DatasetPartition::ScanAll(
     const std::function<Status(const adm::Value&)>& cb) {
-  ScanBounds all;
-  return PrimaryRangeScan(all, cb);
-}
-
-Status DatasetPartition::PrimaryRangeScan(
-    const ScanBounds& bounds,
-    const std::function<Status(const adm::Value&)>& cb) {
-  return primary_->RangeScan(bounds, [&](const IndexEntry& e) {
-    ASTERIX_ASSIGN_OR_RETURN(adm::Value v, DeserializeRecord(e.payload));
-    return cb(v);
-  });
+  return ProjectedScan({}, column::Projection::All(), cb, nullptr);
 }
 
 Status DatasetPartition::ProjectedScan(

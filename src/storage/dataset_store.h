@@ -96,9 +96,9 @@ class DatasetPartition {
   Status MultiGet(txn::TxnId txn, const std::vector<CompositeKey>& pks,
                   const column::Projection& projection,
                   const std::function<Status(size_t, adm::Value)>& cb);
+  /// Every live record, in primary-key order: ProjectedScan over all
+  /// fields.
   Status ScanAll(const std::function<Status(const adm::Value&)>& cb);
-  Status PrimaryRangeScan(const ScanBounds& bounds,
-                          const std::function<Status(const adm::Value&)>& cb);
   /// Primary scan materializing only the projection's fields; on columnar
   /// datasets this reads only the touched column pages (plus min/max page
   /// skipping in the steady state), on row datasets it deserializes whole

@@ -120,17 +120,9 @@ class ConnectorTest : public ::testing::Test {
     src.name = "src";
     src.parallelism = 4;
     src.num_inputs = 0;
-    src.factory = [](int p) -> std::unique_ptr<OperatorInstance> {
-      class Src : public OperatorInstance {
-       public:
-        explicit Src(int p) : p_(p) {}
-        Status Run(const std::vector<InChannel*>&, Emitter* out) override {
-          out->Push(Tuple{Value::Int64(p_)});
-          return Status::OK();
-        }
-        int p_;
-      };
-      return std::make_unique<Src>(p);
+    src.source = [](int p, Emitter* out) {
+      out->Push(Tuple{Value::Int64(p)});
+      return Status::OK();
     };
     int src_id = job.AddOperator(std::move(src));
 
@@ -140,22 +132,18 @@ class ConnectorTest : public ::testing::Test {
     dst.name = "dst";
     dst.parallelism = 4;
     dst.num_inputs = 1;
-    dst.factory = [sink, mu](int p) -> std::unique_ptr<OperatorInstance> {
-      class Dst : public OperatorInstance {
+    dst.push = [sink, mu](int p, Emitter*) -> std::unique_ptr<PushOperator> {
+      class Dst : public PushOperator {
        public:
         Dst(int p, std::shared_ptr<std::vector<std::pair<int, int64_t>>> sink,
             std::shared_ptr<std::mutex> mu)
             : p_(p), sink_(std::move(sink)), mu_(std::move(mu)) {}
-        Status Run(const std::vector<InChannel*>& in, Emitter*) override {
-          Frame f;
-          while (true) {
-            auto r = in[0]->NextFrame(&f);
-            if (!r.ok()) return r.status();
-            if (!r.value()) return Status::OK();
-            std::lock_guard<std::mutex> lock(*mu_);
-            for (const auto& t : f.tuples) sink_->emplace_back(p_, t[0].AsInt());
-          }
+        Status Consume(int, Frame& f) override {
+          std::lock_guard<std::mutex> lock(*mu_);
+          for (const auto& t : f.tuples) sink_->emplace_back(p_, t[0].AsInt());
+          return Status::OK();
         }
+        Status Close(int) override { return Status::OK(); }
         int p_;
         std::shared_ptr<std::vector<std::pair<int, int64_t>>> sink_;
         std::shared_ptr<std::mutex> mu_;
@@ -205,13 +193,31 @@ TEST_F(ConnectorTest, LocalityAwareUsesCustomMap) {
 // Stage analysis
 // ---------------------------------------------------------------------------
 
+// A descriptor for stage analysis only: a no-op source without inputs, a
+// no-op push factory otherwise.
+OperatorDescriptor StageOp(std::string name, int parallelism, int num_inputs,
+                           std::vector<int> blocking_ports = {}) {
+  OperatorDescriptor op;
+  op.name = std::move(name);
+  op.parallelism = parallelism;
+  op.num_inputs = num_inputs;
+  op.blocking_ports = std::move(blocking_ports);
+  if (num_inputs == 0) {
+    op.source = [](int, Emitter*) { return Status::OK(); };
+  } else {
+    op.push = [](int, Emitter*) -> std::unique_ptr<PushOperator> {
+      return nullptr;
+    };
+  }
+  return op;
+}
+
 TEST(StageTest, JoinBuildSplitsStages) {
   JobSpec job;
-  auto noop = [](int) -> std::unique_ptr<OperatorInstance> { return nullptr; };
-  OperatorDescriptor a{0, "scanA", 2, 0, {}, noop};
-  OperatorDescriptor b{0, "scanB", 2, 0, {}, noop};
-  OperatorDescriptor join{0, "join", 2, 2, {0}, noop};  // port 0 blocks
-  OperatorDescriptor sink{0, "sink", 1, 1, {}, noop};
+  OperatorDescriptor a = StageOp("scanA", 2, 0);
+  OperatorDescriptor b = StageOp("scanB", 2, 0);
+  OperatorDescriptor join = StageOp("join", 2, 2, {0});  // port 0 blocks
+  OperatorDescriptor sink = StageOp("sink", 1, 1);
   int ia = job.AddOperator(a), ib = job.AddOperator(b);
   int ij = job.AddOperator(join);
   int is = job.AddOperator(sink);
@@ -232,10 +238,9 @@ TEST(StageTest, JoinBuildSplitsStages) {
 
 TEST(StageTest, ChainedBlockingOperatorsStack) {
   JobSpec job;
-  auto noop = [](int) -> std::unique_ptr<OperatorInstance> { return nullptr; };
-  int scan = job.AddOperator({0, "scan", 1, 0, {}, noop});
-  int sort1 = job.AddOperator({0, "sort1", 1, 1, {0}, noop});
-  int sort2 = job.AddOperator({0, "sort2", 1, 1, {0}, noop});
+  int scan = job.AddOperator(StageOp("scan", 1, 0));
+  int sort1 = job.AddOperator(StageOp("sort1", 1, 1, {0}));
+  int sort2 = job.AddOperator(StageOp("sort2", 1, 1, {0}));
   job.Connect(ConnectorType::kOneToOne, scan, sort1);
   job.Connect(ConnectorType::kOneToOne, sort1, sort2);
   StagePlan plan = ComputeStages(job);

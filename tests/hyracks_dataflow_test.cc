@@ -1,6 +1,7 @@
 // Frame-at-a-time dataflow tests: bounded-channel backpressure semantics,
 // heap-merge correctness under randomized threaded interleavings, teardown
-// deadlock-freedom, fused push pipelines (task count, CPU attribution,
+// deadlock-freedom, input accounting of channel-fed heads, batch-only
+// vector operators, fused push pipelines (task count, CPU attribution,
 // failure inside a fused stage), and executor-pool thread reuse across jobs.
 
 #include <gtest/gtest.h>
@@ -195,17 +196,9 @@ OperatorDescriptor MakeCountingSource(int parallelism, int64_t tuples_each) {
   op.name = "source";
   op.parallelism = parallelism;
   op.num_inputs = 0;
-  op.factory = [tuples_each](int) -> std::unique_ptr<OperatorInstance> {
-    class Src : public OperatorInstance {
-     public:
-      explicit Src(int64_t n) : n_(n) {}
-      Status Run(const std::vector<InChannel*>&, Emitter* out) override {
-        for (int64_t i = 0; i < n_; ++i) out->Push(T(i));
-        return Status::OK();
-      }
-      int64_t n_;
-    };
-    return std::make_unique<Src>(tuples_each);
+  op.source = [tuples_each](int, Emitter* out) {
+    for (int64_t i = 0; i < tuples_each; ++i) out->Push(T(i));
+    return Status::OK();
   };
   return op;
 }
@@ -223,19 +216,23 @@ TEST(DataflowJobTest, OperatorFailureWhileProducerBlockedDoesNotDeadlock) {
   failer.name = "failer";
   failer.parallelism = 2;
   failer.num_inputs = 1;
-  failer.factory = [](int) -> std::unique_ptr<OperatorInstance> {
-    class F : public OperatorInstance {
+  failer.push = [](int, Emitter*) -> std::unique_ptr<PushOperator> {
+    class F : public PushOperator {
      public:
-      Status Run(const std::vector<InChannel*>&, Emitter*) override {
+      Status Consume(int, Frame&) override {
         // Give the sources time to fill the bounded channels and block.
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
         return Status::Internal("induced failure");
       }
+      Status Close(int) override { return Status::OK(); }
     };
     return std::make_unique<F>();
   };
   int dst = job.AddOperator(std::move(failer));
-  job.Connect(ConnectorType::kOneToOne, src, dst);
+  // An exchange, so the failer reads a channel the sources can fill: across
+  // a 1:1 connector it would run fused, on its producer's thread.
+  job.Connect(ConnectorType::kMToNPartitioning, src, dst, 0,
+              HashOnColumns({0}));
 
   auto r = cluster.ExecuteJob(job);  // must return (not hang) with the error
   ASSERT_FALSE(r.ok());
@@ -251,16 +248,10 @@ TEST(DataflowJobTest, ProfileRecordsInputWaitForStarvedConsumer) {
   slow.name = "slow-source";
   slow.parallelism = 1;
   slow.num_inputs = 0;
-  slow.factory = [](int) -> std::unique_ptr<OperatorInstance> {
-    class S : public OperatorInstance {
-     public:
-      Status Run(const std::vector<InChannel*>&, Emitter* out) override {
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        out->Push(T(1));
-        return Status::OK();
-      }
-    };
-    return std::make_unique<S>();
+  slow.source = [](int, Emitter* out) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    out->Push(T(1));
+    return Status::OK();
   };
   int src = job.AddOperator(std::move(slow));
   auto sink = std::make_shared<std::vector<Tuple>>();
@@ -282,6 +273,61 @@ TEST(DataflowJobTest, ProfileRecordsInputWaitForStarvedConsumer) {
   // And the wait shows up in the rendered profile JSON.
   EXPECT_NE(r.value().profile->ToJson().find("\"input_wait_us\""),
             std::string::npos);
+}
+
+// A head drains every input port itself and counts what it takes in: a hash
+// join's tuples_in is its build tuples plus its probe tuples.
+TEST(DataflowJobTest, HashJoinTuplesInCountsBuildAndProbe) {
+  ClusterConfig config{1, 2, 0, ""};
+  Cluster cluster(config);
+
+  JobSpec job;
+  int build = job.AddOperator(MakeCountingSource(2, 300));
+  int probe = job.AddOperator(MakeCountingSource(2, 700));
+  TupleEval col0 = [](const Tuple& t) -> Result<Value> { return t[0]; };
+  int join = job.AddOperator(MakeHybridHashJoin(2, {col0}, {col0},
+                                                /*build_arity=*/1,
+                                                /*left_outer=*/false));
+  auto sink = std::make_shared<std::vector<Tuple>>();
+  int dst = job.AddOperator(MakeResultSink(sink));
+  job.Connect(ConnectorType::kMToNPartitioning, build, join, 0,
+              HashOnColumns({0}));
+  job.Connect(ConnectorType::kMToNPartitioning, probe, join, 1,
+              HashOnColumns({0}));
+  job.Connect(ConnectorType::kMToNPartitioning, join, dst, 0,
+              HashOnColumns({0}));
+
+  auto r = cluster.ExecuteJob(job);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // Keys 0..299 arrive twice on each side: four matches per key.
+  EXPECT_EQ(sink->size(), 300u * 4);
+  uint64_t join_in = 0;
+  for (const auto& s : r.value().profile->spans) {
+    if (s.op_name != "hybrid-hash-join") continue;
+    EXPECT_GT(s.tuples_in, 0u);
+    join_in += s.tuples_in;
+  }
+  EXPECT_EQ(join_in, 2u * 300 + 2u * 700);
+}
+
+// Vectorized operators take batches only: a row frame fails the job instead
+// of being dropped.
+TEST(DataflowJobTest, RowFrameIntoVectorOperatorFails) {
+  ClusterConfig config{1, 1, 0, ""};
+  Cluster cluster(config);
+
+  JobSpec job;
+  int src = job.AddOperator(MakeValueScan({T(1), T(2)}));
+  int mat = job.AddOperator(MakeVectorMaterialize(1));
+  auto sink = std::make_shared<std::vector<Tuple>>();
+  int dst = job.AddOperator(MakeResultSink(sink));
+  job.Connect(ConnectorType::kOneToOne, src, mat);
+  job.Connect(ConnectorType::kOneToOne, mat, dst);
+
+  auto r = cluster.ExecuteJob(job);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_TRUE(sink->empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -391,6 +437,25 @@ TEST(ExecutorPoolTest, RepeatedSmallJobsReusePoolThreads) {
   EXPECT_EQ(cluster.jobs_executed(), 20u);
 }
 
+/// Consumes and discards its input. Fed across a locality-aware exchange
+/// (instance p to instance p, like 1:1, but through a channel), each
+/// instance runs as a pipeline of its own.
+OperatorDescriptor MakeDrain(int parallelism) {
+  OperatorDescriptor drain;
+  drain.name = "drain";
+  drain.parallelism = parallelism;
+  drain.num_inputs = 1;
+  drain.push = [](int, Emitter*) -> std::unique_ptr<PushOperator> {
+    class D : public PushOperator {
+     public:
+      Status Consume(int, Frame&) override { return Status::OK(); }
+      Status Close(int) override { return Status::OK(); }
+    };
+    return std::make_unique<D>();
+  };
+  return drain;
+}
+
 TEST(ExecutorPoolTest, PoolGrowsToFullyThreadWideJobs) {
   ClusterConfig config{1, 1, 0, ""};  // boot pool: 2 threads
   Cluster cluster(config);
@@ -398,26 +463,8 @@ TEST(ExecutorPoolTest, PoolGrowsToFullyThreadWideJobs) {
 
   JobSpec job;
   int src = job.AddOperator(MakeCountingSource(8, 100));
-  OperatorDescriptor drain;
-  drain.name = "drain";
-  drain.parallelism = 8;
-  drain.num_inputs = 1;
-  drain.factory = [](int) -> std::unique_ptr<OperatorInstance> {
-    class D : public OperatorInstance {
-     public:
-      Status Run(const std::vector<InChannel*>& in, Emitter*) override {
-        Frame f;
-        while (true) {
-          auto r = in[0]->NextFrame(&f);
-          if (!r.ok()) return r.status();
-          if (!r.value()) return Status::OK();
-        }
-      }
-    };
-    return std::make_unique<D>();
-  };
-  int dst = job.AddOperator(std::move(drain));
-  job.Connect(ConnectorType::kOneToOne, src, dst);
+  int dst = job.AddOperator(MakeDrain(8));
+  job.Connect(ConnectorType::kLocalityAwareMToNPartitioning, src, dst);
   ASSERT_TRUE(cluster.ExecuteJob(job).ok());
 
   // 16 pipelined instances need 16 live threads (each may block on channel
@@ -428,26 +475,8 @@ TEST(ExecutorPoolTest, PoolGrowsToFullyThreadWideJobs) {
   uint64_t created = cluster.pool().threads_created();
   JobSpec again;
   int src2 = again.AddOperator(MakeCountingSource(8, 100));
-  OperatorDescriptor drain2;
-  drain2.name = "drain";
-  drain2.parallelism = 8;
-  drain2.num_inputs = 1;
-  drain2.factory = [](int) -> std::unique_ptr<OperatorInstance> {
-    class D : public OperatorInstance {
-     public:
-      Status Run(const std::vector<InChannel*>& in, Emitter*) override {
-        Frame f;
-        while (true) {
-          auto r = in[0]->NextFrame(&f);
-          if (!r.ok()) return r.status();
-          if (!r.value()) return Status::OK();
-        }
-      }
-    };
-    return std::make_unique<D>();
-  };
-  int dst2 = again.AddOperator(std::move(drain2));
-  again.Connect(ConnectorType::kOneToOne, src2, dst2);
+  int dst2 = again.AddOperator(MakeDrain(8));
+  again.Connect(ConnectorType::kLocalityAwareMToNPartitioning, src2, dst2);
   ASSERT_TRUE(cluster.ExecuteJob(again).ok());
   EXPECT_EQ(cluster.pool().threads_created(), created);
 }

@@ -244,6 +244,49 @@ create dataset D(T) primary key id;
                   .ok());
 }
 
+// Index DDL on a populated dataset rebuilds it and reloads its records,
+// which are in no WAL once checkpointed: the rebuilt dataset must be on disk
+// before the statement returns, or a crash right after it loses them.
+TEST_F(ApiTest, IndexDdlOnPopulatedDatasetSurvivesCrash) {
+  auto r = instance_->Execute(R"aql(
+create dataverse X; use dataverse X;
+create type T as { id: int64, v: int64 }
+create dataset Plain(T) primary key id;
+create dataset Indexed(T) primary key id;
+create index vIdx on Indexed(v);
+)aql");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  for (const char* ds : {"Plain", "Indexed"}) {
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(instance_
+                      ->Execute("use dataverse X;\ninsert into dataset " +
+                                std::string(ds) + " ( { \"id\": " +
+                                std::to_string(i) + ", \"v\": " +
+                                std::to_string(i % 7) + " } );")
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(instance_->Checkpoint().ok());
+
+  // Runs `ddl`, "crashes" (no flush, no checkpoint), reboots and counts.
+  auto count_after_crash = [&](const std::string& ddl, const std::string& ds) {
+    auto d = instance_->Execute("use dataverse X;\n" + ddl);
+    EXPECT_TRUE(d.ok()) << d.status().ToString();
+    instance_.reset();
+    api::InstanceConfig config;
+    config.base_dir = dir_;
+    config.cluster.job_startup_us = 0;
+    instance_ = std::make_unique<api::AsterixInstance>(config);
+    EXPECT_TRUE(instance_->Boot().ok());
+    auto q = instance_->Execute("use dataverse X;\ncount(for $d in dataset " +
+                                ds + " return $d)");
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    return q.ok() ? q.value().values[0].AsInt() : -1;
+  };
+  EXPECT_EQ(count_after_crash("create index vIdx on Plain(v);", "Plain"), 50);
+  EXPECT_EQ(count_after_crash("drop index Indexed.vIdx;", "Indexed"), 50);
+}
+
 TEST_F(ApiTest, ExternalDatasetThroughAql) {
   // Data definition 3's flow end-to-end through the API.
   std::string csv_path = dir_ + "/log.csv";
