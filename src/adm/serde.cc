@@ -550,21 +550,65 @@ ProjectedDecoder::ProjectedDecoder(DatatypePtr type, bool all_fields,
                                    const std::vector<std::string>& fields)
     : type_(std::move(type)), all_fields_(all_fields) {
   if (all_fields_) return;
+  num_fields_ = fields.size();
   const bool record = type_ && type_->kind() == Datatype::Kind::kRecord;
-  if (record) declared_.assign(type_->fields().size(), 0);
-  for (const std::string& name : fields) {
+  if (record) declared_.assign(type_->fields().size(), -1);
+  for (size_t pos = 0; pos < fields.size(); ++pos) {
+    const std::string& name = fields[pos];
     int idx = record ? type_->FieldIndex(name) : -1;
     if (idx >= 0) {
-      declared_[static_cast<size_t>(idx)] = 1;
+      declared_[static_cast<size_t>(idx)] = static_cast<int>(pos);
       declared_end_ = std::max(declared_end_, static_cast<size_t>(idx) + 1);
     } else if (!record || type_->is_open()) {
       open_.push_back(name);
+      open_slots_.push_back(static_cast<int>(pos));
     }
   }
 }
 
-bool ProjectedDecoder::WantsOpen(std::string_view name) const {
-  return std::find(open_.begin(), open_.end(), name) != open_.end();
+int ProjectedDecoder::OpenSlot(std::string_view name) const {
+  for (size_t i = 0; i < open_.size(); ++i) {
+    if (open_[i] == name) return open_slots_[i];
+  }
+  return -1;
+}
+
+template <typename Take>
+Status ProjectedDecoder::ForEachWanted(BytesReader* r, Take&& take) const {
+  const std::vector<FieldType>& declared = type_->fields();
+  for (size_t i = 0; i < declared_end_; ++i) {
+    uint8_t presence;
+    ASTERIX_RETURN_NOT_OK(r->GetU8(&presence));
+    if (presence == kAbsent) continue;
+    if (declared_[i] < 0) {
+      if (presence != kNullByte) {
+        ASTERIX_RETURN_NOT_OK(SkipTyped(r, declared[i].type));
+      }
+      continue;
+    }
+    Value fv = Value::Null();
+    if (presence != kNullByte) {
+      ASTERIX_RETURN_NOT_OK(DeserializeTyped(r, declared[i].type, &fv));
+    }
+    take(declared_[i], std::string_view(declared[i].name), std::move(fv));
+  }
+  if (open_.empty()) return Status::OK();
+  ASTERIX_RETURN_NOT_OK(SkipDeclaredFields(r, declared, declared_end_));
+  uint64_t n;
+  ASTERIX_RETURN_NOT_OK(GetCount(r, &n));
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string_view name;
+    ASTERIX_RETURN_NOT_OK(r->GetStringView(&name));
+    int slot = OpenSlot(name);
+    if (slot < 0) {
+      ASTERIX_RETURN_NOT_OK(SkipValue(r));
+      continue;
+    }
+    Value val;
+    ASTERIX_RETURN_NOT_OK(DeserializeValue(r, &val));
+    take(slot, name, std::move(val));
+  }
+  return Status::OK();
 }
 
 Status ProjectedDecoder::Decode(BytesReader* r, Value* out) const {
@@ -574,43 +618,34 @@ Status ProjectedDecoder::Decode(BytesReader* r, Value* out) const {
     return DeserializeTyped(r, type_, out);
   }
   std::vector<std::pair<std::string, Value>> fields;
-  const std::vector<FieldType>& declared = type_->fields();
-  for (size_t i = 0; i < declared_end_; ++i) {
-    uint8_t presence;
-    ASTERIX_RETURN_NOT_OK(r->GetU8(&presence));
-    if (presence == kAbsent) continue;
-    if (!declared_[i]) {
-      if (presence != kNullByte) {
-        ASTERIX_RETURN_NOT_OK(SkipTyped(r, declared[i].type));
-      }
-      continue;
-    }
-    if (presence == kNullByte) {
-      fields.emplace_back(declared[i].name, Value::Null());
-      continue;
-    }
-    Value fv;
-    ASTERIX_RETURN_NOT_OK(DeserializeTyped(r, declared[i].type, &fv));
-    fields.emplace_back(declared[i].name, std::move(fv));
-  }
-  if (!open_.empty()) {
-    ASTERIX_RETURN_NOT_OK(SkipDeclaredFields(r, declared, declared_end_));
-    uint64_t n;
-    ASTERIX_RETURN_NOT_OK(GetCount(r, &n));
-    for (uint64_t i = 0; i < n; ++i) {
-      std::string_view name;
-      ASTERIX_RETURN_NOT_OK(r->GetStringView(&name));
-      if (!WantsOpen(name)) {
-        ASTERIX_RETURN_NOT_OK(SkipValue(r));
-        continue;
-      }
-      Value val;
-      ASTERIX_RETURN_NOT_OK(DeserializeValue(r, &val));
-      fields.emplace_back(std::string(name), std::move(val));
-    }
-  }
+  fields.reserve(num_fields_);
+  ASTERIX_RETURN_NOT_OK(
+      ForEachWanted(r, [&](int, std::string_view name, Value v) {
+        fields.emplace_back(std::string(name), std::move(v));
+      }));
   *out = Value::Record(std::move(fields));
   return Status::OK();
+}
+
+Status ProjectedDecoder::DecodeFields(BytesReader* r,
+                                      std::vector<Value>* out) const {
+  if (all_fields_) {
+    return Status::InvalidArgument("DecodeFields needs a field list");
+  }
+  out->assign(num_fields_, Value::Missing());
+  if (!type_ || type_->IsAny()) {
+    // Untyped: every wanted name is in open_.
+    Value whole;
+    ASTERIX_RETURN_NOT_OK(DeserializeValue(r, &whole));
+    for (size_t i = 0; i < open_.size(); ++i) {
+      (*out)[static_cast<size_t>(open_slots_[i])] = whole.GetField(open_[i]);
+    }
+    return Status::OK();
+  }
+  if (type_->kind() != Datatype::Kind::kRecord) return Status::OK();
+  return ForEachWanted(r, [out](int slot, std::string_view, Value v) {
+    (*out)[static_cast<size_t>(slot)] = std::move(v);
+  });
 }
 
 // A self-describing value decodes whole; a record then keeps its wanted

@@ -45,6 +45,8 @@ Status SkipTyped(BytesReader* r, const DatatypePtr& type);
 /// The result equals deserializing the whole record and then keeping the
 /// wanted fields (KeepFields); a non-record value decodes whole, and so
 /// does a self-describing (untyped) image before its fields are filtered.
+/// DecodeFields yields the wanted fields' values alone, with no record
+/// around them (a scan's key-first test reads its keys this way).
 class ProjectedDecoder {
  public:
   /// `all_fields` decodes whole values (DeserializeTyped); otherwise only
@@ -54,15 +56,28 @@ class ProjectedDecoder {
 
   Status Decode(BytesReader* r, Value* out) const;
 
+  /// The values of the wanted fields, `(*out)[i]` for the i-th name given
+  /// to the constructor: MISSING when absent, NULL when null. `out` is
+  /// resized to the field count. Needs an explicit field list.
+  Status DecodeFields(BytesReader* r, std::vector<Value>* out) const;
+
  private:
   Status DecodeSchemaless(BytesReader* r, Value* out) const;
-  bool WantsOpen(std::string_view name) const;
+  /// Walks a typed record image, stepping over unwanted fields in place and
+  /// handing each wanted one to `take(position, name, value)`.
+  template <typename Take>
+  Status ForEachWanted(BytesReader* r, Take&& take) const;
+  /// The wanted position of an open field's name, or -1.
+  int OpenSlot(std::string_view name) const;
 
   DatatypePtr type_;
   bool all_fields_;
-  std::vector<char> declared_;     // per declared field: is it wanted?
+  size_t num_fields_ = 0;          // how many names were wanted
+  std::vector<int> declared_;      // per declared field: its wanted position,
+                                   // or -1 when not wanted
   size_t declared_end_ = 0;        // one past the last wanted declared field
   std::vector<std::string> open_;  // wanted names that are not declared
+  std::vector<int> open_slots_;    // their wanted positions
 };
 
 /// Serialized size helper (schema-aware).

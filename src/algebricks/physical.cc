@@ -205,6 +205,41 @@ storage::column::Projection ScanProjection(const LogicalOp& scan) {
   return proj;
 }
 
+/// Where a join input's row estimate stops counting index entries: enough
+/// to tell a selective input from a large one, at a few index pages.
+constexpr uint64_t kEstimateCap = 1024;
+
+/// A scan's pushed ranges, one per field: the conjuncts `f >= a` and
+/// `f < b` bound one range [a, b).
+std::map<std::string, LogicalOp::ScanRange> RangesByField(
+    const LogicalOp& scan) {
+  std::map<std::string, LogicalOp::ScanRange> out;
+  for (const auto& r : scan.scan_ranges) {
+    auto [it, fresh] = out.emplace(r.field, r);
+    if (fresh) continue;
+    LogicalOp::ScanRange& m = it->second;
+    if (r.lo) {
+      int c = m.lo ? r.lo->Compare(*m.lo) : 1;
+      if (c > 0) {
+        m.lo = r.lo;
+        m.lo_inclusive = r.lo_inclusive;
+      } else if (c == 0) {
+        m.lo_inclusive = m.lo_inclusive && r.lo_inclusive;
+      }
+    }
+    if (r.hi) {
+      int c = m.hi ? r.hi->Compare(*m.hi) : -1;
+      if (c < 0) {
+        m.hi = r.hi;
+        m.hi_inclusive = r.hi_inclusive;
+      } else if (c == 0) {
+        m.hi_inclusive = m.hi_inclusive && r.hi_inclusive;
+      }
+    }
+  }
+  return out;
+}
+
 /// The scan at the bottom of a select chain, or null if the chain bottoms
 /// out in anything else.
 const LogicalOp* ScanUnderSelects(const LogicalOpPtr& op) {
@@ -401,7 +436,8 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileScan(
 
   const AccessPath& ap = op->access_path;
   if (ap.kind == AccessPath::Kind::kNone) {
-    s.op_id = job->AddOperator(hyracks::MakeDatasetScan(ds, std::move(proj)));
+    s.op_id = job->AddOperator(hyracks::MakeDatasetScan(
+        ds, std::move(proj), JoinFilterFor(op.get())));
     s.schema[op->var] = 0;
     s.width = 1;
     return s;
@@ -417,8 +453,8 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileScan(
       bounds.hi = storage::CompositeKey{ap.hi->constant};
       bounds.hi_inclusive = ap.hi_inclusive;
     }
-    s.op_id = job->AddOperator(
-        hyracks::MakePrimaryRangeScan(ds, bounds, std::move(proj)));
+    s.op_id = job->AddOperator(hyracks::MakePrimaryRangeScan(
+        ds, bounds, std::move(proj), JoinFilterFor(op.get())));
     s.schema[op->var] = 0;
     s.width = 1;
     return s;
@@ -485,6 +521,55 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileScan(
   s.schema[op->var] = static_cast<int>(pk_arity);
   s.width = static_cast<int>(pk_arity) + 1;
   return s;
+}
+
+std::optional<uint64_t> PhysicalCompiler::EstimateRows(const LogicalOpPtr& op,
+                                                      uint64_t cap) const {
+  const LogicalOp* scan = ScanUnderSelects(op);
+  if (scan == nullptr) return std::nullopt;
+  storage::PartitionedDataset* ds = resolver_(scan->dataset);
+  if (ds == nullptr) return std::nullopt;
+  uint64_t rows = ds->ApproxRecordCount();
+  for (const auto& [field, r] : RangesByField(*scan)) {
+    std::string index;
+    for (const auto& ix : ds->def().secondary_indexes) {
+      if (ix.kind == storage::IndexKind::kBTree && ix.fields.size() == 1 &&
+          ix.fields[0] == field) {
+        index = ix.name;
+      }
+    }
+    if (index.empty()) continue;
+    storage::ScanBounds bounds;
+    if (r.lo) {
+      bounds.lo = storage::CompositeKey{*r.lo};
+      bounds.lo_inclusive = r.lo_inclusive;
+    }
+    if (r.hi) {
+      bounds.hi = storage::CompositeKey{*r.hi};
+      bounds.hi_inclusive = r.hi_inclusive;
+    }
+    uint64_t limit = std::min(cap, rows);
+    uint64_t n = 0;
+    bool counted = true;
+    for (uint32_t p = 0; p < ds->num_partitions() && n < limit; ++p) {
+      uint64_t part = 0;
+      if (!ds->partition(p)
+               ->CountIndexEntries(index, bounds, limit - n, &part)
+               .ok()) {
+        counted = false;
+        break;
+      }
+      n += part;
+    }
+    if (counted) rows = std::min(rows, n);
+  }
+  return rows;
+}
+
+hyracks::ScanJoinFilter PhysicalCompiler::JoinFilterFor(
+    const LogicalOp* scan) const {
+  auto it = join_filters_.find(scan);
+  return it == join_filters_.end() ? hyracks::ScanJoinFilter{} : it->second;
 }
 
 Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileJoin(
@@ -592,8 +677,51 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileJoin(
     }
   }
 
-  ASTERIX_ASSIGN_OR_RETURN(Stream probe, CompileOp(op->inputs[0], job));
-  ASTERIX_ASSIGN_OR_RETURN(Stream build, CompileOp(op->inputs[1], job));
+  // The right input builds, unless an inner equijoin's left input is
+  // estimated smaller: a left-outer join keeps its preserved (left) input
+  // on the probe port, and inputs without an estimate keep these roles.
+  int build_side = 1;
+  if (!equi.empty() && !op->left_outer) {
+    std::optional<uint64_t> left = EstimateRows(op->inputs[0], kEstimateCap);
+    std::optional<uint64_t> right =
+        left ? EstimateRows(op->inputs[1], std::min(kEstimateCap, *left + 1))
+             : std::nullopt;
+    if (left && right && *left < *right) build_side = 0;
+  }
+  const LogicalOpPtr& probe_plan = op->inputs[1 - build_side];
+  const LogicalOpPtr& build_plan = op->inputs[build_side];
+  std::vector<ExprPtr> probe_exprs, build_exprs;
+  for (const auto& [le, re] : equi) {
+    probe_exprs.push_back(build_side == 1 ? le : re);
+    build_exprs.push_back(build_side == 1 ? re : le);
+  }
+
+  // An inner hash join whose probe input is a full or primary-range scan
+  // under selects, probed on fields of the scanned record, pushes its build
+  // keys into that scan.
+  std::shared_ptr<hyracks::JoinFilter> filter;
+  const LogicalOp* probe_scan = ScanUnderSelects(probe_plan);
+  if (!equi.empty() && !op->left_outer && probe_scan != nullptr &&
+      (probe_scan->access_path.kind == AccessPath::Kind::kNone ||
+       probe_scan->access_path.kind == AccessPath::Kind::kPrimary)) {
+    std::vector<std::string> fields;
+    for (const ExprPtr& e : probe_exprs) {
+      if (e->kind != Expr::Kind::kFieldAccess || !e->base ||
+          e->base->kind != Expr::Kind::kVar || e->base->var != probe_scan->var ||
+          HasField(fields, e->field)) {
+        fields.clear();
+        break;
+      }
+      fields.push_back(e->field);
+    }
+    if (!fields.empty()) {
+      filter = std::make_shared<hyracks::JoinFilter>(P);
+      join_filters_[probe_scan] = {filter, std::move(fields)};
+    }
+  }
+
+  ASTERIX_ASSIGN_OR_RETURN(Stream probe, CompileOp(probe_plan, job));
+  ASTERIX_ASSIGN_OR_RETURN(Stream build, CompileOp(build_plan, job));
 
   Stream s;
   s.parallelism = P;
@@ -608,13 +736,13 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileJoin(
     // The paper's safe rule (b): always parallel hybrid hash join for
     // equijoins. Partition both sides on the key hash.
     std::vector<TupleEval> build_keys, probe_keys;
-    for (const auto& [le, re] : equi) {
-      probe_keys.push_back(CompileExpr(le, probe));
-      build_keys.push_back(CompileExpr(re, build));
+    for (size_t i = 0; i < equi.size(); ++i) {
+      probe_keys.push_back(CompileExpr(probe_exprs[i], probe));
+      build_keys.push_back(CompileExpr(build_exprs[i], build));
     }
     int join_id = job->AddOperator(hyracks::MakeHybridHashJoin(
         P, build_keys, probe_keys, static_cast<size_t>(build.width),
-        op->left_outer));
+        op->left_outer, filter));
     job->Connect(ConnectorType::kMToNPartitioning, build.op_id, join_id, 0,
                  HashOnEvals(build_keys));
     job->Connect(ConnectorType::kMToNPartitioning, probe.op_id, join_id, 1,
@@ -798,8 +926,9 @@ std::optional<PhysicalCompiler::Stream> PhysicalCompiler::TryCompileVectorSource
 
   Stream s;
   s.parallelism = static_cast<int>(ds->num_partitions());
-  s.op_id = job->AddOperator(
-      hyracks::MakeVectorScan(ds, std::move(proj), bounds));
+  s.op_id = job->AddOperator(hyracks::MakeVectorScan(ds, std::move(proj),
+                                                     bounds,
+                                                     JoinFilterFor(scan)));
   s.schema[scan->var] = 0;
   s.width = 1;
   for (auto& pred : preds) {
@@ -888,8 +1017,10 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileOp(
     case LogicalOp::Kind::kSelect: {
       if (std::optional<Stream> vs = TryCompileVectorSource(op, job)) {
         // End the batch pipeline: downstream row operators see the selected
-        // rows materialized (and only those — late materialization).
-        int id = job->AddOperator(hyracks::MakeVectorMaterialize(vs->parallelism));
+        // rows materialized (and only those — late materialization), less
+        // the rows a join filter planned for the scan rules out.
+        int id = job->AddOperator(hyracks::MakeVectorMaterialize(
+            vs->parallelism, JoinFilterFor(ScanUnderSelects(op))));
         job->Connect(ConnectorType::kOneToOne, vs->op_id, id);
         vs->op_id = id;
         return *vs;

@@ -58,6 +58,16 @@ class PhysicalCompiler {
   Result<Stream> CompileJoin(const LogicalOpPtr& op, hyracks::JobSpec* job);
   Result<Stream> CompileGroupBy(const LogicalOpPtr& op, hyracks::JobSpec* job);
 
+  /// Estimated rows of a join input that is a select chain over a dataset
+  /// scan: the dataset's live entries, lowered to the entries of a
+  /// single-field B-tree index within each of the scan's pushed ranges.
+  /// Each count stops at `cap`, and a count that reaches it estimates
+  /// `cap` rows (at least that many). nullopt for any other input.
+  std::optional<uint64_t> EstimateRows(const LogicalOpPtr& op,
+                                       uint64_t cap) const;
+  /// The join filter planned for `scan` (a probe input's scan), or none.
+  hyracks::ScanJoinFilter JoinFilterFor(const LogicalOp* scan) const;
+
   /// Vectorized lowering: if `op` is a chain of selects (possibly empty)
   /// over a columnar scan with pushed-down fields and every predicate has a
   /// kernel, emits vector-scan -> vector-select* and returns its stream
@@ -84,6 +94,8 @@ class PhysicalCompiler {
   DatasetResolver resolver_;
   EvalContext::DatasetScanFn subplan_scan_;
   OptimizerOptions options_;
+  /// Hash-join filters planned so far, by the probe input's logical scan.
+  std::map<const LogicalOp*, hyracks::ScanJoinFilter> join_filters_;
 };
 
 }  // namespace algebricks

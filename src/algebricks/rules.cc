@@ -823,11 +823,14 @@ Result<LogicalOpPtr> Optimize(const LogicalOpPtr& plan,
                               const OptimizerOptions& options) {
   LogicalOpPtr p = CloneOp(plan);
   FoldOpExprs(p);
-  for (int i = 0; i < 16; ++i) {
-    if (!PushSelectsOnce(p)) break;
-  }
   for (int i = 0; i < 4; ++i) {
     if (!RewriteScalarAggregates(p)) break;
+  }
+  // After the aggregate rewrite, so that a lifted aggregate's FLWOR has its
+  // where clause pushed too: left above its join, an equijoin would stay a
+  // filtered cross product.
+  for (int i = 0; i < 16; ++i) {
+    if (!PushSelectsOnce(p)) break;
   }
   RewriteGroupAggregation(p);
   if (options.use_indexes) IntroduceIndexAccess(p, catalog);

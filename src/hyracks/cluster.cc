@@ -193,6 +193,8 @@ class RoutingEmitter : public Emitter {
 
   void AddKernelTime(uint64_t us) override { span_->kernel_us += us; }
 
+  void AddFilterDropped(uint64_t n) override { span_->filter_dropped += n; }
+
   Status status() const override { return pipeline_->failure(); }
 
   /// The vectorized path: a 1:1-only route, fused or not, forwards the batch
@@ -313,16 +315,20 @@ class RoutingEmitter : public Emitter {
       ++pc.network_tuples;
     }
     if (buf.tuples.size() >= kDefaultFrameTuples) {
-      FlushBuffer(route, static_cast<size_t>(dst));
+      FlushBuffer(route, static_cast<size_t>(dst), /*full=*/true);
       FlushCounts(route);
     }
   }
 
-  void FlushBuffer(size_t route, size_t dst) {
+  /// Sends the buffered frame on. After a full frame the next one is
+  /// reserved whole, so a long stream grows no frame vector tuple by tuple;
+  /// a short one (an insert, a lookup) allocates only what it fills.
+  void FlushBuffer(size_t route, size_t dst, bool full = false) {
     Frame& buf = buffers_[route][dst];
     if (buf.tuples.empty()) return;
     Frame frame = std::move(buf);
     buf = Frame{};
+    if (full) buf.tuples.reserve(kDefaultFrameTuples);
     Send(route, dst, std::move(frame));
   }
 

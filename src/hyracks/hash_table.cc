@@ -1,5 +1,6 @@
 #include "hyracks/hash_table.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace asterix {
@@ -7,8 +8,10 @@ namespace hyracks {
 
 const uint8_t* Arena::Append(const void* data, size_t n) {
   if (chunk_used_ + n > chunk_cap_) {
-    size_t cap = n > kChunkBytes ? n : kChunkBytes;
-    chunks_.push_back(std::make_unique<uint8_t[]>(cap));
+    size_t next = chunk_cap_ == 0 ? kFirstChunkBytes
+                                  : std::min(chunk_cap_ * 2, kMaxChunkBytes);
+    size_t cap = std::max(n, next);
+    chunks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(cap));
     chunk_used_ = 0;
     chunk_cap_ = cap;
     reserved_ += cap;

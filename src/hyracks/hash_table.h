@@ -11,17 +11,20 @@ namespace hyracks {
 
 /// Bump allocator for serialized key bytes. Chunked so appends never move
 /// existing data — table entries keep stable pointers into it — and so a
-/// growing build side costs no realloc copies.
+/// growing build side costs no realloc copies. Chunks start small and double
+/// up to kMaxChunkBytes, and are never zero-filled: a table that holds a few
+/// keys (most of a small build's 16 partitions) costs one 1 KiB chunk.
 class Arena {
  public:
+  static constexpr size_t kFirstChunkBytes = 1024;
+  static constexpr size_t kMaxChunkBytes = 64 * 1024;
+
   const uint8_t* Append(const void* data, size_t n);
   /// Total bytes reserved from the heap (what a budget should be charged).
   size_t reserved_bytes() const { return reserved_; }
   size_t used_bytes() const { return used_; }
 
  private:
-  static constexpr size_t kChunkBytes = 64 * 1024;
-
   std::vector<std::unique_ptr<uint8_t[]>> chunks_;
   size_t chunk_used_ = 0;
   size_t chunk_cap_ = 0;

@@ -54,6 +54,13 @@ const OperatorDescriptor* JobSpec::FindOperator(int id) const {
   return nullptr;
 }
 
+const char* PortRole(const OperatorDescriptor& op, int port) {
+  if (op.num_inputs < 2 || op.blocking_ports.empty()) return "";
+  bool blocking = std::find(op.blocking_ports.begin(), op.blocking_ports.end(),
+                            port) != op.blocking_ports.end();
+  return blocking ? "build" : "probe";
+}
+
 std::string JobSpec::ToString() const {
   // Topological listing sources-first, each operator annotated with its
   // incoming connector edge(s) — mirrors Figure 6's rendering.
@@ -98,7 +105,9 @@ std::string JobSpec::ToString() const {
         default:
           edge = "n:m partitioning";
       }
-      out += "  |" + edge + "|  (from " + src->name + ")\n";
+      std::string role = PortRole(*op, c->dst_port);
+      out += "  |" + edge + "|  (from " + src->name +
+             (role.empty() ? "" : ", " + role) + ")\n";
     }
     out += op->name + "  [x" + std::to_string(op->parallelism) + "]\n";
   }

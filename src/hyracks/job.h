@@ -46,6 +46,9 @@ class Emitter {
                              uint64_t /*rows_total*/) {}
   /// Microseconds spent inside vectorized kernels (filter/aggregate loops).
   virtual void AddKernelTime(uint64_t /*us*/) {}
+  /// Records a hash join's filter dropped before they were emitted (the
+  /// join's probe-side scan or vector-materialize).
+  virtual void AddFilterDropped(uint64_t /*records*/) {}
   /// The first failure of a stage fused downstream of this operator (OK
   /// while none failed). Once set, pushes are dropped; a producing loop
   /// returns it to stop early instead of feeding a failed pipeline.
@@ -158,6 +161,11 @@ struct JobSpec {
   /// edges.
   std::string ToString() const;
 };
+
+/// How plan listings label an input edge of a join-like operator (more
+/// than one input, some blocking): "build" into a blocking port, "probe"
+/// into the others; "" for every other operator.
+const char* PortRole(const OperatorDescriptor& op, int port);
 
 /// One activity of an operator after expansion (the paper: "Operators are
 /// expanded into their constituent Activities").

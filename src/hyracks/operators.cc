@@ -233,12 +233,20 @@ class HybridHashJoin final : public PushOperator {
   };
 
   HybridHashJoin(std::shared_ptr<const Keys> keys, size_t build_arity,
-                 bool left_outer, Emitter* out)
+                 bool left_outer, std::shared_ptr<JoinFilter> filter,
+                 Emitter* out)
       : keys_(std::move(keys)),
         build_arity_(build_arity),
         left_outer_(left_outer),
+        filter_(std::move(filter)),
         ctx_(out, "join-spill"),
         top_(kSpillFanout) {}
+
+  // Still holding the filter means the build port never closed (the job
+  // failed): the probe scans waiting for it must not wait for this instance.
+  ~HybridHashJoin() override {
+    if (filter_ != nullptr) filter_->Release();
+  }
 
   Status Consume(int port, Frame& frame) override {
     MaterializeRows(&frame);
@@ -252,6 +260,10 @@ class HybridHashJoin final : public PushOperator {
   Status Close(int port) override {
     if (port == 0) {
       EndBuild(top_);
+      if (filter_ != nullptr) {
+        filter_->Publish(std::move(filter_hashes_));
+        filter_.reset();
+      }
       return Status::OK();
     }
     Status st = FinishLevel(&top_, /*depth=*/0);
@@ -314,6 +326,11 @@ class HybridHashJoin final : public PushOperator {
   std::shared_ptr<const Keys> keys_;
   size_t build_arity_;
   bool left_outer_;
+  // Until the build port closes: the filter this instance fills, and the
+  // hashes of its known build keys, one past the filter's cap at most (which
+  // makes the filter pass everything).
+  std::shared_ptr<JoinFilter> filter_;
+  std::vector<uint64_t> filter_hashes_;
   SpillContext ctx_;
   BytesWriter key_;
   std::vector<uint32_t> chain_;
@@ -327,6 +344,10 @@ Status HybridHashJoin::Build(std::vector<Partition>* parts, Tuple& t,
   ASTERIX_RETURN_NOT_OK(SerializeKeyOf(keys_->build, t, &key_, &unknown));
   if (unknown) return Status::OK();  // unknown keys never join
   uint64_t h = Hash64(key_.data().data(), key_.size());
+  if (depth == 0 && filter_ != nullptr &&
+      filter_hashes_.size() <= JoinFilter::kMaxKeys) {
+    filter_hashes_.push_back(h);
+  }
   Partition& p = (*parts)[SpillPartitionOf(h, depth)];
   if (p.spilled) return p.build_run->AppendTuple(t);
   size_t table_before = p.table.bytes();
@@ -457,32 +478,47 @@ OperatorDescriptor MakeValueScan(std::vector<Tuple> tuples) {
 
 namespace {
 
+/// Appends the projection's and the join filter's tags to a scan's name.
+std::string ScanName(std::string name,
+                     const storage::column::Projection& projection,
+                     const ScanJoinFilter& join_filter) {
+  for (const std::string& tag :
+       {projection.ToString(), join_filter.ToString()}) {
+    if (!tag.empty()) name += " " + tag;
+  }
+  return name;
+}
+
 /// The primary-index scan both full and range scans run: instance p scans
 /// storage partition p within `bounds`, emitting [record] tuples of the
-/// projected fields and reporting the physical bytes it read.
+/// projected fields and reporting the physical bytes it read. A join
+/// filter's probe waits for the build, then drops what the filter rules out.
 OperatorDescriptor MakeScan(std::string name,
                             storage::PartitionedDataset* dataset,
                             storage::ScanBounds bounds,
-                            storage::column::Projection projection) {
+                            storage::column::Projection projection,
+                            ScanJoinFilter join_filter) {
   OperatorDescriptor op;
-  op.name = std::move(name);
-  std::string ptag = projection.ToString();
-  if (!ptag.empty()) op.name += " " + ptag;
+  op.name = ScanName(std::move(name), projection, join_filter);
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 0;
   auto shared = std::make_shared<const storage::ScanBounds>(std::move(bounds));
   auto proj = std::make_shared<const storage::column::Projection>(
       std::move(projection));
-  op.source = [dataset, shared, proj](int p, Emitter* out) {
+  auto jf = std::make_shared<const ScanJoinFilter>(std::move(join_filter));
+  op.source = [dataset, shared, proj, jf](int p, Emitter* out) {
     storage::column::ProjectedScanStats stats;
+    std::optional<JoinFilterProbe> probe;
+    if (jf->filter != nullptr) probe.emplace(jf->filter, jf->fields);
     Status st = dataset->partition(static_cast<uint32_t>(p))
                     ->ProjectedScan(*shared, *proj,
                                     [&](const Value& rec) {
                                       out->Push({rec});
                                       return out->status();
                                     },
-                                    &stats);
+                                    &stats, probe ? &*probe : nullptr);
     out->AddBytesRead(stats.bytes_read);
+    if (probe) out->AddFilterDropped(probe->dropped());
     return st;
   };
   return op;
@@ -490,20 +526,34 @@ OperatorDescriptor MakeScan(std::string name,
 
 }  // namespace
 
+std::string ScanJoinFilter::ToString() const {
+  if (filter == nullptr) return "";
+  std::string out = "join-filter=[";
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) out += ",";
+    out += fields[i];
+  }
+  return out + "]";
+}
+
 OperatorDescriptor MakeDatasetScan(storage::PartitionedDataset* dataset,
-                                   storage::column::Projection projection) {
+                                   storage::column::Projection projection,
+                                   ScanJoinFilter join_filter) {
   bool columnar =
       dataset->def().storage_format == storage::StorageFormat::kColumn;
   return MakeScan(std::string(columnar ? "column-scan(" : "scan(") +
                       dataset->def().name + ")",
-                  dataset, storage::ScanBounds{}, std::move(projection));
+                  dataset, storage::ScanBounds{}, std::move(projection),
+                  std::move(join_filter));
 }
 
 OperatorDescriptor MakePrimaryRangeScan(storage::PartitionedDataset* dataset,
                                         storage::ScanBounds bounds,
-                                        storage::column::Projection projection) {
+                                        storage::column::Projection projection,
+                                        ScanJoinFilter join_filter) {
   return MakeScan("btree-range-scan(" + dataset->def().name + ")", dataset,
-                  std::move(bounds), std::move(projection));
+                  std::move(bounds), std::move(projection),
+                  std::move(join_filter));
 }
 
 namespace {
@@ -917,7 +967,8 @@ OperatorDescriptor MakeSort(int parallelism, TupleCompare compare,
 OperatorDescriptor MakeHybridHashJoin(int parallelism,
                                       std::vector<TupleEval> build_keys,
                                       std::vector<TupleEval> probe_keys,
-                                      size_t build_arity, bool left_outer) {
+                                      size_t build_arity, bool left_outer,
+                                      std::shared_ptr<JoinFilter> filter) {
   OperatorDescriptor op;
   op.name = "hybrid-hash-join";
   op.parallelism = parallelism;
@@ -926,8 +977,9 @@ OperatorDescriptor MakeHybridHashJoin(int parallelism,
   op.memory_intensive = true;
   auto keys = std::make_shared<const HybridHashJoin::Keys>(
       HybridHashJoin::Keys{std::move(build_keys), std::move(probe_keys)});
-  op.push = [keys, build_arity, left_outer](int, Emitter* out) {
-    return std::make_unique<HybridHashJoin>(keys, build_arity, left_outer, out);
+  op.push = [keys, build_arity, left_outer, filter](int, Emitter* out) {
+    return std::make_unique<HybridHashJoin>(keys, build_arity, left_outer,
+                                            filter, out);
   };
   return op;
 }
@@ -1730,18 +1782,22 @@ OperatorDescriptor MakeResultSink(std::shared_ptr<std::vector<Tuple>> sink) {
 
 OperatorDescriptor MakeVectorScan(storage::PartitionedDataset* dataset,
                                   storage::column::Projection projection,
-                                  storage::ScanBounds bounds) {
+                                  storage::ScanBounds bounds,
+                                  ScanJoinFilter join_filter) {
   OperatorDescriptor op;
   // Keep "column-scan(name)" as a substring: plan listings and their tests
   // recognize columnar scans by that tag.
-  op.name = "vector-column-scan(" + dataset->def().name + ")";
-  std::string ptag = projection.ToString();
-  if (!ptag.empty()) op.name += " " + ptag;
+  op.name = ScanName("vector-column-scan(" + dataset->def().name + ")",
+                     projection, join_filter);
   op.parallelism = static_cast<int>(dataset->num_partitions());
   op.num_inputs = 0;
   auto proj = std::make_shared<storage::column::Projection>(std::move(projection));
   auto shared = std::make_shared<storage::ScanBounds>(std::move(bounds));
-  op.source = [dataset, proj, shared](int p, Emitter* out) {
+  auto filter = join_filter.filter;
+  op.source = [dataset, proj, shared, filter](int p, Emitter* out) {
+    // Wait for the build before taking the tree's read lock; the
+    // pipeline's vector-materialize tests the rows.
+    if (filter != nullptr) filter->Wait();
     auto* part = dataset->partition(static_cast<uint32_t>(p));
     storage::column::ProjectedScanStats stats;
     uint64_t batches = 0, rows_selected = 0, rows_total = 0;
@@ -1859,27 +1915,61 @@ class VectorAggregate final : public PushOperator {
 };
 
 /// Late materialization: each batch's selected rows become [record] tuples.
+/// With a join filter, a row is tested on its key lanes first and rebuilt
+/// only if the filter keeps it.
 class VectorMaterialize final : public PushOperator {
  public:
-  explicit VectorMaterialize(Emitter* out) : out_(out) {}
+  VectorMaterialize(std::shared_ptr<const ScanJoinFilter> join_filter,
+                    Emitter* out)
+      : out_(out), join_filter_(std::move(join_filter)) {}
 
   Status Consume(int, Frame& frame) override {
     if (frame.batch == nullptr) return NoBatchError("vector-materialize");
+    const storage::column::ColumnBatch& batch = *frame.batch;
     ++batches_;
-    rows_ += frame.batch->sel.size();
-    for (uint32_t row : frame.batch->sel.rows) {
-      out_->Push({frame.batch->MaterializeRow(row)});
+    rows_ += batch.sel.size();
+    if (join_filter_->filter != nullptr && !probe_) {
+      probe_.emplace(join_filter_->filter, join_filter_->fields);
+    }
+    if (probe_ && probe_->active()) {
+      lanes_.clear();
+      for (const std::string& f : probe_->fields()) {
+        lanes_.push_back(batch.LaneIndex(f));
+      }
+    }
+    for (uint32_t row : batch.sel.rows) {
+      if (probe_ && probe_->active() && !KeepRow(batch, row)) continue;
+      out_->Push({batch.MaterializeRow(row)});
     }
     return Status::OK();
   }
 
   Status Close(int) override {
     out_->AddBatchStats(batches_, rows_, rows_);
+    if (probe_) out_->AddFilterDropped(probe_->dropped());
     return Status::OK();
   }
 
  private:
+  /// The filter's test of `row`'s key lanes (MISSING for a field the batch
+  /// does not carry).
+  bool KeepRow(const storage::column::ColumnBatch& batch, uint32_t row) {
+    keys_.resize(lanes_.size());
+    key_ptrs_.resize(lanes_.size());
+    for (size_t i = 0; i < lanes_.size(); ++i) {
+      keys_[i] = lanes_[i] < 0 ? Value::Missing()
+                               : batch.FieldValue(lanes_[i], row);
+      key_ptrs_[i] = &keys_[i];
+    }
+    return probe_->Keep(key_ptrs_.data());
+  }
+
   Emitter* const out_;
+  std::shared_ptr<const ScanJoinFilter> join_filter_;
+  std::optional<JoinFilterProbe> probe_;
+  std::vector<int> lanes_;  // the batch's lane of each key field, or -1
+  std::vector<Value> keys_;
+  std::vector<const Value*> key_ptrs_;
   uint64_t batches_ = 0, rows_ = 0;
 };
 
@@ -1914,13 +2004,17 @@ OperatorDescriptor MakeVectorAggregate(int parallelism,
   return op;
 }
 
-OperatorDescriptor MakeVectorMaterialize(int parallelism) {
+OperatorDescriptor MakeVectorMaterialize(int parallelism,
+                                         ScanJoinFilter join_filter) {
   OperatorDescriptor op;
   op.name = "vector-materialize";
+  std::string ftag = join_filter.ToString();
+  if (!ftag.empty()) op.name += " " + ftag;
   op.parallelism = parallelism;
   op.num_inputs = 1;
-  op.push = [](int, Emitter* out) {
-    return std::make_unique<VectorMaterialize>(out);
+  auto jf = std::make_shared<const ScanJoinFilter>(std::move(join_filter));
+  op.push = [jf](int, Emitter* out) {
+    return std::make_unique<VectorMaterialize>(jf, out);
   };
   return op;
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "hyracks/job.h"
+#include "hyracks/join_filter.h"
 #include "hyracks/vector/kernels.h"
 #include "storage/dataset_store.h"
 
@@ -26,6 +27,17 @@ enum class AggMode {
   kGlobal,    // combine partial state records into finals
 };
 
+/// A hash join's filter as its probe-side scan takes it: the JoinFilter
+/// and, in the join's probe-key order, the record field holding each key.
+/// Empty (no filter) by default.
+struct ScanJoinFilter {
+  std::shared_ptr<const JoinFilter> filter;
+  std::vector<std::string> fields;
+
+  /// "" without a filter; else "join-filter=[author-id]".
+  std::string ToString() const;
+};
+
 // ---------------------------------------------------------------------------
 // Factory helpers. Each returns a fully-populated OperatorDescriptor; the
 // caller adds it to a JobSpec and wires connectors.
@@ -41,17 +53,22 @@ OperatorDescriptor MakeValueScan(std::vector<Tuple> tuples);
 /// datasets only the touched column pages are read (with min/max page
 /// skipping for range predicates); on row datasets the whole record is read
 /// and trimmed. Physical bytes read are reported to the emitter for
-/// EXPLAIN ANALYZE.
+/// EXPLAIN ANALYZE. With a join filter the scan is a hash join's probe
+/// input: each instance waits for the filter's seal before its first record
+/// and drops the records it rules out (JoinFilterProbe), counting them on
+/// its span.
 OperatorDescriptor MakeDatasetScan(
     storage::PartitionedDataset* dataset,
-    storage::column::Projection projection = storage::column::Projection::All());
+    storage::column::Projection projection = storage::column::Projection::All(),
+    ScanJoinFilter join_filter = {});
 
 /// Primary-index range scan with constant bounds; emits [record]. The same
-/// scan source as MakeDatasetScan, bounded; see there for projection
-/// semantics.
+/// scan source as MakeDatasetScan, bounded; see there for projection and
+/// join-filter semantics.
 OperatorDescriptor MakePrimaryRangeScan(
     storage::PartitionedDataset* dataset, storage::ScanBounds bounds,
-    storage::column::Projection projection = storage::column::Projection::All());
+    storage::column::Projection projection = storage::column::Projection::All(),
+    ScanJoinFilter join_filter = {});
 
 /// Primary-index lookups driven by input tuples: `key_columns` name the
 /// input columns holding the primary key; each match emits
@@ -116,11 +133,16 @@ OperatorDescriptor MakeSort(int parallelism, TupleCompare compare,
 /// tuples without a match (port semantics: outer side is the PROBE side).
 /// Build tuples go into per-hash-partition open-addressing tables keyed by
 /// serialized normalized key bytes; when the instance's MemoryBudget trips,
-/// whole partitions spill to scratch runs and are joined recursively.
+/// whole partitions spill to scratch runs and are joined recursively. With
+/// `filter` (inner joins only, `parallelism` builders), every instance
+/// hands the hashes of its known build keys, spilled or not, to the filter
+/// when its build port closes, and releases it as pass-all if it ends
+/// without closing that port.
 OperatorDescriptor MakeHybridHashJoin(int parallelism,
                                       std::vector<TupleEval> build_keys,
                                       std::vector<TupleEval> probe_keys,
-                                      size_t build_arity, bool left_outer);
+                                      size_t build_arity, bool left_outer,
+                                      std::shared_ptr<JoinFilter> filter = {});
 
 /// Nested-loop join: port 0 buffered, port 1 streamed, predicate over the
 /// concatenated tuple (build columns first). Budgeted: build tuples past
@@ -192,10 +214,12 @@ struct VectorAggSpec {
 /// ColumnBatch frames (no row reconstruction when the partition is in
 /// columnar steady state; otherwise assembled rows are re-batched through
 /// BatchBuilder — same data, same order). `projection` must name explicit
-/// fields (the lanes).
+/// fields (the lanes). With a join filter, each instance waits for its seal
+/// before scanning; the pipeline's vector-materialize tests the rows.
 OperatorDescriptor MakeVectorScan(storage::PartitionedDataset* dataset,
                                   storage::column::Projection projection,
-                                  storage::ScanBounds bounds = {});
+                                  storage::ScanBounds bounds = {},
+                                  ScanJoinFilter join_filter = {});
 
 /// Vectorized filter: refines each batch's selection vector in place with
 /// the lowered predicate kernel and forwards the surviving batch. Like the
@@ -214,8 +238,10 @@ OperatorDescriptor MakeVectorAggregate(int parallelism,
 
 /// Ends a vectorized pipeline: materializes each batch's selected rows into
 /// [record] tuples for row-oriented consumers (late materialization — only
-/// rows still selected here are ever rebuilt).
-OperatorDescriptor MakeVectorMaterialize(int parallelism);
+/// rows still selected here are ever rebuilt). With a join filter, a row
+/// whose key lanes the filter rules out is dropped before it is rebuilt.
+OperatorDescriptor MakeVectorMaterialize(int parallelism,
+                                         ScanJoinFilter join_filter = {});
 
 /// Hash function over selected columns, for partitioning connectors.
 std::function<uint64_t(const Tuple&)> HashOnColumns(std::vector<int> columns);

@@ -47,6 +47,7 @@ std::vector<OperatorRollup> JobProfile::Rollup() const {
     r.vec_rows_selected += s.vec_rows_selected;
     r.vec_rows_total += s.vec_rows_total;
     r.kernel_us += s.kernel_us;
+    r.filter_dropped += s.filter_dropped;
     r.cpu_us += s.cpu_us;
     r.elapsed_ms = std::max(r.elapsed_ms, s.elapsed_ms());
   }
@@ -102,6 +103,7 @@ std::string JobProfile::ToJson() const {
            ", \"batches\": " + std::to_string(r.batches) +
            ", \"selected_ratio\": " + FmtMs(r.selected_ratio()) +
            ", \"kernel_us\": " + std::to_string(r.kernel_us) +
+           ", \"filter_dropped\": " + std::to_string(r.filter_dropped) +
            ", \"cpu_us\": " + std::to_string(r.cpu_us) +
            ", \"elapsed_ms\": " + FmtMs(r.elapsed_ms) + " }";
   }
@@ -129,6 +131,7 @@ std::string JobProfile::ToJson() const {
            ", \"batches\": " + std::to_string(s.batches) +
            ", \"selected_ratio\": " + FmtMs(s.selected_ratio()) +
            ", \"kernel_us\": " + std::to_string(s.kernel_us) +
+           ", \"filter_dropped\": " + std::to_string(s.filter_dropped) +
            ", \"cpu_us\": " + std::to_string(s.cpu_us) +
            ", \"ok\": " + (s.ok ? "true" : "false") + " }";
   }
@@ -266,8 +269,9 @@ std::string AnnotatePlan(const JobSpec& job, const JobProfile& profile) {
     const OperatorDescriptor* op = job.FindOperator(id);
     for (const auto* c : incoming[id]) {
       const OperatorDescriptor* src = job.FindOperator(c->src_op);
+      std::string role = PortRole(*op, c->dst_port);
       out += "  |" + std::string(ConnectorTypeName(c->type)) + "|  (from " +
-             src->name;
+             src->name + (role.empty() ? "" : ", " + role);
       auto hit = hops.find(c->id);
       if (hit != hops.end()) {
         out += ", tuples=" + std::to_string(hit->second->tuples) +
@@ -303,6 +307,9 @@ std::string AnnotatePlan(const JobSpec& job, const JobProfile& profile) {
       if (r.spilled_partitions > 0 || r.spill_bytes > 0) {
         out += ", spill_bytes=" + std::to_string(r.spill_bytes) +
                ", spilled_partitions=" + std::to_string(r.spilled_partitions);
+      }
+      if (r.filter_dropped > 0) {
+        out += ", filter_dropped=" + std::to_string(r.filter_dropped);
       }
       out += ", ms=" + FmtMs(r.elapsed_ms) + ", instances=" +
              std::to_string(r.instances) + ")";

@@ -54,6 +54,9 @@ struct OperatorSpan {
   uint64_t vec_rows_total = 0;
   /// Microseconds inside vectorized kernels (filter/aggregate tight loops).
   uint64_t kernel_us = 0;
+  /// Records a hash join's filter dropped here (a probe-side scan or its
+  /// vector-materialize): with tuples_out, the rows the scan produced.
+  uint64_t filter_dropped = 0;
   /// Thread CPU time (CLOCK_THREAD_CPUTIME_ID) charged to this instance —
   /// actual compute, as opposed to the wall-clock span, which also contains
   /// waits. A pipeline's task charges every microsecond of its thread's CPU
@@ -100,6 +103,7 @@ struct OperatorRollup {
   uint64_t vec_rows_selected = 0;
   uint64_t vec_rows_total = 0;
   uint64_t kernel_us = 0;
+  uint64_t filter_dropped = 0;
   uint64_t cpu_us = 0;
   double elapsed_ms = 0;  // max instance span (critical-path view)
 

@@ -357,13 +357,13 @@ Status DatasetPartition::ScanAll(
 Status DatasetPartition::ProjectedScan(
     const ScanBounds& bounds, const column::Projection& projection,
     const std::function<Status(const adm::Value&)>& cb,
-    column::ProjectedScanStats* stats) {
+    column::ProjectedScanStats* stats, ScanKeyFilter* filter) {
   return primary_->ProjectedScan(
       bounds, projection,
       [&](const CompositeKey&, bool, const adm::Value& record) {
         return cb(record);
       },
-      stats);
+      stats, filter);
 }
 
 Status DatasetPartition::BatchScan(const ScanBounds& bounds,
@@ -378,6 +378,17 @@ Status DatasetPartition::SecondaryRangeScan(const std::string& index_name,
                                             const EntryCallback& cb) {
   for (auto& s : btrees_) {
     if (s.def.name == index_name) return s.tree->RangeScan(bounds, cb);
+  }
+  return Status::NotFound("no btree index " + index_name + " on " + def_.name);
+}
+
+Status DatasetPartition::CountIndexEntries(const std::string& index_name,
+                                           const ScanBounds& bounds,
+                                           uint64_t cap, uint64_t* count) {
+  for (auto& s : btrees_) {
+    if (s.def.name == index_name) {
+      return s.tree->CountEntries(bounds, cap, count);
+    }
   }
   return Status::NotFound("no btree index " + index_name + " on " + def_.name);
 }

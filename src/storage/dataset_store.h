@@ -103,10 +103,13 @@ class DatasetPartition {
   /// datasets this reads only the touched column pages (plus min/max page
   /// skipping in the steady state), on row datasets it deserializes whole
   /// records and projects. `stats` (optional) reports bytes read/skipped.
+  /// `filter` (optional) drops records on their key fields after LSM
+  /// resolution (LsmBTree::ProjectedScan).
   Status ProjectedScan(const ScanBounds& bounds,
                        const column::Projection& projection,
                        const std::function<Status(const adm::Value&)>& cb,
-                       column::ProjectedScanStats* stats);
+                       column::ProjectedScanStats* stats,
+                       ScanKeyFilter* filter = nullptr);
   /// Vectorized primary scan: typed column batches with no row
   /// reconstruction. Unimplemented unless the dataset is columnar and in
   /// its single-component steady state — callers fall back to
@@ -118,6 +121,11 @@ class DatasetPartition {
   /// Secondary B-tree scan: yields full composite entries (sk..., pk...).
   Status SecondaryRangeScan(const std::string& index_name,
                             const ScanBounds& bounds, const EntryCallback& cb);
+  /// Entries of secondary B-tree `index_name` within `bounds`, counted up
+  /// to `cap` without LSM resolution (LsmBTree::CountEntries).
+  Status CountIndexEntries(const std::string& index_name,
+                           const ScanBounds& bounds, uint64_t cap,
+                           uint64_t* count);
   Status RTreeSearch(const std::string& index_name, const Mbr& query,
                      const std::function<Status(const CompositeKey& pk)>& cb);
   Status InvertedSearchToken(

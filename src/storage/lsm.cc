@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "adm/serde.h"
@@ -181,12 +182,23 @@ class RowComponentReader : public DiskComponentReader {
                        const column::ProjectedEntryCallback& cb,
                        column::ProjectedScanStats* stats) const override {
     (void)allow_pruning;  // no page stats in the row layout
-    Decoder dec(*this, proj);
+    return FilteredScan(bounds, proj, nullptr, cb, stats);
+  }
+
+  /// ProjectedScan that, while `filter` (optional) is active, decodes each
+  /// live record's key fields first and the rest of the projection only
+  /// for records the filter keeps; dropped records never reach `cb`.
+  Status FilteredScan(const ScanBounds& bounds, const column::Projection& proj,
+                      ScanKeyFilter* filter,
+                      const column::ProjectedEntryCallback& cb,
+                      column::ProjectedScanStats* stats) const {
+    Decoder dec(*this, proj, filter);
     return btree_->RangeScanView(bounds, [&](const EntryView& e) {
       if (stats != nullptr) stats->bytes_read += e.payload_size;
       if (e.antimatter) return cb(e.key, true, adm::Value::Missing());
-      ASTERIX_RETURN_NOT_OK(dec.Decode(e));
-      return cb(e.key, false, dec.record);
+      bool kept = true;
+      ASTERIX_RETURN_NOT_OK(dec.Decode(e, &kept));
+      return kept ? cb(e.key, false, dec.record) : Status::OK();
     });
   }
 
@@ -206,19 +218,36 @@ class RowComponentReader : public DiskComponentReader {
   }
 
  private:
-  /// One read's decoding state: the projection's plan, the buffer a
-  /// compressed payload inflates into, and the last record decoded.
+  /// One read's decoding state: the projection's plan, the key filter's
+  /// plan when there is one, the buffer a compressed payload inflates into,
+  /// and the last record decoded.
   struct Decoder {
-    Decoder(const RowComponentReader& reader, const column::Projection& proj)
+    Decoder(const RowComponentReader& reader, const column::Projection& proj,
+            ScanKeyFilter* filter = nullptr)
         : compressed(reader.compressed_),
-          plan(reader.type_, proj.all_fields, proj.fields) {}
+          plan(reader.type_, proj.all_fields, proj.fields),
+          filter(filter) {
+      if (filter != nullptr) {
+        key_plan.emplace(reader.type_, false, filter->fields());
+      }
+    }
 
-    Status Decode(const EntryView& e) {
+    /// Decodes `e` into `record`, unless the filter drops it on its keys
+    /// (`*kept` false, nothing more decoded).
+    Status Decode(const EntryView& e, bool* kept = nullptr) {
       const uint8_t* data = e.payload;
       size_t len = e.payload_size;
       if (compressed) {
         ASTERIX_RETURN_NOT_OK(UnframeRowPayload(e.payload, e.payload_size,
                                                 &scratch, &data, &len));
+      }
+      if (filter != nullptr && filter->active()) {
+        BytesReader kr(data, len);
+        ASTERIX_RETURN_NOT_OK(key_plan->DecodeFields(&kr, &keys));
+        key_ptrs.resize(keys.size());
+        for (size_t i = 0; i < keys.size(); ++i) key_ptrs[i] = &keys[i];
+        *kept = filter->Keep(key_ptrs.data());
+        if (!*kept) return Status::OK();
       }
       BytesReader r(data, len);
       return plan.Decode(&r, &record);
@@ -226,6 +255,10 @@ class RowComponentReader : public DiskComponentReader {
 
     bool compressed;
     adm::ProjectedDecoder plan;
+    ScanKeyFilter* filter;
+    std::optional<adm::ProjectedDecoder> key_plan;  // with a filter only
+    std::vector<adm::Value> keys;
+    std::vector<const adm::Value*> key_ptrs;
     std::vector<uint8_t> scratch;
     adm::Value record;
   };
@@ -1146,20 +1179,64 @@ Status LsmBTree::RangeScan(const ScanBounds& bounds,
   });
 }
 
+Status LsmBTree::CountEntries(const ScanBounds& bounds, uint64_t cap,
+                              uint64_t* count) const {
+  std::shared_lock lock(mu_);
+  uint64_t n = 0;
+  // Past the cap a walk stops with a status that never leaves here.
+  auto tally = [&] {
+    return ++n >= cap ? Status::Internal("count cap") : Status::OK();
+  };
+  auto done = [&](const Status& st) { return st.ok() || n >= cap; };
+  std::vector<const MemTable*> tables = {&mem_};
+  if (imm_ != nullptr) tables.push_back(&imm_->entries);
+  for (const MemTable* t : tables) {
+    if (n >= cap) break;
+    Status st = ForEachInBounds(
+        *t, bounds, [&](const CompositeKey&, const MemEntry&) { return tally(); });
+    if (!done(st)) return st;
+  }
+  for (const DiskComponent& dc : disk_) {
+    if (n >= cap) break;
+    Status st = dc.reader->RangeScan(
+        bounds, [&](const IndexEntry&) { return tally(); });
+    if (!done(st)) return st;
+  }
+  *count = std::min(n, cap);
+  return Status::OK();
+}
+
 Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
                                const column::Projection& proj,
                                const column::ProjectedEntryCallback& cb,
-                               column::ProjectedScanStats* stats) const {
+                               column::ProjectedScanStats* stats,
+                               ScanKeyFilter* filter) const {
   std::shared_lock lock(mu_);
+  // A resolved record the filter drops never reaches `cb`.
+  auto dropped = [filter](const adm::Value& rec) {
+    return filter != nullptr && filter->active() && !filter->KeepRecord(rec);
+  };
   // Steady-state fast path: with one component and nothing in memory there
   // is no cross-component resolution, so min/max pruning is sound — a
-  // skipped page group cannot hide a newer version of anything.
+  // skipped page group cannot hide a newer version of anything — and so is
+  // testing a row's keys before decoding the rest of it.
   if (mem_.empty() && imm_ == nullptr && disk_.size() <= 1) {
     if (disk_.empty()) return Status::OK();
+    auto* row = filter != nullptr ? dynamic_cast<const RowComponentReader*>(
+                                        disk_[0].reader.get())
+                                  : nullptr;
+    if (row != nullptr) {
+      return row->FilteredScan(
+          bounds, proj, filter,
+          [&](const CompositeKey& key, bool antimatter, const adm::Value& rec) {
+            return antimatter ? Status::OK() : cb(key, false, rec);
+          },
+          stats);
+    }
     return disk_[0].reader->ProjectedScan(
         bounds, proj, /*allow_pruning=*/true,
         [&](const CompositeKey& key, bool antimatter, const adm::Value& rec) {
-          if (antimatter) return Status::OK();
+          if (antimatter || dropped(rec)) return Status::OK();
           return cb(key, false, rec);
         },
         stats);
@@ -1238,7 +1315,8 @@ Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
     }
   }
   return ResolveNewestWins(runs, [&](const ProjRow& row) {
-    return row.antimatter ? Status::OK() : cb(row.key, false, row.record);
+    if (row.antimatter || dropped(row.record)) return Status::OK();
+    return cb(row.key, false, row.record);
   });
 }
 

@@ -16,6 +16,7 @@
 #include "storage/compaction.h"
 #include "storage/component.h"
 #include "storage/key.h"
+#include "storage/scan_filter.h"
 
 namespace asterix {
 namespace storage {
@@ -237,10 +238,20 @@ class LsmBTree : public Compactable {
   /// steady state, and on multi-component scans only for groups whose key
   /// span is disjoint from every other component (a skipped group that
   /// overlapped another component could resurrect an older version of its
-  /// rows). `stats` (optional) accumulates bytes/pages.
+  /// rows). `stats` (optional) accumulates bytes/pages. With `filter`, a
+  /// resolved record it drops never reaches `cb`; on a single row component
+  /// only the filter's key fields of such a record are decoded.
   Status ProjectedScan(const ScanBounds& bounds, const column::Projection& proj,
                        const column::ProjectedEntryCallback& cb,
-                       column::ProjectedScanStats* stats) const;
+                       column::ProjectedScanStats* stats,
+                       ScanKeyFilter* filter = nullptr) const;
+
+  /// Entries within `bounds` in every component, counted up to `cap`, with
+  /// no resolution: shadowed versions and antimatter count too, so this is
+  /// an estimate from above (the optimizer's row estimates) that stops
+  /// reading once it reaches `cap`.
+  Status CountEntries(const ScanBounds& bounds, uint64_t cap,
+                      uint64_t* count) const;
 
   /// Vectorized scan: in the columnar single-component steady state, hands
   /// decoded column pages to the caller as typed ColumnBatches without row

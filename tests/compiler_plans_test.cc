@@ -120,6 +120,38 @@ TEST_F(CompilerPlansTest, EquijoinUsesHybridHashWithPartitioning) {
   EXPECT_NE(job.find("n:m partitioning"), std::string::npos) << job;
 }
 
+TEST_F(CompilerPlansTest, AggregateOverEquijoinPlansHashJoin) {
+  // The aggregate's FLWOR is lifted out of its subplan; its where clause
+  // must still reach the join, or the join is a filtered cross product.
+  ASSERT_TRUE(db_->Execute(R"aql(use dataverse P;
+insert into dataset Users ([
+  { "id": 1, "name": "a", "since": datetime("2010-01-01T00:00:00") },
+  { "id": 2, "name": "b", "since": datetime("2011-01-01T00:00:00") },
+  { "id": 3, "name": "c", "since": datetime("2012-01-01T00:00:00") }]);
+insert into dataset Msgs ([
+  { "mid": 10, "uid": 1, "ts": datetime("2013-01-01T00:00:00"), "text": "x" },
+  { "mid": 11, "uid": 1, "ts": datetime("2013-01-02T00:00:00"), "text": "y" },
+  { "mid": 12, "uid": 3, "ts": datetime("2013-01-03T00:00:00"), "text": "z" },
+  { "mid": 13, "uid": 9, "ts": datetime("2013-01-04T00:00:00"), "text": "w" }]);
+)aql")
+                  .ok());
+  const std::string flwor =
+      "for $u in dataset Users for $m in dataset Msgs "
+      "where $m.uid = $u.id return $m.text";
+  std::string job = JobFor("count(" + flwor + ")");
+  EXPECT_NE(job.find("hybrid-hash-join"), std::string::npos) << job;
+  EXPECT_EQ(job.find("nested-loop-join"), std::string::npos) << job;
+
+  auto count = db_->Execute("use dataverse P;\ncount(" + flwor + ")");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  auto rows = db_->Execute("use dataverse P;\n" + flwor + ";");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(count.value().values.size(), 1u);
+  EXPECT_EQ(count.value().values[0].AsInt(),
+            static_cast<int64_t>(rows.value().values.size()));
+  EXPECT_EQ(rows.value().values.size(), 3u);
+}
+
 TEST_F(CompilerPlansTest, IndexNlHintProbesSecondaryIndex) {
   std::string job = JobFor(
       "for $u in dataset Users for $m in dataset Msgs "

@@ -4,6 +4,7 @@
 
 #include "common/env.h"
 #include "functions/arith.h"
+#include "hyracks/hash_table.h"
 #include "hyracks/operators.h"
 
 namespace asterix {
@@ -318,6 +319,38 @@ TEST_F(HyracksTest, JobToStringMentionsOperators) {
   EXPECT_NE(s.find("scan(Nums)"), std::string::npos);
   EXPECT_NE(s.find("result-sink"), std::string::npos);
   EXPECT_NE(s.find("replicating"), std::string::npos);
+}
+
+
+// A small build touches all 16 partition tables of each join, group-by and
+// distinct instance: an almost empty table must not cost a 64 KiB chunk.
+TEST(SerializedKeyTableTest, OneKeyCostsOneSmallChunk) {
+  SerializedKeyTable table;
+  const uint8_t key[] = {1, 2, 3, 4, 5, 6, 7, 8};
+  bool inserted = false;
+  table.FindOrInsert(key, sizeof(key), 42, &inserted);
+  ASSERT_TRUE(inserted);
+  EXPECT_LE(table.bytes(), Arena::kFirstChunkBytes +
+                               sizeof(SerializedKeyTable::Entry) +
+                               16 * sizeof(uint32_t));
+
+  // Chunks double up to the largest size, and reserved bytes stay exact.
+  Arena arena;
+  std::vector<uint8_t> item(700, 7);
+  size_t reserved = 0, cap = 0, used = 0;
+  for (int i = 0; i < 400; ++i) {
+    const uint8_t* at = arena.Append(item.data(), item.size());
+    EXPECT_EQ(at[699], 7);
+    if (used + item.size() > cap) {
+      cap = cap == 0 ? Arena::kFirstChunkBytes
+                     : std::min(cap * 2, Arena::kMaxChunkBytes);
+      reserved += cap;
+      used = 0;
+    }
+    used += item.size();
+    EXPECT_EQ(arena.reserved_bytes(), reserved);
+  }
+  EXPECT_EQ(cap, Arena::kMaxChunkBytes);
 }
 
 }  // namespace
