@@ -261,282 +261,217 @@ BTreeReader::~BTreeReader() {
   if (cache_) cache_->CloseFile(file_);
 }
 
-/// The one place leaf entries are decoded: a cursor over the leaf chain.
-/// It pins its current leaf page, decodes an entry's key and flags, and
-/// hands out the payload as a view into that page; an overflow payload is
-/// read into one buffer the cursor reuses.
-class BTreeReader::Cursor {
- public:
-  explicit Cursor(const BTreeReader* tree) : tree_(tree) {}
-
-  bool Valid() const { return valid_; }
-  const CompositeKey& key() const { return key_; }
-
-  /// Positions at the first entry not below `lo` in bound order (the
-  /// tree's first entry when `lo` is null); invalid when there is none.
-  Status Seek(const CompositeKey* lo) {
-    ASTERIX_RETURN_NOT_OK(Descend(lo));
-    if (lo != nullptr) {
-      ASTERIX_ASSIGN_OR_RETURN(idx_, LowerBound(0, *lo));
-    }
-    // The descent chose the leftmost leaf that can hold a match, so the
-    // first match may sit past its end (on a key equal to the next leaf's
-    // first key).
-    return Settle();
+Status BTreeReader::Cursor::Seek(const CompositeKey* lo) {
+  ASTERIX_RETURN_NOT_OK(Descend(lo));
+  if (lo != nullptr) {
+    ASTERIX_ASSIGN_OR_RETURN(idx_, LowerBound(0, *lo));
   }
+  // The descent chose the leftmost leaf that can hold a match, so the first
+  // match may sit past its end (on a key equal to the next leaf's first key).
+  return Settle();
+}
 
-  /// Moves to the next entry, following the leaf chain.
-  Status Next() {
-    ++idx_;
-    return Settle();
+Status BTreeReader::Cursor::Next() {
+  ++idx_;
+  return Settle();
+}
+
+Status BTreeReader::Cursor::Find(const CompositeKey& key, bool* found) {
+  bool in_leaf = false;
+  if (valid_) {
+    ASTERIX_RETURN_NOT_OK(LoadLastKey());
+    in_leaf = CompareKeys(key, last_key_) <= 0;
   }
-
-  /// Positions at the first entry not below `key`, which must not be below
-  /// the previous Find's key; `*found` tells whether that entry's key
-  /// equals `key`. While `key` is not above the current leaf's last key,
-  /// only that leaf is searched, from the current entry on; otherwise the
-  /// cursor seeks from the root. So an ascending run of keys costs one
-  /// descent per leaf it touches.
-  Status Find(const CompositeKey& key, bool* found) {
-    bool in_leaf = false;
-    if (valid_) {
-      ASTERIX_RETURN_NOT_OK(LoadLastKey());
-      in_leaf = CompareKeys(key, last_key_) <= 0;
-    }
-    if (in_leaf) {
-      ASTERIX_ASSIGN_OR_RETURN(idx_, LowerBound(idx_, key));
-      ASTERIX_RETURN_NOT_OK(DecodeEntry());
-    } else {
-      ASTERIX_RETURN_NOT_OK(Seek(&key));
-    }
-    *found = valid_ && CompareKeys(key_, key) == 0;
-    return Status::OK();
+  if (in_leaf) {
+    ASTERIX_ASSIGN_OR_RETURN(idx_, LowerBound(idx_, key));
+    ASTERIX_RETURN_NOT_OK(DecodeEntry());
+  } else {
+    ASTERIX_RETURN_NOT_OK(Seek(&key));
   }
+  *found = valid_ && CompareKeys(key_, key) == 0;
+  return Status::OK();
+}
 
-  /// Calls `cb` with the current entry as a view; valid until the cursor
-  /// moves.
-  template <typename F>
-  Status View(F&& cb) {
-    const uint8_t* data = inline_;
-    if (overflow_) {
-      ASTERIX_RETURN_NOT_OK(tree_->cache_->ReadRange(
-          tree_->file_, tree_->overflow_offset_ + overflow_off_, payload_len_,
-          &overflow_buf_));
-      data = overflow_buf_.data();
-    }
-    return cb(EntryView{key_, antimatter_, data, payload_len_});
+Status BTreeReader::Cursor::ReadOverflow() {
+  return tree_->cache_->ReadRange(tree_->file_,
+                                  tree_->overflow_offset_ + overflow_off_,
+                                  payload_len_, &overflow_buf_);
+}
+
+Result<PagePtr> BTreeReader::Cursor::Fetch(uint32_t page_no) const {
+  auto page_r = tree_->cache_->GetPage(tree_->file_, page_no);
+  if (!page_r.ok()) return page_r.status();
+  PagePtr page = page_r.take();
+  if (page->empty()) return Status::Corruption("empty page");
+  return page;
+}
+
+Status BTreeReader::Cursor::Descend(const CompositeKey* key) {
+  uint32_t page_no = tree_->root_page_;
+  for (int depth = 0; depth < 64; ++depth) {
+    ASTERIX_ASSIGN_OR_RETURN(PagePtr page, Fetch(page_no));
+    if ((*page)[0] == kLeafPage) return LoadLeaf(std::move(page));
+    ASTERIX_ASSIGN_OR_RETURN(page_no, ChildFor(*page, key));
   }
+  return Status::Corruption("btree too deep (cycle?)");
+}
 
- private:
-  Result<PagePtr> Fetch(uint32_t page_no) const {
-    auto page_r = tree_->cache_->GetPage(tree_->file_, page_no);
-    if (!page_r.ok()) return page_r.status();
-    PagePtr page = page_r.take();
-    if (page->empty()) return Status::Corruption("empty page");
-    return page;
+/// Child j holds keys below sep[j], the first key of child j+1, so the
+/// leftmost child that can hold keys not below `key` is the first whose sep
+/// is not below it.
+Result<uint32_t> BTreeReader::Cursor::ChildFor(const PageData& page,
+                                               const CompositeKey* key) {
+  if (page[0] != kInteriorPage || page.size() < kInteriorHeaderSize) {
+    return Status::Corruption("bad page kind");
   }
-
-  /// Descends from the root to the leftmost leaf that can hold keys not
-  /// below `key` in bound (prefix) order; the first leaf when null.
-  Status Descend(const CompositeKey* key) {
-    uint32_t page_no = tree_->root_page_;
-    for (int depth = 0; depth < 64; ++depth) {
-      ASTERIX_ASSIGN_OR_RETURN(PagePtr page, Fetch(page_no));
-      if ((*page)[0] == kLeafPage) return LoadLeaf(std::move(page));
-      ASTERIX_ASSIGN_OR_RETURN(page_no, ChildFor(*page, key));
-    }
-    return Status::Corruption("btree too deep (cycle?)");
+  uint16_t count;
+  std::memcpy(&count, page.data() + 1, 2);
+  // Child pointers, then count-1 separator offsets.
+  if (count == 0 || kInteriorHeaderSize + 6 * size_t{count} - 2 > page.size()) {
+    return Status::Corruption("interior page overruns its page");
   }
-
-  /// The child of an interior page to descend into for `key`. Child j
-  /// holds keys below sep[j], the first key of child j+1, so the leftmost
-  /// child that can hold keys not below `key` is the first whose sep is not
-  /// below it.
-  Result<uint32_t> ChildFor(const PageData& page, const CompositeKey* key) {
-    if (page[0] != kInteriorPage || page.size() < kInteriorHeaderSize) {
-      return Status::Corruption("bad page kind");
-    }
-    uint16_t count;
-    std::memcpy(&count, page.data() + 1, 2);
-    // Child pointers, then count-1 separator offsets.
-    if (count == 0 ||
-        kInteriorHeaderSize + 6 * size_t{count} - 2 > page.size()) {
-      return Status::Corruption("interior page overruns its page");
-    }
-    const uint8_t* table =
-        page.data() + kInteriorHeaderSize + 4 * size_t{count};
-    const uint8_t* seps = table + 2 * (size_t{count} - 1);
-    const size_t seps_len =
-        page.size() - static_cast<size_t>(seps - page.data());
-    size_t lo = 0, hi = size_t{count} - 1;
-    while (key != nullptr && lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      uint16_t off;
-      std::memcpy(&off, table + 2 * mid, 2);
-      if (off >= seps_len) return Status::Corruption("separator out of range");
-      BytesReader sr(seps + off, seps_len - off);
-      ASTERIX_RETURN_NOT_OK(DeserializeKey(&sr, &probe_));
-      if (BoundCompare(probe_, *key) >= 0) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    uint32_t child;
-    std::memcpy(&child, page.data() + kInteriorHeaderSize + 4 * lo, 4);
-    return child;
-  }
-
-  Status LoadLeaf(PagePtr page) {
-    page_ = std::move(page);
-    const PageData& data = *page_;
-    if (data.size() < kLeafHeaderSize || data[0] != kLeafPage) {
-      return Status::Corruption("expected leaf page");
-    }
-    std::memcpy(&next_, data.data() + 1, 4);
-    std::memcpy(&count_, data.data() + 5, 2);
-    size_t table_bytes = 2 * size_t{count_};
-    if (kLeafHeaderSize + table_bytes > data.size()) {
-      return Status::Corruption("leaf offset table overruns its page");
-    }
-    table_ = data.data() + kLeafHeaderSize;
-    entries_ = table_ + table_bytes;
-    entries_len_ = data.size() - kLeafHeaderSize - table_bytes;
-    idx_ = 0;
-    last_key_loaded_ = false;
-    return Status::OK();
-  }
-
-  /// Where entry `i`'s bytes start in the leaf, as a reader to its end.
-  Status EntryAt(uint16_t i, BytesReader* out) const {
+  const uint8_t* table = page.data() + kInteriorHeaderSize + 4 * size_t{count};
+  const uint8_t* seps = table + 2 * (size_t{count} - 1);
+  const size_t seps_len = page.size() - static_cast<size_t>(seps - page.data());
+  size_t lo = 0, hi = size_t{count} - 1;
+  while (key != nullptr && lo < hi) {
+    size_t mid = (lo + hi) / 2;
     uint16_t off;
-    std::memcpy(&off, table_ + 2 * size_t{i}, 2);
-    if (off >= entries_len_) {
-      return Status::Corruption("leaf entry offset out of range");
+    std::memcpy(&off, table + 2 * mid, 2);
+    if (off >= seps_len) return Status::Corruption("separator out of range");
+    BytesReader sr(seps + off, seps_len - off);
+    ASTERIX_RETURN_NOT_OK(DeserializeKey(&sr, &probe_));
+    if (BoundCompare(probe_, *key) >= 0) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
     }
-    *out = BytesReader(entries_ + off, entries_len_ - off);
-    return Status::OK();
   }
+  uint32_t child;
+  std::memcpy(&child, page.data() + kInteriorHeaderSize + 4 * lo, 4);
+  return child;
+}
 
-  /// Decodes the current leaf's last key into last_key_, once per leaf.
-  Status LoadLastKey() {
-    if (last_key_loaded_) return Status::OK();
+Status BTreeReader::Cursor::LoadLeaf(PagePtr page) {
+  page_ = std::move(page);
+  const PageData& data = *page_;
+  if (data.size() < kLeafHeaderSize || data[0] != kLeafPage) {
+    return Status::Corruption("expected leaf page");
+  }
+  std::memcpy(&next_, data.data() + 1, 4);
+  std::memcpy(&count_, data.data() + 5, 2);
+  size_t table_bytes = 2 * size_t{count_};
+  if (kLeafHeaderSize + table_bytes > data.size()) {
+    return Status::Corruption("leaf offset table overruns its page");
+  }
+  table_ = data.data() + kLeafHeaderSize;
+  entries_ = table_ + table_bytes;
+  entries_len_ = data.size() - kLeafHeaderSize - table_bytes;
+  idx_ = 0;
+  last_key_loaded_ = false;
+  return Status::OK();
+}
+
+Status BTreeReader::Cursor::EntryAt(uint16_t i, BytesReader* out) const {
+  uint16_t off;
+  std::memcpy(&off, table_ + 2 * size_t{i}, 2);
+  if (off >= entries_len_) {
+    return Status::Corruption("leaf entry offset out of range");
+  }
+  *out = BytesReader(entries_ + off, entries_len_ - off);
+  return Status::OK();
+}
+
+Status BTreeReader::Cursor::LoadLastKey() {
+  if (last_key_loaded_) return Status::OK();
+  BytesReader r(nullptr, 0);
+  ASTERIX_RETURN_NOT_OK(EntryAt(static_cast<uint16_t>(count_ - 1), &r));
+  ASTERIX_RETURN_NOT_OK(DeserializeKey(&r, &last_key_));
+  last_key_loaded_ = true;
+  return Status::OK();
+}
+
+/// BoundCompare is monotone along a leaf's key order. The entry at `from` is
+/// tried first: sorted batches often land there.
+Result<uint16_t> BTreeReader::Cursor::LowerBound(uint16_t from,
+                                                 const CompositeKey& bound) {
+  auto below = [&](uint16_t i) -> Result<bool> {
     BytesReader r(nullptr, 0);
-    ASTERIX_RETURN_NOT_OK(EntryAt(static_cast<uint16_t>(count_ - 1), &r));
-    ASTERIX_RETURN_NOT_OK(DeserializeKey(&r, &last_key_));
-    last_key_loaded_ = true;
-    return Status::OK();
-  }
-
-  /// First entry index in [from, count_) whose key is not below `bound`
-  /// (BoundCompare is monotone along a leaf's key order); count_ if none.
-  /// The entry at `from` is tried first: sorted batches often land there.
-  Result<uint16_t> LowerBound(uint16_t from, const CompositeKey& bound) {
-    auto below = [&](uint16_t i) -> Result<bool> {
-      BytesReader r(nullptr, 0);
-      ASTERIX_RETURN_NOT_OK(EntryAt(i, &r));
-      ASTERIX_RETURN_NOT_OK(DeserializeKey(&r, &probe_));
-      return BoundCompare(probe_, bound) < 0;
-    };
-    if (from >= count_) return count_;
-    ASTERIX_ASSIGN_OR_RETURN(bool first_below, below(from));
-    if (!first_below) return from;
-    uint16_t lo = static_cast<uint16_t>(from + 1), hi = count_;
-    while (lo < hi) {
-      uint16_t mid = static_cast<uint16_t>((lo + hi) / 2);
-      ASTERIX_ASSIGN_OR_RETURN(bool mid_below, below(mid));
-      if (mid_below) {
-        lo = static_cast<uint16_t>(mid + 1);
-      } else {
-        hi = mid;
-      }
+    ASTERIX_RETURN_NOT_OK(EntryAt(i, &r));
+    ASTERIX_RETURN_NOT_OK(DeserializeKey(&r, &probe_));
+    return BoundCompare(probe_, bound) < 0;
+  };
+  if (from >= count_) return count_;
+  ASTERIX_ASSIGN_OR_RETURN(bool first_below, below(from));
+  if (!first_below) return from;
+  uint16_t lo = static_cast<uint16_t>(from + 1), hi = count_;
+  while (lo < hi) {
+    uint16_t mid = static_cast<uint16_t>((lo + hi) / 2);
+    ASTERIX_ASSIGN_OR_RETURN(bool mid_below, below(mid));
+    if (mid_below) {
+      lo = static_cast<uint16_t>(mid + 1);
+    } else {
+      hi = mid;
     }
-    return lo;
   }
+  return lo;
+}
 
-  /// Follows the leaf chain past an exhausted leaf, then decodes the entry
-  /// at idx_.
-  Status Settle() {
-    while (idx_ >= count_) {
-      if (next_ == kNoPage) {
-        valid_ = false;
-        return Status::OK();
-      }
-      ASTERIX_ASSIGN_OR_RETURN(PagePtr page, Fetch(next_));
-      ASTERIX_RETURN_NOT_OK(LoadLeaf(std::move(page)));
-    }
-    return DecodeEntry();
-  }
-
-  Status DecodeEntry() {
-    valid_ = true;
-    BytesReader r(nullptr, 0);
-    ASTERIX_RETURN_NOT_OK(EntryAt(idx_, &r));
-    const uint8_t* start = entries_ + (entries_len_ - r.remaining());
-    ASTERIX_RETURN_NOT_OK(DeserializeKey(&r, &key_));
-    uint8_t flags;
-    ASTERIX_RETURN_NOT_OK(r.GetU8(&flags));
-    antimatter_ = (flags & kFlagAntimatter) != 0;
-    overflow_ = (flags & kFlagOverflow) != 0;
-    if (overflow_) {
-      uint32_t len;
-      ASTERIX_RETURN_NOT_OK(r.GetU64(&overflow_off_));
-      ASTERIX_RETURN_NOT_OK(r.GetU32(&len));
-      payload_len_ = len;
+Status BTreeReader::Cursor::Settle() {
+  while (idx_ >= count_) {
+    if (next_ == kNoPage) {
+      valid_ = false;
       return Status::OK();
     }
-    uint64_t len;
-    ASTERIX_RETURN_NOT_OK(r.GetVarint(&len));
-    if (len > r.remaining()) return Status::Corruption("truncated leaf entry");
-    inline_ = start + r.position();
-    payload_len_ = static_cast<size_t>(len);
+    ASTERIX_ASSIGN_OR_RETURN(PagePtr page, Fetch(next_));
+    ASTERIX_RETURN_NOT_OK(LoadLeaf(std::move(page)));
+  }
+  return DecodeEntry();
+}
+
+Status BTreeReader::Cursor::DecodeEntry() {
+  valid_ = true;
+  BytesReader r(nullptr, 0);
+  ASTERIX_RETURN_NOT_OK(EntryAt(idx_, &r));
+  const uint8_t* start = entries_ + (entries_len_ - r.remaining());
+  ASTERIX_RETURN_NOT_OK(DeserializeKey(&r, &key_));
+  uint8_t flags;
+  ASTERIX_RETURN_NOT_OK(r.GetU8(&flags));
+  antimatter_ = (flags & kFlagAntimatter) != 0;
+  overflow_ = (flags & kFlagOverflow) != 0;
+  if (overflow_) {
+    uint32_t len;
+    ASTERIX_RETURN_NOT_OK(r.GetU64(&overflow_off_));
+    ASTERIX_RETURN_NOT_OK(r.GetU32(&len));
+    payload_len_ = len;
     return Status::OK();
   }
-
-  const BTreeReader* tree_;
-  PagePtr page_;  // pins the current leaf
-  uint32_t next_ = kNoPage;
-  uint16_t count_ = 0;
-  const uint8_t* table_ = nullptr;
-  const uint8_t* entries_ = nullptr;
-  size_t entries_len_ = 0;
-  bool last_key_loaded_ = false;
-  CompositeKey last_key_;  // the current leaf's last key, once loaded
-  uint16_t idx_ = 0;
-  bool valid_ = false;
-  // The entry at idx_.
-  CompositeKey key_;
-  bool antimatter_ = false;
-  bool overflow_ = false;
-  const uint8_t* inline_ = nullptr;
-  uint64_t overflow_off_ = 0;
-  size_t payload_len_ = 0;
-  std::vector<uint8_t> overflow_buf_;
-  CompositeKey probe_;  // scratch key for searches
-};
-
-Status BTreeReader::RangeScanView(const ScanBounds& bounds,
-                                  const EntryViewCallback& cb) const {
-  Cursor c(this);
-  ASTERIX_RETURN_NOT_OK(c.Seek(bounds.lo.has_value() ? &*bounds.lo : nullptr));
-  while (c.Valid()) {
-    int where = BoundsPosition(c.key(), bounds);
-    if (where > 0) break;
-    if (where == 0) ASTERIX_RETURN_NOT_OK(c.View(cb));
-    ASTERIX_RETURN_NOT_OK(c.Next());
-  }
+  uint64_t len;
+  ASTERIX_RETURN_NOT_OK(r.GetVarint(&len));
+  if (len > r.remaining()) return Status::Corruption("truncated leaf entry");
+  inline_ = start + r.position();
+  payload_len_ = static_cast<size_t>(len);
   return Status::OK();
 }
 
 Status BTreeReader::RangeScan(const ScanBounds& bounds,
                               const EntryCallback& cb) const {
+  Cursor c(this);
+  ASTERIX_RETURN_NOT_OK(c.Seek(bounds.lo.has_value() ? &*bounds.lo : nullptr));
   IndexEntry e;
-  return RangeScanView(bounds, [&](const EntryView& v) {
+  auto emit = [&](const EntryView& v) {
     e.key = v.key;
     e.antimatter = v.antimatter;
     e.payload.assign(v.payload, v.payload + v.payload_size);
     return cb(e);
-  });
+  };
+  while (c.Valid()) {
+    int where = BoundsPosition(c.key(), bounds);
+    if (where > 0) break;
+    if (where == 0) ASTERIX_RETURN_NOT_OK(c.View(emit));
+    ASTERIX_RETURN_NOT_OK(c.Next());
+  }
+  return Status::OK();
 }
 
 Status BTreeReader::MultiGet(

@@ -41,7 +41,6 @@ struct EntryView {
   const uint8_t* payload;
   size_t payload_size;
 };
-using EntryViewCallback = std::function<Status(const EntryView&)>;
 
 /// Writes an immutable, paged B+-tree file from entries that MUST be sorted
 /// by key and unique. This is the bulk loader used for every LSM flush and
@@ -93,9 +92,6 @@ class BTreeReader {
 
   /// In-order scan of all entries within bounds.
   Status RangeScan(const ScanBounds& bounds, const EntryCallback& cb) const;
-  /// RangeScan without copying payloads out of the page.
-  Status RangeScanView(const ScanBounds& bounds,
-                       const EntryViewCallback& cb) const;
 
   /// Sorted batch lookup of full keys (ascending, else InvalidArgument;
   /// duplicates allowed): `cb` gets (i, entry) for every keys[i] the tree
@@ -116,9 +112,88 @@ class BTreeReader {
     return bloom_.MayContain(HashKey(key));
   }
 
- private:
-  class Cursor;
+  /// The one place leaf entries are decoded: a cursor over the leaf chain.
+  /// It pins its current leaf page, decodes an entry's key and flags, and
+  /// hands out the payload as a view into that page; an overflow payload is
+  /// read into one buffer the cursor reuses.
+  class Cursor {
+   public:
+    explicit Cursor(const BTreeReader* tree) : tree_(tree) {}
 
+    bool Valid() const { return valid_; }
+    const CompositeKey& key() const { return key_; }
+    bool antimatter() const { return antimatter_; }
+    size_t payload_size() const { return payload_len_; }
+
+    /// Positions at the first entry not below `lo` in bound order (the
+    /// tree's first entry when `lo` is null); invalid when there is none.
+    Status Seek(const CompositeKey* lo);
+    /// Moves to the next entry, following the leaf chain.
+    Status Next();
+    /// Positions at the first entry not below `key`, which must not be
+    /// below the previous Find's key; `*found` tells whether that entry's
+    /// key equals `key`. While `key` is not above the current leaf's last
+    /// key, only that leaf is searched, from the current entry on;
+    /// otherwise the cursor seeks from the root. So an ascending run of
+    /// keys costs one descent per leaf it touches.
+    Status Find(const CompositeKey& key, bool* found);
+
+    /// Calls `cb` with the current entry as a view; valid until the cursor
+    /// moves.
+    template <typename F>
+    Status View(F&& cb) {
+      const uint8_t* data = inline_;
+      if (overflow_) {
+        ASTERIX_RETURN_NOT_OK(ReadOverflow());
+        data = overflow_buf_.data();
+      }
+      return cb(EntryView{key_, antimatter_, data, payload_len_});
+    }
+
+   private:
+    Result<PagePtr> Fetch(uint32_t page_no) const;
+    /// Descends from the root to the leftmost leaf that can hold keys not
+    /// below `key` in bound (prefix) order; the first leaf when null.
+    Status Descend(const CompositeKey* key);
+    /// The child of an interior page to descend into for `key`.
+    Result<uint32_t> ChildFor(const PageData& page, const CompositeKey* key);
+    Status LoadLeaf(PagePtr page);
+    /// Where entry `i`'s bytes start in the leaf, as a reader to its end.
+    Status EntryAt(uint16_t i, BytesReader* out) const;
+    /// Decodes the current leaf's last key into last_key_, once per leaf.
+    Status LoadLastKey();
+    /// First entry index in [from, count_) whose key is not below `bound`;
+    /// count_ if none.
+    Result<uint16_t> LowerBound(uint16_t from, const CompositeKey& bound);
+    /// Follows the leaf chain past an exhausted leaf, then decodes the
+    /// entry at idx_.
+    Status Settle();
+    Status DecodeEntry();
+    Status ReadOverflow();
+
+    const BTreeReader* tree_;
+    PagePtr page_;  // pins the current leaf
+    uint32_t next_ = 0xffffffffu;  // the next leaf's page; none
+    uint16_t count_ = 0;
+    const uint8_t* table_ = nullptr;
+    const uint8_t* entries_ = nullptr;
+    size_t entries_len_ = 0;
+    bool last_key_loaded_ = false;
+    CompositeKey last_key_;  // the current leaf's last key, once loaded
+    uint16_t idx_ = 0;
+    bool valid_ = false;
+    // The entry at idx_.
+    CompositeKey key_;
+    bool antimatter_ = false;
+    bool overflow_ = false;
+    const uint8_t* inline_ = nullptr;
+    uint64_t overflow_off_ = 0;
+    size_t payload_len_ = 0;
+    std::vector<uint8_t> overflow_buf_;
+    CompositeKey probe_;  // scratch key for searches
+  };
+
+ private:
   BTreeReader() = default;
 
   BufferCache* cache_ = nullptr;

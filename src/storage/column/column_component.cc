@@ -682,7 +682,7 @@ void ColumnComponentReader::BoundRows(const ScanBounds& bounds, size_t* r0,
 
 bool ColumnComponentReader::GroupPrunable(
     size_t g, const Projection& proj, size_t lo, size_t hi,
-    const std::vector<KeyInterval>* exclusions) const {
+    const std::vector<KeyInterval>& exclusions) const {
   bool prune = false;
   for (const FieldRange& range : proj.ranges) {
     const ColumnDesc* col = nullptr;
@@ -728,91 +728,136 @@ bool ColumnComponentReader::GroupPrunable(
   // component's stale version of one of its keys win the merge — only
   // prune when the group's key span is disjoint from every other
   // component's interval.
-  if (exclusions != nullptr && lo < hi) {
-    const CompositeKey& glo = keys_[lo].first;
-    const CompositeKey& ghi = keys_[hi - 1].first;
-    for (const KeyInterval& e : *exclusions) {
-      if (CompareKeys(glo, e.hi) <= 0 && CompareKeys(e.lo, ghi) <= 0) {
-        return false;
-      }
+  const CompositeKey& glo = keys_[lo].first;
+  const CompositeKey& ghi = keys_[hi - 1].first;
+  for (const KeyInterval& e : exclusions) {
+    if (CompareKeys(glo, e.hi) <= 0 && CompareKeys(e.lo, ghi) <= 0) {
+      return false;
     }
   }
   return true;
 }
 
-Status ColumnComponentReader::ScanImpl(const ScanBounds& bounds,
-                                       const Projection& proj,
-                                       bool allow_pruning,
-                                       const std::vector<KeyInterval>* exclusions,
-                                       const ProjectedEntryCallback& cb,
-                                       ProjectedScanStats* stats) const {
-  ProjectedScanStats local;
-  uint64_t groups_pruned = 0;
-  size_t r0 = 0, r1 = keys_.size();
-  BoundRows(bounds, &r0, &r1);
-  // Key-spine bytes are charged per row actually walked, so bytes_read
-  // reflects what the scan decodes post-pruning, not what Open() mapped.
-  const uint64_t avg_key_bytes = AvgKeyBytes();
-  const std::vector<char> needed = NeededColumns(proj);
-  const uint64_t needed_pages = std::count(needed.begin(), needed.end(), 1);
-
-  Status cb_status;
-  std::vector<DecodedColumn> dec;
-  for (size_t g = r0 / kRowsPerGroup; g * kRowsPerGroup < r1; ++g) {
-    size_t lo = std::max(r0, g * kRowsPerGroup);
-    size_t hi = std::min<size_t>(r1, (g + 1) * kRowsPerGroup);
-    // No row of the group is in bounds (a point bound between two keys):
-    // none of its pages is needed.
-    if (lo >= hi) continue;
-    if (allow_pruning && GroupPrunable(g, proj, lo, hi, exclusions)) {
-      ++groups_pruned;
-      local.pages_pruned += needed_pages;
-      local.bytes_skipped += GroupBytes(g) + avg_key_bytes * (hi - lo);
-      continue;
-    }
-    ASTERIX_RETURN_NOT_OK(ReadGroup(g, needed, &dec, &local));
-    local.bytes_read += avg_key_bytes * (hi - lo);
-    for (size_t r = lo; r < hi; ++r) {
-      const auto& [key, antimatter] = keys_[r];
-      if (antimatter) {
-        cb_status = cb(key, true, adm::Value::Missing());
-      } else {
-        cb_status = cb(key, false, AssembleRow(r, g, proj, needed, dec));
-      }
-      if (!cb_status.ok()) break;
-    }
-    if (!cb_status.ok()) break;
+/// The one walk over the row groups that hold rows in `bounds`, row by row
+/// for the merge and group by group for BatchScan. It skips each group
+/// GroupPrunable proves dead, reads the needed columns of the others,
+/// charges the key spine per row walked (so bytes_read reflects what the
+/// scan decodes post-pruning, not what Open() mapped), and publishes its
+/// accounting when it ends. A row is assembled only when asked for.
+class ColumnComponentReader::Cursor : public ComponentCursor {
+ public:
+  Cursor(const ColumnComponentReader& reader, const ScanBounds& bounds,
+         const Projection& proj, std::vector<char> needed,
+         std::vector<KeyInterval> exclusions, ProjectedScanStats* stats)
+      : r_(reader),
+        proj_(proj),
+        needed_(std::move(needed)),
+        exclusions_(std::move(exclusions)),
+        stats_(stats) {
+    r_.BoundRows(bounds, &r0_, &r1_);
+    next_ = r0_ / kRowsPerGroup;
   }
-  Publish(local, groups_pruned, stats);
-  return cb_status;
-}
+  ~Cursor() override { Publish(local_, groups_pruned_, stats_); }
 
-Status ColumnComponentReader::ProjectedScan(const ScanBounds& bounds,
-                                            const Projection& proj,
-                                            bool allow_pruning,
-                                            const ProjectedEntryCallback& cb,
-                                            ProjectedScanStats* stats) const {
-  return ScanImpl(bounds, proj, allow_pruning, nullptr, cb, stats);
-}
+  /// Reads the next group with rows in bounds that is not pruned, and
+  /// positions at its first row; invalid past the last.
+  Status NextGroup() {
+    key_ = nullptr;
+    for (; next_ * kRowsPerGroup < r1_; ++next_) {
+      lo_ = std::max(r0_, next_ * kRowsPerGroup);
+      hi_ = std::min<size_t>(r1_, (next_ + 1) * kRowsPerGroup);
+      // No row of the group is in bounds (a point bound between two keys):
+      // none of its pages is needed.
+      if (lo_ >= hi_) continue;
+      const uint64_t key_bytes = r_.AvgKeyBytes() * (hi_ - lo_);
+      if (r_.GroupPrunable(next_, proj_, lo_, hi_, exclusions_)) {
+        ++groups_pruned_;
+        local_.pages_pruned += std::count(needed_.begin(), needed_.end(), 1);
+        local_.bytes_skipped += r_.GroupBytes(next_) + key_bytes;
+        continue;
+      }
+      ASTERIX_RETURN_NOT_OK(r_.ReadGroup(next_, needed_, &columns_, &local_));
+      local_.bytes_read += key_bytes;
+      group_ = next_++;
+      Point(lo_);
+      break;
+    }
+    return Status::OK();
+  }
 
-Status ColumnComponentReader::ProjectedScanPruned(
+  Status Next() override {
+    if (row_ + 1 < hi_) {
+      Point(row_ + 1);
+      return Status::OK();
+    }
+    return NextGroup();
+  }
+
+  /// Assembles the scan's projection; payload readers scan whole records.
+  Status Payload(std::vector<uint8_t>* out) override {
+    out->clear();
+    if (antimatter_) return Status::OK();
+    BytesWriter w(out);
+    return adm::SerializeTyped(Assemble(), r_.type_, &w);
+  }
+
+  /// A column row has no image to decode its keys from apart: the filter
+  /// tests the assembled record.
+  Status Record(ScanKeyFilter* filter, const adm::Value** out) override {
+    record_ = Assemble();
+    bool drop = filter != nullptr && filter->active() &&
+                !filter->KeepRecord(record_);
+    *out = drop ? nullptr : &record_;
+    return Status::OK();
+  }
+
+  /// The group read last, and its rows [lo, hi) in bounds.
+  size_t group() const { return group_; }
+  size_t lo() const { return lo_; }
+  size_t hi() const { return hi_; }
+  const std::vector<char>& needed() const { return needed_; }
+  const std::vector<DecodedColumn>& columns() const { return columns_; }
+
+ private:
+  void Point(size_t row) {
+    row_ = row;
+    key_ = &r_.keys_[row].first;
+    antimatter_ = r_.keys_[row].second;
+  }
+  adm::Value Assemble() const {
+    return r_.AssembleRow(row_, group_, proj_, needed_, columns_);
+  }
+
+  const ColumnComponentReader& r_;
+  const Projection& proj_;
+  const std::vector<char> needed_;
+  const std::vector<KeyInterval> exclusions_;
+  ProjectedScanStats* stats_;
+  size_t r0_ = 0, r1_ = 0;
+  size_t next_ = 0, group_ = 0, lo_ = 0, hi_ = 0, row_ = 0;
+  std::vector<DecodedColumn> columns_;
+  ProjectedScanStats local_;
+  uint64_t groups_pruned_ = 0;
+  adm::Value record_;
+};
+
+Result<std::unique_ptr<ComponentCursor>> ColumnComponentReader::Scan(
     const ScanBounds& bounds, const Projection& proj,
-    const std::vector<KeyInterval>& exclusions,
-    const ProjectedEntryCallback& cb, ProjectedScanStats* stats) const {
-  return ScanImpl(bounds, proj, /*allow_pruning=*/true, &exclusions, cb,
-                  stats);
+    std::vector<KeyInterval> exclusions, ProjectedScanStats* stats) const {
+  auto c = std::make_unique<Cursor>(*this, bounds, proj, NeededColumns(proj),
+                                    std::move(exclusions), stats);
+  ASTERIX_RETURN_NOT_OK(c->NextGroup());
+  return std::unique_ptr<ComponentCursor>(std::move(c));
 }
 
-bool ColumnComponentReader::KeyRange(CompositeKey* lo, CompositeKey* hi) const {
-  if (keys_.empty()) return false;
-  *lo = keys_.front().first;
-  *hi = keys_.back().first;
-  return true;
+Status ColumnComponentReader::KeyRange(std::optional<KeyInterval>* out) const {
+  out->reset();
+  if (!keys_.empty()) *out = KeyInterval{keys_.front().first, keys_.back().first};
+  return Status::OK();
 }
 
 Status ColumnComponentReader::BatchScan(const ScanBounds& bounds,
                                         const Projection& proj,
-                                        const std::vector<KeyInterval>* exclusions,
                                         const BatchCallback& cb,
                                         ProjectedScanStats* stats) const {
   if (proj.all_fields) {
@@ -834,42 +879,23 @@ Status ColumnComponentReader::BatchScan(const ScanBounds& bounds,
       return Status::NotImplemented("projected field may live in catch-all");
     }
   }
-
-  ProjectedScanStats local;
-  uint64_t groups_pruned = 0;
-  size_t r0 = 0, r1 = keys_.size();
-  BoundRows(bounds, &r0, &r1);
-  const uint64_t avg_key_bytes = AvgKeyBytes();
-
   std::vector<char> needed(cols_.size(), 0);
   for (int ci : field_col) {
     if (ci >= 0) needed[static_cast<size_t>(ci)] = 1;
   }
-  const uint64_t needed_pages = std::count(needed.begin(), needed.end(), 1);
-
-  Status cb_status;
-  std::vector<DecodedColumn> dec;
-  for (size_t g = r0 / kRowsPerGroup; g * kRowsPerGroup < r1; ++g) {
-    size_t lo = std::max(r0, g * kRowsPerGroup);
-    size_t hi = std::min<size_t>(r1, (g + 1) * kRowsPerGroup);
-    if (lo >= hi) continue;  // no row of the group in bounds
-    if (GroupPrunable(g, proj, lo, hi, exclusions)) {
-      ++groups_pruned;
-      local.pages_pruned += needed_pages;
-      local.bytes_skipped += GroupBytes(g) + avg_key_bytes * (hi - lo);
-      continue;
-    }
-    ASTERIX_RETURN_NOT_OK(ReadGroup(g, needed, &dec, &local));
-    local.bytes_read += avg_key_bytes * (hi - lo);
-
-    size_t n = hi - lo;
+  Cursor walk(*this, bounds, proj, std::move(needed), {}, stats);
+  for (;;) {
+    ASTERIX_RETURN_NOT_OK(walk.NextGroup());
+    if (!walk.Valid()) return Status::OK();
+    const size_t lo = walk.lo(), n = walk.hi() - lo;
+    const size_t local_lo = lo - walk.group() * kRowsPerGroup;
+    const std::vector<DecodedColumn>& dec = walk.columns();
     auto batch = std::make_shared<ColumnBatch>();
     batch->num_rows = n;
     // Lanes in schema (cols_) order so materialized records carry fields in
     // exactly the order AssembleRow would emit them.
     for (size_t ci = 0; ci < cols_.size(); ++ci) {
-      if (!needed[ci]) continue;
-      size_t local_lo = lo - g * kRowsPerGroup;
+      if (!walk.needed()[ci]) continue;
       std::vector<uint8_t> presence(dec[ci].presence.begin() + local_lo,
                                     dec[ci].presence.begin() + local_lo + n);
       std::vector<adm::Value> values(dec[ci].values.begin() + local_lo,
@@ -887,37 +913,13 @@ Status ColumnComponentReader::BatchScan(const ScanBounds& bounds,
           MakeLane(proj.fields[fi], std::move(presence), &values));
     }
     batch->sel.rows.reserve(n);
-    for (size_t r = lo; r < hi; ++r) {
+    for (size_t r = lo; r < lo + n; ++r) {
       if (!keys_[r].second) {
         batch->sel.rows.push_back(static_cast<uint32_t>(r - lo));
       }
     }
-    if (!batch->sel.empty()) {
-      cb_status = cb(batch);
-      if (!cb_status.ok()) break;
-    }
+    if (!batch->sel.empty()) ASTERIX_RETURN_NOT_OK(cb(batch));
   }
-
-  Publish(local, groups_pruned, stats);
-  return cb_status;
-}
-
-Status ColumnComponentReader::RangeScan(const ScanBounds& bounds,
-                                        const EntryCallback& cb) const {
-  Projection all = Projection::All();
-  return ProjectedScan(
-      bounds, all, /*allow_pruning=*/false,
-      [&](const CompositeKey& key, bool antimatter, const adm::Value& rec) {
-        IndexEntry e;
-        e.key = key;
-        e.antimatter = antimatter;
-        if (!antimatter) {
-          BytesWriter w(&e.payload);
-          ASTERIX_RETURN_NOT_OK(adm::SerializeTyped(rec, type_, &w));
-        }
-        return cb(e);
-      },
-      nullptr);
 }
 
 Status ColumnComponentReader::MultiGet(const std::vector<CompositeKey>& keys,
@@ -954,22 +956,6 @@ Status ColumnComponentReader::MultiGet(const std::vector<CompositeKey>& keys,
   }
   Publish(local, /*groups_pruned=*/0, /*stats=*/nullptr);
   return cb_status;
-}
-
-Status ColumnComponentReader::PointLookup(const CompositeKey& key, bool* found,
-                                          IndexEntry* out) {
-  *found = false;
-  return MultiGet(
-      {key}, Projection::All(),
-      [&](size_t, bool antimatter, const adm::Value& rec) {
-        *found = true;
-        out->key = key;
-        out->antimatter = antimatter;
-        out->payload.clear();
-        if (antimatter) return Status::OK();
-        BytesWriter w(&out->payload);
-        return adm::SerializeTyped(rec, type_, &w);
-      });
 }
 
 }  // namespace column

@@ -105,44 +105,31 @@ class ColumnComponentReader : public DiskComponentReader {
   ColumnComponentReader(const ColumnComponentReader&) = delete;
   ColumnComponentReader& operator=(const ColumnComponentReader&) = delete;
 
-  Status PointLookup(const CompositeKey& key, bool* found,
-                     IndexEntry* out) override;
-  Status RangeScan(const ScanBounds& bounds,
-                   const EntryCallback& cb) const override;
-  Status ProjectedScan(const ScanBounds& bounds, const Projection& proj,
-                       bool allow_pruning, const ProjectedEntryCallback& cb,
-                       ProjectedScanStats* stats) const override;
+  /// Reads each surviving row group's projected columns once, and
+  /// assembles a row only when asked for its record or payload.
+  Result<std::unique_ptr<ComponentCursor>> Scan(
+      const ScanBounds& bounds, const Projection& proj,
+      std::vector<KeyInterval> exclusions,
+      ProjectedScanStats* stats) const override;
+  Status KeyRange(std::optional<KeyInterval>* out) const override;
   /// Finds the keys in the key spine, then decodes each touched row group
-  /// once, and only its projected columns (PointLookup is the one-key,
-  /// whole-record call of this path).
+  /// once, and only its projected columns.
   Status MultiGet(const std::vector<CompositeKey>& keys, const Projection& proj,
                   const MultiGetCallback& cb) const override;
   bool MayContain(const CompositeKey& key) const override {
     return bloom_.MayContain(HashKey(key));
   }
 
-  /// ProjectedScan with min/max pruning that stays sound on multi-component
-  /// scans: a row group is skipped only when its key span is additionally
-  /// disjoint from every `exclusions` interval (the key ranges the other
-  /// components cover), so no pruned row can resurrect a stale version.
-  Status ProjectedScanPruned(const ScanBounds& bounds, const Projection& proj,
-                             const std::vector<KeyInterval>& exclusions,
-                             const ProjectedEntryCallback& cb,
-                             ProjectedScanStats* stats) const;
-
   /// Vectorized scan: decodes the projected columns of each surviving row
   /// group straight into typed ColumnBatch lanes — no per-row record
-  /// reconstruction. The selection vector excludes antimatter rows. Returns
-  /// Unimplemented when the projection cannot be satisfied from dedicated
-  /// columns alone (whole-record projections, or a field that may live in
-  /// the catch-all column); callers fall back to the row path.
-  /// `exclusions` as in ProjectedScanPruned (nullptr = prune freely).
+  /// reconstruction — pruning groups by min/max freely, so only sound when
+  /// this component is the index's only one. The selection vector excludes
+  /// antimatter rows. Returns Unimplemented when the projection cannot be
+  /// satisfied from dedicated columns alone (whole-record projections, or a
+  /// field that may live in the catch-all column); callers fall back to the
+  /// row path.
   Status BatchScan(const ScanBounds& bounds, const Projection& proj,
-                   const std::vector<KeyInterval>* exclusions,
                    const BatchCallback& cb, ProjectedScanStats* stats) const;
-
-  /// The closed key interval this component covers; false when empty.
-  bool KeyRange(CompositeKey* lo, CompositeKey* hi) const;
 
   uint64_t num_entries() const { return keys_.size(); }
   const std::vector<ColumnDesc>& schema() const { return cols_; }
@@ -167,19 +154,16 @@ class ColumnComponentReader : public DiskComponentReader {
     std::vector<std::vector<CatchEntry>> catchall;  // catch-all col only
   };
 
+  class Cursor;
+
   Status FetchPage(const ColumnDesc::Page& pg,
                    std::vector<uint8_t>* raw) const;
-  Status ScanImpl(const ScanBounds& bounds, const Projection& proj,
-                  bool allow_pruning,
-                  const std::vector<KeyInterval>* exclusions,
-                  const ProjectedEntryCallback& cb,
-                  ProjectedScanStats* stats) const;
   /// Rows [r0, r1) of the key spine satisfying `bounds`.
   void BoundRows(const ScanBounds& bounds, size_t* r0, size_t* r1) const;
   /// Whether row group `g` (rows [lo, hi) in bounds) is provably dead for
-  /// `proj.ranges` AND safe to skip given `exclusions`.
+  /// `proj.ranges` AND its key span misses every `exclusions` interval.
   bool GroupPrunable(size_t g, const Projection& proj, size_t lo, size_t hi,
-                     const std::vector<KeyInterval>* exclusions) const;
+                     const std::vector<KeyInterval>& exclusions) const;
   Status DecodeGroup(size_t col_idx, size_t group, DecodedColumn* out) const;
   /// Reads the listed columns for `group` into `cols_out` (indexed like
   /// cols_; untouched entries stay empty) and updates stats: the pages read

@@ -118,28 +118,168 @@ Status UnframeRowPayload(const uint8_t* stored, size_t size,
   return Status::OK();
 }
 
-Status DecodeRowPayload(std::vector<uint8_t>* payload) {
-  std::vector<uint8_t> plain;
-  const uint8_t* data = nullptr;
-  size_t len = 0;
-  ASTERIX_RETURN_NOT_OK(
-      UnframeRowPayload(payload->data(), payload->size(), &plain, &data, &len));
-  if (data != plain.data()) plain.assign(data, data + len);
-  *payload = std::move(plain);
-  return Status::OK();
-}
+/// Decodes one read's record images, a row component's or a memtable's,
+/// with the projection's plan. While a key filter is active it decodes the
+/// filter's key fields first, and the rest only for records it keeps.
+class Decoder {
+ public:
+  Decoder(const adm::DatatypePtr& type, const column::Projection& proj,
+          bool compressed)
+      : type_(type),
+        compressed_(compressed),
+        plan_(type, proj.all_fields, proj.fields) {}
 
-/// A memtable's record image, decoded through `dec`.
-Status DecodeMemRecord(const std::vector<uint8_t>& payload,
-                       const adm::ProjectedDecoder& dec, adm::Value* out) {
-  BytesReader r(payload);
-  return dec.Decode(&r, out);
-}
+  /// The logical payload of a stored image.
+  Status Payload(const EntryView& e, std::vector<uint8_t>* out) {
+    const uint8_t* data = e.payload;
+    size_t len = e.payload_size;
+    if (compressed_ && !e.antimatter) {
+      ASTERIX_RETURN_NOT_OK(UnframeRowPayload(e.payload, e.payload_size,
+                                              &scratch_, &data, &len));
+    }
+    out->assign(data, data + len);
+    return Status::OK();
+  }
+
+  /// The record of a stored image, or null when `filter` drops it.
+  Status Record(const uint8_t* stored, size_t size, ScanKeyFilter* filter,
+                const adm::Value** out) {
+    const uint8_t* data = stored;
+    size_t len = size;
+    if (compressed_) {
+      ASTERIX_RETURN_NOT_OK(
+          UnframeRowPayload(stored, size, &scratch_, &data, &len));
+    }
+    if (filter != nullptr && filter->active()) {
+      if (!key_plan_.has_value()) key_plan_.emplace(type_, false, filter->fields());
+      BytesReader kr(data, len);
+      ASTERIX_RETURN_NOT_OK(key_plan_->DecodeFields(&kr, &keys_));
+      key_ptrs_.resize(keys_.size());
+      for (size_t i = 0; i < keys_.size(); ++i) key_ptrs_[i] = &keys_[i];
+      if (!filter->Keep(key_ptrs_.data())) {
+        *out = nullptr;
+        return Status::OK();
+      }
+    }
+    BytesReader r(data, len);
+    ASTERIX_RETURN_NOT_OK(plan_.Decode(&r, &record_));
+    *out = &record_;
+    return Status::OK();
+  }
+
+ private:
+  adm::DatatypePtr type_;
+  bool compressed_;
+  adm::ProjectedDecoder plan_;
+  std::optional<adm::ProjectedDecoder> key_plan_;  // once a filter is active
+  std::vector<adm::Value> keys_;
+  std::vector<const adm::Value*> key_ptrs_;
+  std::vector<uint8_t> scratch_;  // an inflated payload
+  adm::Value record_;
+};
+
+/// A row component's entries within bounds, in key order: the B+-tree's
+/// cursor, decoding records straight from the pinned leaf page.
+class RowCursor : public ComponentCursor {
+ public:
+  RowCursor(const BTreeReader* tree, const ScanBounds& bounds, Decoder dec,
+            column::ProjectedScanStats* stats)
+      : c_(tree), bounds_(bounds), dec_(std::move(dec)), stats_(stats) {}
+
+  Status Seek() {
+    ASTERIX_RETURN_NOT_OK(c_.Seek(bounds_.lo.has_value() ? &*bounds_.lo : nullptr));
+    return Settle();
+  }
+  Status Next() override {
+    ASTERIX_RETURN_NOT_OK(c_.Next());
+    return Settle();
+  }
+  Status Payload(std::vector<uint8_t>* out) override {
+    return c_.View([&](const EntryView& e) { return dec_.Payload(e, out); });
+  }
+  Status Record(ScanKeyFilter* filter, const adm::Value** out) override {
+    return c_.View([&](const EntryView& e) {
+      return dec_.Record(e.payload, e.payload_size, filter, out);
+    });
+  }
+
+ private:
+  /// Steps past entries below the bounds; ends past the upper bound.
+  Status Settle() {
+    key_ = nullptr;
+    while (c_.Valid()) {
+      int where = BoundsPosition(c_.key(), bounds_);
+      if (where > 0) break;
+      if (where == 0) {
+        key_ = &c_.key();
+        antimatter_ = c_.antimatter();
+        if (stats_ != nullptr) stats_->bytes_read += c_.payload_size();
+        break;
+      }
+      ASTERIX_RETURN_NOT_OK(c_.Next());
+    }
+    return Status::OK();
+  }
+
+  BTreeReader::Cursor c_;
+  const ScanBounds& bounds_;
+  Decoder dec_;
+  column::ProjectedScanStats* stats_;
+};
+
+/// A memtable's entries within bounds, in key order.
+class MemCursor : public ComponentCursor {
+ public:
+  MemCursor(const LsmBTree::MemTable& table, const ScanBounds& bounds,
+            Decoder dec, column::ProjectedScanStats* stats)
+      : it_(bounds.lo.has_value() ? table.lower_bound(*bounds.lo)
+                                  : table.begin()),
+        end_(table.end()),
+        bounds_(bounds),
+        dec_(std::move(dec)),
+        stats_(stats) {
+    Settle();
+  }
+
+  Status Next() override {
+    ++it_;
+    Settle();
+    return Status::OK();
+  }
+  Status Payload(std::vector<uint8_t>* out) override {
+    *out = it_->second.payload;
+    return Status::OK();
+  }
+  Status Record(ScanKeyFilter* filter, const adm::Value** out) override {
+    const std::vector<uint8_t>& image = it_->second.payload;
+    return dec_.Record(image.data(), image.size(), filter, out);
+  }
+
+ private:
+  void Settle() {
+    key_ = nullptr;
+    for (; it_ != end_; ++it_) {
+      int where = BoundsPosition(it_->first, bounds_);
+      if (where > 0) break;
+      if (where == 0) {
+        key_ = &it_->first;
+        antimatter_ = it_->second.antimatter;
+        if (stats_ != nullptr) stats_->bytes_read += it_->second.payload.size();
+        break;
+      }
+    }
+  }
+
+  LsmBTree::MemTable::const_iterator it_, end_;
+  const ScanBounds& bounds_;
+  Decoder dec_;
+  column::ProjectedScanStats* stats_;
+};
 
 /// Adapts the row-major B+-tree component to the DiskComponentReader
-/// interface. Projected reads decode each record straight from the leaf
-/// page, materializing only the projection's fields; the row layout still
-/// reads every payload byte — the cost gap the column format closes.
+/// interface. Records are decoded straight from the leaf page, only the
+/// projection's fields; the row layout still reads every payload byte —
+/// the cost gap the column format closes.
 class RowComponentReader : public DiskComponentReader {
  public:
   RowComponentReader(std::shared_ptr<BTreeReader> btree, adm::DatatypePtr type,
@@ -147,69 +287,33 @@ class RowComponentReader : public DiskComponentReader {
       : btree_(std::move(btree)), type_(std::move(type)),
         compressed_(compressed) {}
 
-  Status PointLookup(const CompositeKey& key, bool* found,
-                     IndexEntry* out) override {
-    ASTERIX_RETURN_NOT_OK(btree_->PointLookup(key, found, out));
-    if (*found && !out->antimatter && compressed_) {
-      ASTERIX_RETURN_NOT_OK(DecodeRowPayload(&out->payload));
+  Result<std::unique_ptr<ComponentCursor>> Scan(
+      const ScanBounds& bounds, const column::Projection& proj,
+      std::vector<column::KeyInterval>,
+      column::ProjectedScanStats* stats) const override {
+    auto c = std::make_unique<RowCursor>(
+        btree_.get(), bounds, Decoder(type_, proj, compressed_), stats);
+    ASTERIX_RETURN_NOT_OK(c->Seek());
+    return std::unique_ptr<ComponentCursor>(std::move(c));
+  }
+
+  Status KeyRange(std::optional<column::KeyInterval>* out) const override {
+    out->reset();
+    if (btree_->num_entries() > 0) {
+      *out = column::KeyInterval{btree_->min_key(), btree_->max_key()};
     }
     return Status::OK();
-  }
-
-  Status RangeScan(const ScanBounds& bounds,
-                   const EntryCallback& cb) const override {
-    if (!compressed_) return btree_->RangeScan(bounds, cb);
-    IndexEntry plain;
-    std::vector<uint8_t> scratch;
-    return btree_->RangeScanView(bounds, [&](const EntryView& e) {
-      plain.key = e.key;
-      plain.antimatter = e.antimatter;
-      if (e.antimatter) {
-        plain.payload.assign(e.payload, e.payload + e.payload_size);
-        return cb(plain);
-      }
-      const uint8_t* data = nullptr;
-      size_t len = 0;
-      ASTERIX_RETURN_NOT_OK(
-          UnframeRowPayload(e.payload, e.payload_size, &scratch, &data, &len));
-      plain.payload.assign(data, data + len);
-      return cb(plain);
-    });
-  }
-
-  Status ProjectedScan(const ScanBounds& bounds, const column::Projection& proj,
-                       bool allow_pruning,
-                       const column::ProjectedEntryCallback& cb,
-                       column::ProjectedScanStats* stats) const override {
-    (void)allow_pruning;  // no page stats in the row layout
-    return FilteredScan(bounds, proj, nullptr, cb, stats);
-  }
-
-  /// ProjectedScan that, while `filter` (optional) is active, decodes each
-  /// live record's key fields first and the rest of the projection only
-  /// for records the filter keeps; dropped records never reach `cb`.
-  Status FilteredScan(const ScanBounds& bounds, const column::Projection& proj,
-                      ScanKeyFilter* filter,
-                      const column::ProjectedEntryCallback& cb,
-                      column::ProjectedScanStats* stats) const {
-    Decoder dec(*this, proj, filter);
-    return btree_->RangeScanView(bounds, [&](const EntryView& e) {
-      if (stats != nullptr) stats->bytes_read += e.payload_size;
-      if (e.antimatter) return cb(e.key, true, adm::Value::Missing());
-      bool kept = true;
-      ASTERIX_RETURN_NOT_OK(dec.Decode(e, &kept));
-      return kept ? cb(e.key, false, dec.record) : Status::OK();
-    });
   }
 
   Status MultiGet(const std::vector<CompositeKey>& keys,
                   const column::Projection& proj,
                   const MultiGetCallback& cb) const override {
-    Decoder dec(*this, proj);
+    Decoder dec(type_, proj, compressed_);
     return btree_->MultiGet(keys, [&](size_t i, const EntryView& e) {
       if (e.antimatter) return cb(i, true, adm::Value::Missing());
-      ASTERIX_RETURN_NOT_OK(dec.Decode(e));
-      return cb(i, false, dec.record);
+      const adm::Value* rec = nullptr;
+      ASTERIX_RETURN_NOT_OK(dec.Record(e.payload, e.payload_size, nullptr, &rec));
+      return cb(i, false, *rec);
     });
   }
 
@@ -218,51 +322,6 @@ class RowComponentReader : public DiskComponentReader {
   }
 
  private:
-  /// One read's decoding state: the projection's plan, the key filter's
-  /// plan when there is one, the buffer a compressed payload inflates into,
-  /// and the last record decoded.
-  struct Decoder {
-    Decoder(const RowComponentReader& reader, const column::Projection& proj,
-            ScanKeyFilter* filter = nullptr)
-        : compressed(reader.compressed_),
-          plan(reader.type_, proj.all_fields, proj.fields),
-          filter(filter) {
-      if (filter != nullptr) {
-        key_plan.emplace(reader.type_, false, filter->fields());
-      }
-    }
-
-    /// Decodes `e` into `record`, unless the filter drops it on its keys
-    /// (`*kept` false, nothing more decoded).
-    Status Decode(const EntryView& e, bool* kept = nullptr) {
-      const uint8_t* data = e.payload;
-      size_t len = e.payload_size;
-      if (compressed) {
-        ASTERIX_RETURN_NOT_OK(UnframeRowPayload(e.payload, e.payload_size,
-                                                &scratch, &data, &len));
-      }
-      if (filter != nullptr && filter->active()) {
-        BytesReader kr(data, len);
-        ASTERIX_RETURN_NOT_OK(key_plan->DecodeFields(&kr, &keys));
-        key_ptrs.resize(keys.size());
-        for (size_t i = 0; i < keys.size(); ++i) key_ptrs[i] = &keys[i];
-        *kept = filter->Keep(key_ptrs.data());
-        if (!*kept) return Status::OK();
-      }
-      BytesReader r(data, len);
-      return plan.Decode(&r, &record);
-    }
-
-    bool compressed;
-    adm::ProjectedDecoder plan;
-    ScanKeyFilter* filter;
-    std::optional<adm::ProjectedDecoder> key_plan;  // with a filter only
-    std::vector<adm::Value> keys;
-    std::vector<const adm::Value*> key_ptrs;
-    std::vector<uint8_t> scratch;
-    adm::Value record;
-  };
-
   std::shared_ptr<BTreeReader> btree_;
   adm::DatatypePtr type_;
   bool compressed_;
@@ -325,54 +384,25 @@ class BTreeLayout : public ComponentLayout {
   adm::DatatypePtr type_;
 };
 
-/// Calls `f(key, entry)` for each memtable entry within `bounds`, in order.
-template <typename F>
-Status ForEachInBounds(const LsmBTree::MemTable& table,
-                       const ScanBounds& bounds, F&& f) {
-  auto it = bounds.lo.has_value() ? table.lower_bound(*bounds.lo)
-                                  : table.begin();
-  for (; it != table.end(); ++it) {
-    int where = BoundsPosition(it->first, bounds);
-    if (where > 0) break;
-    if (where == 0) ASTERIX_RETURN_NOT_OK(f(it->first, it->second));
-  }
-  return Status::OK();
-}
-
-/// Newest-wins k-way resolution, shared by multi-component scans and merge
-/// builds. `runs[0]` holds the newest component's rows in key order, each
-/// later run an older component's. For every distinct key, `emit` gets the
-/// row of the newest run holding it — antimatter included: a scan hides
-/// it, a merge keeps it while older components remain to be cancelled.
-template <typename Row, typename Emit>
-Status ResolveNewestWins(const std::vector<std::vector<Row>>& runs,
-                         Emit&& emit) {
-  std::vector<size_t> pos(runs.size(), 0);
-  auto after = [&](size_t a, size_t b) {
-    int c = CompareKeys(runs[a][pos[a]].key, runs[b][pos[b]].key);
-    return c != 0 ? c > 0 : a > b;  // min-heap by key, newest run first
-  };
-  std::vector<size_t> heap;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    if (!runs[i].empty()) heap.push_back(i);
-  }
-  std::make_heap(heap.begin(), heap.end(), after);
-  const CompositeKey* last = nullptr;  // points into `runs`, which outlive it
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), after);
-    size_t r = heap.back();
-    const Row& row = runs[r][pos[r]];
-    if (last == nullptr || CompareKeys(row.key, *last) != 0) {
-      last = &row.key;
-      ASTERIX_RETURN_NOT_OK(emit(row));
-    }
-    if (++pos[r] < runs[r].size()) {
-      std::push_heap(heap.begin(), heap.end(), after);
-    } else {
-      heap.pop_back();
-    }
-  }
-  return Status::OK();
+/// Writes the merge's winners as a component file through `layout`, one at
+/// a time. Antimatter winners stay unless `drop_antimatter`: a merge whose
+/// run includes the oldest component leaves them nothing to cancel.
+Status BuildComponent(const ComponentLayout& layout, const std::string& path,
+                      NewestWinsMerge merge, bool drop_antimatter,
+                      uint64_t* num_entries) {
+  return layout.Build(
+      path,
+      [&](const EntryCallback& add) {
+        IndexEntry e;
+        return merge.ForEach([&](ComponentCursor& c) {
+          if (c.antimatter() && drop_antimatter) return Status::OK();
+          e.key = c.key();
+          e.antimatter = c.antimatter();
+          ASTERIX_RETURN_NOT_OK(c.Payload(&e.payload));
+          return add(e);
+        });
+      },
+      num_entries);
 }
 
 }  // namespace
@@ -814,19 +844,16 @@ Status LsmBTree::BuildFlush(Job* job) {
                                    lifecycle_.name().c_str());
   std::string path = lifecycle_.ComponentPath(job->file_seq);
   uint64_t num_entries = 0;
-  ASTERIX_RETURN_NOT_OK(layout_->Build(
-      path,
-      [&](const EntryCallback& add) {
-        IndexEntry e;
-        for (const auto& [key, entry] : imm.entries) {
-          e.key = key;
-          e.antimatter = entry.antimatter;
-          e.payload = entry.payload;
-          ASTERIX_RETURN_NOT_OK(add(e));
-        }
-        return Status::OK();
-      },
-      &num_entries));
+  // A flush is the one-cursor merge over the rotated memtable.
+  const ScanBounds all_keys;
+  const column::Projection all;
+  std::vector<std::unique_ptr<ComponentCursor>> cursors;
+  cursors.push_back(std::make_unique<MemCursor>(
+      imm.entries, all_keys, Decoder(options_.record_type, all, false),
+      nullptr));
+  ASTERIX_RETURN_NOT_OK(BuildComponent(*layout_, path,
+                                       NewestWinsMerge(std::move(cursors)),
+                                       /*drop_antimatter=*/false, &num_entries));
   // The validity bit makes the new component durable *after* its data file
   // is fully written (shadowing).
   ASTERIX_RETURN_NOT_OK(
@@ -845,26 +872,21 @@ Status LsmBTree::BuildMerge(Job* job) {
   journal::Journal::Default().Post(journal::EventKind::kLsmMergeStart,
                                    job->bytes_in, inputs.size(),
                                    lifecycle_.name().c_str());
-  std::vector<std::vector<IndexEntry>> runs(inputs.size());  // newest first
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    std::vector<IndexEntry>& run = runs[inputs.size() - 1 - i];
-    ASTERIX_RETURN_NOT_OK(
-        inputs[i].reader->RangeScan(ScanBounds{}, [&](const IndexEntry& e) {
-          run.push_back(e);
-          return Status::OK();
-        }));
+  // The inputs stream through their cursors, newest first, one entry each
+  // at a time; the build never holds them in memory.
+  const ScanBounds all_keys;
+  const column::Projection all;
+  std::vector<std::unique_ptr<ComponentCursor>> cursors;
+  for (size_t i = inputs.size(); i > 0; --i) {
+    ASTERIX_ASSIGN_OR_RETURN(std::unique_ptr<ComponentCursor> c,
+                             inputs[i - 1].reader->Scan(all_keys, all, {}, nullptr));
+    cursors.push_back(std::move(c));
   }
   std::string path = lifecycle_.ComponentPath(job->file_seq);
   uint64_t num_entries = 0;
-  ASTERIX_RETURN_NOT_OK(layout_->Build(
-      path,
-      [&](const EntryCallback& add) {
-        return ResolveNewestWins(runs, [&](const IndexEntry& e) {
-          if (e.antimatter && job->includes_oldest) return Status::OK();
-          return add(e);
-        });
-      },
-      &num_entries));
+  ASTERIX_RETURN_NOT_OK(BuildComponent(*layout_, path,
+                                       NewestWinsMerge(std::move(cursors)),
+                                       job->includes_oldest, &num_entries));
   // The output sorts at its newest input's position, and the marker's
   // replaces range lets recovery finish the input cleanup if we crash
   // before install deletes them.
@@ -1039,27 +1061,28 @@ Status LsmBTree::PointLookup(const CompositeKey& key, bool* found,
   static metrics::Counter* bloom_misses = reg.GetCounter("storage.bloom.misses");
   static metrics::Counter* bloom_fps =
       reg.GetCounter("storage.bloom.false_positives");
-  // Newest disk component first.
+  // Newest disk component first, a one-key cursor on each the bloom filter
+  // admits (a "miss" saves the page reads; a "hit" that finds nothing is a
+  // false positive).
+  const column::Projection all;
+  std::optional<ScanBounds> point;  // made on the first bloom hit
   for (size_t i = disk_.size(); i > 0; --i) {
     const auto& dc = disk_[i - 1];
-    // The bloom filter screens out components that cannot hold the key
-    // (a "miss" saves the page reads; a "hit" that finds nothing is a
-    // false positive).
     if (!dc.reader->MayContain(key)) {
       bloom_misses->Inc();
       continue;
     }
     bloom_hits->Inc();
-    bool f = false;
-    IndexEntry e;
-    ASTERIX_RETURN_NOT_OK(dc.reader->PointLookup(key, &f, &e));
-    if (!f) bloom_fps->Inc();
-    if (f) {
-      if (e.antimatter) return Status::OK();
-      *found = true;
-      *payload = std::move(e.payload);
-      return Status::OK();
+    if (!point.has_value()) point = ScanBounds{key, true, key, true};
+    ASTERIX_ASSIGN_OR_RETURN(std::unique_ptr<ComponentCursor> c,
+                             dc.reader->Scan(*point, all, {}, nullptr));
+    if (!c->Valid() || CompareKeys(c->key(), key) != 0) {
+      bloom_fps->Inc();
+      continue;
     }
+    if (c->antimatter()) return Status::OK();
+    *found = true;
+    return c->Payload(payload);
   }
   return Status::OK();
 }
@@ -1089,8 +1112,8 @@ Status LsmBTree::MultiGet(
           state[i] = kDead;
           continue;
         }
-        ASTERIX_RETURN_NOT_OK(
-            DecodeMemRecord(it->second.payload, dec, &records[i]));
+        BytesReader r(it->second.payload);
+        ASTERIX_RETURN_NOT_OK(dec.Decode(&r, &records[i]));
         state[i] = kLive;
       }
     }
@@ -1140,69 +1163,64 @@ Status LsmBTree::MultiGet(
   return Status::OK();
 }
 
+Result<NewestWinsMerge> LsmBTree::ScanLocked(
+    const ScanBounds& bounds, const column::Projection& proj,
+    column::ProjectedScanStats* stats) const {
+  // Every component's key span feeds the column cursors' exclusions, but
+  // only a projection with ranges can prune.
+  const bool prunes = !proj.ranges.empty();
+  std::vector<std::optional<column::KeyInterval>> spans;
+  // Newest first: the memtable, the rotated memtable, the disk components.
+  std::vector<std::unique_ptr<ComponentCursor>> cursors;
+  for (const MemTable* t : {&mem_, imm_ != nullptr ? &imm_->entries : nullptr}) {
+    if (t == nullptr || t->empty()) continue;
+    cursors.push_back(std::make_unique<MemCursor>(
+        *t, bounds, Decoder(options_.record_type, proj, false), stats));
+    if (prunes) spans.push_back(column::KeyInterval{t->begin()->first, t->rbegin()->first});
+  }
+  for (size_t d = disk_.size(); prunes && d > 0; --d) {
+    ASTERIX_RETURN_NOT_OK(disk_[d - 1].reader->KeyRange(&spans.emplace_back()));
+  }
+  for (size_t d = disk_.size(); d > 0; --d) {
+    std::vector<column::KeyInterval> exclusions;  // the other components'
+    for (size_t j = 0; j < spans.size(); ++j) {
+      if (j != cursors.size() && spans[j]) exclusions.push_back(*spans[j]);
+    }
+    ASTERIX_ASSIGN_OR_RETURN(
+        std::unique_ptr<ComponentCursor> c,
+        disk_[d - 1].reader->Scan(bounds, proj, std::move(exclusions), stats));
+    cursors.push_back(std::move(c));
+  }
+  return NewestWinsMerge(std::move(cursors));
+}
+
 Status LsmBTree::RangeScan(const ScanBounds& bounds,
                            const EntryCallback& cb) const {
   std::shared_lock lock(mu_);
-  // Fast path: a single disk component and empty memory components (the
-  // steady state after a flush or merge) needs no cross-component
-  // resolution — stream straight off the B+-tree, skipping tombstones.
-  if (mem_.empty() && imm_ == nullptr && disk_.size() <= 1) {
-    if (disk_.empty()) return Status::OK();
-    return disk_[0].reader->RangeScan(bounds, [&](const IndexEntry& e) {
-      if (e.antimatter) return Status::OK();
-      return cb(e);
-    });
-  }
-  // Newest-wins, antimatter-hides resolution across the memory components
-  // and all disk components, newest first.
-  std::vector<std::vector<IndexEntry>> runs(2 + disk_.size());
-  auto collect_mem = [&](const MemTable& table, std::vector<IndexEntry>* run) {
-    return ForEachInBounds(table, bounds,
-                           [&](const CompositeKey& key, const MemEntry& e) {
-                             run->push_back(
-                                 IndexEntry{key, e.antimatter, e.payload});
-                             return Status::OK();
-                           });
-  };
-  ASTERIX_RETURN_NOT_OK(collect_mem(mem_, &runs[0]));
-  if (imm_ != nullptr) ASTERIX_RETURN_NOT_OK(collect_mem(imm_->entries, &runs[1]));
-  for (size_t i = 0; i < disk_.size(); ++i) {
-    std::vector<IndexEntry>& run = runs[2 + i];
-    ASTERIX_RETURN_NOT_OK(disk_[disk_.size() - 1 - i].reader->RangeScan(
-        bounds, [&](const IndexEntry& e) {
-          run.push_back(e);
-          return Status::OK();
-        }));
-  }
-  return ResolveNewestWins(runs, [&](const IndexEntry& e) {
-    return e.antimatter ? Status::OK() : cb(e);
+  const column::Projection all;
+  ASTERIX_ASSIGN_OR_RETURN(NewestWinsMerge merge, ScanLocked(bounds, all, nullptr));
+  IndexEntry e;
+  return merge.ForEach([&](ComponentCursor& c) {
+    if (c.antimatter()) return Status::OK();
+    e.key = c.key();
+    ASTERIX_RETURN_NOT_OK(c.Payload(&e.payload));
+    return cb(e);
   });
 }
 
 Status LsmBTree::CountEntries(const ScanBounds& bounds, uint64_t cap,
                               uint64_t* count) const {
   std::shared_lock lock(mu_);
+  // The count reads keys only: no field is decoded, no column page read.
+  const column::Projection none = column::Projection::Of({});
+  ASTERIX_ASSIGN_OR_RETURN(NewestWinsMerge merge,
+                           ScanLocked(bounds, none, nullptr));
   uint64_t n = 0;
-  // Past the cap a walk stops with a status that never leaves here.
-  auto tally = [&] {
-    return ++n >= cap ? Status::Internal("count cap") : Status::OK();
-  };
-  auto done = [&](const Status& st) { return st.ok() || n >= cap; };
-  std::vector<const MemTable*> tables = {&mem_};
-  if (imm_ != nullptr) tables.push_back(&imm_->entries);
-  for (const MemTable* t : tables) {
-    if (n >= cap) break;
-    Status st = ForEachInBounds(
-        *t, bounds, [&](const CompositeKey&, const MemEntry&) { return tally(); });
-    if (!done(st)) return st;
+  while (merge.Valid() && n < cap) {
+    if (!merge.winner().antimatter()) ++n;
+    ASTERIX_RETURN_NOT_OK(merge.Next());
   }
-  for (const DiskComponent& dc : disk_) {
-    if (n >= cap) break;
-    Status st = dc.reader->RangeScan(
-        bounds, [&](const IndexEntry&) { return tally(); });
-    if (!done(st)) return st;
-  }
-  *count = std::min(n, cap);
+  *count = n;
   return Status::OK();
 }
 
@@ -1212,111 +1230,15 @@ Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
                                column::ProjectedScanStats* stats,
                                ScanKeyFilter* filter) const {
   std::shared_lock lock(mu_);
-  // A resolved record the filter drops never reaches `cb`.
-  auto dropped = [filter](const adm::Value& rec) {
-    return filter != nullptr && filter->active() && !filter->KeepRecord(rec);
-  };
-  // Steady-state fast path: with one component and nothing in memory there
-  // is no cross-component resolution, so min/max pruning is sound — a
-  // skipped page group cannot hide a newer version of anything — and so is
-  // testing a row's keys before decoding the rest of it.
-  if (mem_.empty() && imm_ == nullptr && disk_.size() <= 1) {
-    if (disk_.empty()) return Status::OK();
-    auto* row = filter != nullptr ? dynamic_cast<const RowComponentReader*>(
-                                        disk_[0].reader.get())
-                                  : nullptr;
-    if (row != nullptr) {
-      return row->FilteredScan(
-          bounds, proj, filter,
-          [&](const CompositeKey& key, bool antimatter, const adm::Value& rec) {
-            return antimatter ? Status::OK() : cb(key, false, rec);
-          },
-          stats);
-    }
-    return disk_[0].reader->ProjectedScan(
-        bounds, proj, /*allow_pruning=*/true,
-        [&](const CompositeKey& key, bool antimatter, const adm::Value& rec) {
-          if (antimatter || dropped(rec)) return Status::OK();
-          return cb(key, false, rec);
-        },
-        stats);
-  }
-  // Multi-component path: k-way merge of projected rows with newest-wins,
-  // antimatter-hides resolution. Pruning must stay off — dropping a page
-  // group from the newest component would let an older component's stale
-  // version of those rows win the merge.
-  struct ProjRow {
-    CompositeKey key;
-    bool antimatter = false;
-    adm::Value record;
-  };
-  std::vector<std::vector<ProjRow>> runs(2 + disk_.size());  // newest first
-  const adm::ProjectedDecoder dec(options_.record_type, proj.all_fields,
-                                  proj.fields);
-  auto collect_mem = [&](const MemTable& table, std::vector<ProjRow>* run) {
-    return ForEachInBounds(
-        table, bounds, [&](const CompositeKey& key, const MemEntry& e) {
-          ProjRow row;
-          row.key = key;
-          row.antimatter = e.antimatter;
-          if (stats != nullptr) stats->bytes_read += e.payload.size();
-          if (!e.antimatter) {
-            ASTERIX_RETURN_NOT_OK(DecodeMemRecord(e.payload, dec, &row.record));
-          }
-          run->push_back(std::move(row));
-          return Status::OK();
-        });
-  };
-  ASTERIX_RETURN_NOT_OK(collect_mem(mem_, &runs[0]));
-  if (imm_ != nullptr) ASTERIX_RETURN_NOT_OK(collect_mem(imm_->entries, &runs[1]));
-  // Per-component key intervals: a column component may still min/max-prune
-  // a row group on this multi-component path when the group's key span is
-  // disjoint from every *other* component (and the memory component) — no
-  // pruned key can then have another version to resurrect.
-  std::vector<column::KeyInterval> intervals(disk_.size());
-  std::vector<char> has_interval(disk_.size(), 0);
-  bool ranges_known = true;  // every non-empty sibling's key span is visible
-  for (size_t i = 0; i < disk_.size(); ++i) {
-    auto* col = dynamic_cast<const column::ColumnComponentReader*>(
-        disk_[i].reader.get());
-    if (col != nullptr && col->KeyRange(&intervals[i].lo, &intervals[i].hi)) {
-      has_interval[i] = 1;
-    } else if (disk_[i].info.num_entries > 0) {
-      ranges_known = false;  // row sibling: assume it covers everything
-    }
-  }
-  for (size_t i = disk_.size(); i > 0; --i) {
-    std::vector<ProjRow>& run = runs[2 + disk_.size() - i];
-    auto* col = dynamic_cast<const column::ColumnComponentReader*>(
-        disk_[i - 1].reader.get());
-    auto collect = [&](const CompositeKey& key, bool antimatter,
-                       const adm::Value& rec) {
-      run.push_back(ProjRow{key, antimatter, rec});
-      return Status::OK();
-    };
-    if (col != nullptr && ranges_known) {
-      std::vector<column::KeyInterval> exclusions;
-      for (size_t j = 0; j < disk_.size(); ++j) {
-        if (j != i - 1 && has_interval[j]) exclusions.push_back(intervals[j]);
-      }
-      if (!mem_.empty()) {
-        exclusions.push_back(
-            column::KeyInterval{mem_.begin()->first, mem_.rbegin()->first});
-      }
-      if (imm_ != nullptr && !imm_->entries.empty()) {
-        exclusions.push_back(column::KeyInterval{
-            imm_->entries.begin()->first, imm_->entries.rbegin()->first});
-      }
-      ASTERIX_RETURN_NOT_OK(
-          col->ProjectedScanPruned(bounds, proj, exclusions, collect, stats));
-    } else {
-      ASTERIX_RETURN_NOT_OK(disk_[i - 1].reader->ProjectedScan(
-          bounds, proj, /*allow_pruning=*/false, collect, stats));
-    }
-  }
-  return ResolveNewestWins(runs, [&](const ProjRow& row) {
-    if (row.antimatter || dropped(row.record)) return Status::OK();
-    return cb(row.key, false, row.record);
+  ASTERIX_ASSIGN_OR_RETURN(NewestWinsMerge merge,
+                           ScanLocked(bounds, proj, stats));
+  // Only a winner is decoded and tested: dropping a newer version before
+  // resolution would let an older one win.
+  return merge.ForEach([&](ComponentCursor& c) {
+    if (c.antimatter()) return Status::OK();
+    const adm::Value* rec = nullptr;
+    ASTERIX_RETURN_NOT_OK(c.Record(filter, &rec));
+    return rec != nullptr ? cb(c.key(), false, *rec) : Status::OK();
   });
 }
 
@@ -1342,7 +1264,7 @@ Status LsmBTree::BatchScan(const ScanBounds& bounds,
   if (col == nullptr) {
     return Status::NotImplemented("batch scan requires column storage");
   }
-  return col->BatchScan(bounds, proj, nullptr, cb, stats);
+  return col->BatchScan(bounds, proj, cb, stats);
 }
 
 Status LsmBTree::VisitNewestFirst(

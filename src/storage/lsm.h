@@ -215,6 +215,8 @@ class LsmBTree : public Compactable {
 
   // -- Readers --------------------------------------------------------------
   /// LSM-resolved point lookup: newest component wins, antimatter hides.
+  /// The memtables first, then a one-key cursor on each disk component the
+  /// bloom filter admits, newest first.
   Status PointLookup(const CompositeKey& key, bool* found,
                      std::vector<uint8_t>* payload) const;
 
@@ -228,28 +230,29 @@ class LsmBTree : public Compactable {
                   const column::Projection& proj,
                   const std::function<Status(size_t, adm::Value)>& cb) const;
 
-  /// LSM-resolved ordered range scan across all components.
+  /// LSM-resolved ordered range scan across all components. Every
+  /// key-ordered reader below runs the one newest-wins merge of component
+  /// cursors (NewestWinsMerge), which decodes winners only.
   Status RangeScan(const ScanBounds& bounds, const EntryCallback& cb) const;
 
   /// LSM-resolved scan materializing only the projection's fields (the
   /// callback's antimatter flag is always false — resolution happens here).
-  /// Column components read only the touched column pages and skip page
-  /// groups via per-page min/max stats: freely in the single-component
-  /// steady state, and on multi-component scans only for groups whose key
-  /// span is disjoint from every other component (a skipped group that
-  /// overlapped another component could resurrect an older version of its
-  /// rows). `stats` (optional) accumulates bytes/pages. With `filter`, a
-  /// resolved record it drops never reaches `cb`; on a single row component
-  /// only the filter's key fields of such a record are decoded.
+  /// Column components read only the touched column pages and skip row
+  /// groups via per-page min/max stats when the group's key span is
+  /// disjoint from every other component, memtables included (a skipped
+  /// group that overlapped another component could resurrect an older
+  /// version of its rows) — freely, then, when it is the only component.
+  /// `stats` (optional) accumulates bytes/pages. With `filter`, a resolved
+  /// record it drops never reaches `cb`; a row or memtable winner it drops
+  /// has only the filter's key fields decoded.
   Status ProjectedScan(const ScanBounds& bounds, const column::Projection& proj,
                        const column::ProjectedEntryCallback& cb,
                        column::ProjectedScanStats* stats,
                        ScanKeyFilter* filter = nullptr) const;
 
-  /// Entries within `bounds` in every component, counted up to `cap`, with
-  /// no resolution: shadowed versions and antimatter count too, so this is
-  /// an estimate from above (the optimizer's row estimates) that stops
-  /// reading once it reaches `cap`.
+  /// Live records within `bounds`, counted up to `cap` (the optimizer's row
+  /// estimates): the merge resolves keys only, decoding no record, and
+  /// stops reading once it reaches `cap`.
   Status CountEntries(const ScanBounds& bounds, uint64_t cap,
                       uint64_t* count) const;
 
@@ -340,6 +343,11 @@ class LsmBTree : public Compactable {
   void RecordInstall(const Job& job) const;
   /// Merge-policy decision over the current disk_ state; false = no merge.
   bool SelectMergeRunLocked(size_t* first, size_t* count) const;
+  /// The newest-wins merge of cursors over every component's entries within
+  /// `bounds` (requires the lock, shared or unique, while it is read).
+  Result<NewestWinsMerge> ScanLocked(const ScanBounds& bounds,
+                                     const column::Projection& proj,
+                                     column::ProjectedScanStats* stats) const;
 
   std::unique_ptr<ComponentLayout> layout_;
   LsmLifecycle lifecycle_;

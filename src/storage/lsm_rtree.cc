@@ -23,8 +23,44 @@ Mbr DecodeMbr(const std::vector<uint8_t>& payload) {
   return mbr;
 }
 
+/// An R-tree's entries within bounds, sorted by pk: R-tree order is not key
+/// order, so they are read up front. They hold MBRs, no records.
+class RTreeCursor : public ComponentCursor {
+ public:
+  explicit RTreeCursor(std::vector<RTreeEntry> entries)
+      : entries_(std::move(entries)) {
+    std::sort(entries_.begin(), entries_.end(),
+              [](const RTreeEntry& a, const RTreeEntry& b) {
+                return CompareKeys(a.key, b.key) < 0;
+              });
+    Point();
+  }
+
+  Status Next() override {
+    ++i_;
+    Point();
+    return Status::OK();
+  }
+  Status Payload(std::vector<uint8_t>* out) override {
+    *out = EncodeMbr(entries_[i_].mbr);
+    return Status::OK();
+  }
+  Status Record(ScanKeyFilter*, const adm::Value**) override {
+    return Status::NotImplemented("r-tree components hold no records");
+  }
+
+ private:
+  void Point() {
+    key_ = i_ < entries_.size() ? &entries_[i_].key : nullptr;
+    antimatter_ = key_ != nullptr && entries_[i_].antimatter;
+  }
+
+  std::vector<RTreeEntry> entries_;
+  size_t i_ = 0;
+};
+
 /// An STR-packed R-tree disk component seen as a key-ordered component:
-/// merges scan it sorted by pk, spatial searches use the R-tree itself.
+/// merges read it sorted by pk, spatial searches use the R-tree itself.
 class RTreeComponent : public DiskComponentReader {
  public:
   explicit RTreeComponent(std::shared_ptr<RTreeReader> rtree)
@@ -32,32 +68,21 @@ class RTreeComponent : public DiskComponentReader {
 
   const RTreeReader& rtree() const { return *rtree_; }
 
-  Status PointLookup(const CompositeKey&, bool*, IndexEntry*) override {
-    return Status::NotImplemented("r-tree components have no key lookup");
-  }
-
-  Status RangeScan(const ScanBounds& bounds,
-                   const EntryCallback& cb) const override {
-    std::vector<IndexEntry> entries;
+  Result<std::unique_ptr<ComponentCursor>> Scan(
+      const ScanBounds& bounds, const column::Projection&,
+      std::vector<column::KeyInterval>,
+      column::ProjectedScanStats*) const override {
+    std::vector<RTreeEntry> entries;
     ASTERIX_RETURN_NOT_OK(rtree_->ScanAll([&](const RTreeEntry& e) {
-      entries.push_back(IndexEntry{e.key, e.antimatter, EncodeMbr(e.mbr)});
+      if (BoundsPosition(e.key, bounds) == 0) entries.push_back(e);
       return Status::OK();
     }));
-    std::sort(entries.begin(), entries.end(),
-              [](const IndexEntry& a, const IndexEntry& b) {
-                return CompareKeys(a.key, b.key) < 0;
-              });
-    for (const IndexEntry& e : entries) {
-      int where = BoundsPosition(e.key, bounds);
-      if (where > 0) break;
-      if (where == 0) ASTERIX_RETURN_NOT_OK(cb(e));
-    }
-    return Status::OK();
+    return std::unique_ptr<ComponentCursor>(
+        std::make_unique<RTreeCursor>(std::move(entries)));
   }
 
-  Status ProjectedScan(const ScanBounds&, const column::Projection&, bool,
-                       const column::ProjectedEntryCallback&,
-                       column::ProjectedScanStats*) const override {
+  /// Only ranged projected scans ask, and an R-tree holds no records.
+  Status KeyRange(std::optional<column::KeyInterval>*) const override {
     return Status::NotImplemented("r-tree components hold no records");
   }
 

@@ -13,8 +13,9 @@ namespace storage {
 /// hands the record on — a hash join's build keys pushed into its probe
 /// scan. The scan tests the record LSM resolution returns, never a
 /// component's row before resolution: dropping a newer version there would
-/// let an older one win. On a single row component it decodes the key
-/// fields first and the rest of the projection only for records that pass.
+/// let an older one win. A row or memtable winner has its key fields
+/// decoded first and the rest of the projection only when it passes; a
+/// column winner is tested assembled, so the fields must be projected.
 /// One scan instance uses one filter, on one thread.
 class ScanKeyFilter {
  public:
